@@ -200,16 +200,16 @@ BENCHMARK_CAPTURE(BM_NetworkSimCycles, 16x16, 16)
 
 /**
  * Aggregate throughput of K independent 8x8 network simulations
- * advanced as lanes of one batch: one engine and one pair of
- * lane-striped link stores carry all K networks, so the clocked scan
- * and dirty-word rotation run once over the whole batch. Lanes differ
- * only by traffic seed. K = 1 is the solo baseline; items processed
- * count aggregate lane-cycles, so the K = 8 entry's items/second
- * divided by K = 1's is the batching speedup compare_bench.py gates
- * (as aggregate_speedup on the BENCH_seed.json baseline). The 16x16
- * entry (4 lanes of radix 16) sizes the batch past L2 so the
- * lane-vector kernels are measured under realistic cache pressure;
- * its aggregate baseline is BM_NetworkSimCycles/16x16.
+ * advanced as lanes of one batch: one engine carries all K networks
+ * (each owning its fabric), so the clocked scan runs once over the
+ * whole batch. Lanes differ only by traffic seed. K = 1 is the solo
+ * baseline; items processed count aggregate lane-cycles, so the K = 8
+ * entry's items/second divided by K = 1's is the batching speedup
+ * compare_bench.py gates (as aggregate_speedup on the BENCH_seed.json
+ * baseline). The 16x16
+ * entry (4 lanes of radix 16) sizes the batch past L2 so it is
+ * measured under realistic cache pressure; its aggregate baseline is
+ * BM_NetworkSimCycles/16x16.
  */
 void
 BM_BatchedSimCycles(benchmark::State &state, int lanes, int radix)
@@ -218,10 +218,6 @@ BM_BatchedSimCycles(benchmark::State &state, int lanes, int radix)
     net::NetworkConfig config;
     config.radix = radix;
     config.dims = 2;
-    net::LinkStores stores(config.router.buffer_depth + 2,
-                           config.router.vcs, /*shards=*/1, lanes);
-    const std::vector<sim::Engine *> engines{&engine};
-    stores.registerRotators(engines);
     if (g_profile_enabled) {
         g_batch_profiler = std::make_unique<obs::Profiler>(1, lanes);
         g_batch_profile_title =
@@ -232,9 +228,8 @@ BM_BatchedSimCycles(benchmark::State &state, int lanes, int radix)
     std::vector<std::unique_ptr<net::Network>> networks;
     std::vector<std::unique_ptr<net::TrafficGenerator>> generators;
     for (int l = 0; l < lanes; ++l) {
-        stores.beginLane(l);
         networks.push_back(
-            std::make_unique<net::Network>(engine, config, &stores));
+            std::make_unique<net::Network>(engine, config));
         if (g_profile_enabled)
             networks.back()->setProfiler(g_batch_profiler.get(), l);
         engine.addClocked(networks.back().get(), 1);

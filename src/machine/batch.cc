@@ -25,8 +25,8 @@ nodeCountFor(const MachineConfig &config)
 }
 
 /**
- * Everything that shapes the shared engines and link stores must be
- * uniform across the batch; anything else (workload, mapping,
+ * Everything that shapes the shared engines must be uniform across
+ * the batch; anything else (workload, mapping,
  * contexts, sampling) may vary per lane. Mirrors the --shards
  * validation style: nonsense is fatal with a message naming the
  * offending lane.
@@ -97,12 +97,6 @@ MachineBatch::MachineBatch(const std::vector<BatchLaneSpec> &specs)
         owned_engines_.push_back(std::make_unique<sim::Engine>());
         engines_.push_back(owned_engines_.back().get());
     }
-    stores_ = std::make_unique<net::LinkStores>(
-        head.router.buffer_depth + 2, head.router.vcs, shards, lanes);
-    // Once, for the whole batch: the per-shard rotators are shared by
-    // every lane's channels (Network skips registration when handed
-    // shared stores).
-    stores_->registerRotators(engines_);
     if (shards > 1)
         shard_pool_ =
             std::make_unique<runner::ThreadPool>(shards - 1);
@@ -119,24 +113,12 @@ MachineBatch::MachineBatch(const std::vector<BatchLaneSpec> &specs)
 
     BatchContext context;
     context.engines = engines_;
-    context.stores = stores_.get();
     machines_.reserve(specs.size());
     for (int l = 0; l < lanes; ++l) {
-        stores_->beginLane(l);
         context.lane = l;
         machines_.push_back(std::make_unique<Machine>(
             specs[static_cast<std::size_t>(l)].config,
             specs[static_cast<std::size_t>(l)].mapping, &context));
-        // Uniform shapes must allocate identical channel structures;
-        // a mismatch here means the lane-striding invariant (logical
-        // channel c of lane l at id c*stride+l, stride = bit_ceil of
-        // the lane count) is broken.
-        LOCSIM_ASSERT(
-            stores_->flits.laneChannels(l) ==
-                    stores_->flits.laneChannels(0) &&
-                stores_->credits.laneChannels(l) ==
-                    stores_->credits.laneChannels(0),
-            "batch lanes allocated differing channel counts");
     }
 }
 
@@ -149,7 +131,7 @@ MachineBatch::~MachineBatch()
         skipped += engine->skippedTicks();
     obs::CounterRegistry::process().add(
         "sim.skipped_ticks", static_cast<std::uint64_t>(skipped));
-    // Machines must release the shared engines/stores before they do.
+    // Machines must release the shared engines before they do.
     machines_.clear();
 }
 
@@ -158,7 +140,7 @@ MachineBatch::runTicks(sim::Tick ticks)
 {
     if (engines_.size() == 1) {
         // The batched hot loop for the common case: one engine whose
-        // clocked list and dirty words span every lane.
+        // clocked list spans every lane.
         engines_.front()->run(ticks);
         return;
     }

@@ -6,13 +6,9 @@
  * The paper's studies are sweeps of independent simulations differing
  * only in seed, mapping, or context count on one topology shape. A
  * MachineBatch runs K of them as lanes of a single execution: all
- * lanes register their components with one set of shard engines and
- * draw their links from one pair of lane-striped SoA stores
- * (net::LinkStores), so the engine's clocked scan, dirty-channel
- * rotation, and quiescence machinery run once over the whole batch.
- * The same logical channel of every lane occupies adjacent bits of
- * one dirty word (ids are allocated lane-strided), so a congested
- * link rotates for all K lanes in one word-drain.
+ * lanes register their components with one set of shard engines, so
+ * the engine's clocked scan, rotation and quiescence machinery run
+ * once over the whole batch. Each lane owns its own fabric.
  *
  * Batching is an execution detail, invisible to results: lanes share
  * no simulation state, so each lane's statistics, sampled series, and
@@ -26,8 +22,8 @@
  *
  * Requirements on the lanes: identical topology shape (radix, dims,
  * wraparound), clock ratio, router configuration, stepping mode, and
- * resolved shard count — everything that shapes the shared engines
- * and stores. Workload, mapping, context count, and sampling may vary
+ * resolved shard count — everything that shapes the shared engines.
+ * Workload, mapping, context count, and sampling may vary
  * per lane. Tracing is incompatible (a tracer is per engine, and the
  * engines are shared).
  */
@@ -51,8 +47,7 @@ struct BatchLaneSpec
     workload::Mapping mapping;
 };
 
-/** K same-shape machines advancing in lockstep over shared engines
- *  and lane-striped link stores. */
+/** K same-shape machines advancing in lockstep over shared engines. */
 class MachineBatch : private sim::LockstepSerial
 {
   public:
@@ -103,7 +98,6 @@ class MachineBatch : private sim::LockstepSerial
 
     std::vector<std::unique_ptr<sim::Engine>> owned_engines_;
     std::vector<sim::Engine *> engines_;
-    std::unique_ptr<net::LinkStores> stores_;
     std::unique_ptr<runner::ThreadPool> shard_pool_;
     std::vector<std::unique_ptr<Machine>> machines_;
     bool reference_ = false;

@@ -82,8 +82,6 @@ Machine::Machine(const MachineConfig &config,
         lane_ = batch->lane;
         engines_ = batch->engines;
         shards_ = static_cast<int>(engines_.size());
-        LOCSIM_ASSERT(batch->stores != nullptr,
-                      "batch context needs link stores");
         LOCSIM_ASSERT(resolveShards(config, nodes) == shards_,
                       "batch engine count does not match the lane's "
                       "resolved shard count");
@@ -108,9 +106,8 @@ Machine::Machine(const MachineConfig &config,
     net_config.router = config.router;
     const net::ShardPlan plan =
         net::ShardPlan::contiguous(nodes, shards_);
-    network_ = std::make_unique<net::Network>(
-        net_config, engines_, plan,
-        batch != nullptr ? batch->stores : nullptr);
+    network_ =
+        std::make_unique<net::Network>(net_config, engines_, plan);
 
     const net::TorusTopology &topo = network_->topology();
     LOCSIM_ASSERT(mapping_.size() == topo.nodeCount(),

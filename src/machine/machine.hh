@@ -198,15 +198,13 @@ std::uint32_t checkpointFormatVersion();
 /**
  * Shared execution context for one lane of a machine batch (see
  * machine/batch.hh): the shard engines every lane registers its
- * components with, and the lane-striped link stores every lane's
- * fabric allocates channels from. A machine built with a context does
- * not own engines and must be driven through its MachineBatch, never
- * through its own run()/advance()/measure().
+ * components with. Each lane still owns its fabric. A machine built
+ * with a context does not own engines and must be driven through its
+ * MachineBatch, never through its own run()/advance()/measure().
  */
 struct BatchContext
 {
     std::vector<sim::Engine *> engines; //!< one per shard, shared
-    net::LinkStores *stores = nullptr;  //!< lane-striped, shared
     int lane = 0; //!< this machine's lane index (profiler column)
 };
 
@@ -218,7 +216,7 @@ class Machine : private sim::LockstepSerial
      * @param config machine knobs.
      * @param mapping thread placement (copied).
      * @param batch shared batch context, or null for a solo machine
-     *        that owns its engines and link stores.
+     *        that owns its engines.
      */
     Machine(const MachineConfig &config,
             const workload::Mapping &mapping);
@@ -397,7 +395,7 @@ class Machine : private sim::LockstepSerial
     MachineConfig config_;
     workload::Mapping mapping_;
     int shards_ = 1;
-    /** True when engines/link stores belong to a MachineBatch. */
+    /** True when the engines belong to a MachineBatch. */
     bool batched_ = false;
     /** Batch lane index (0 for solo machines; profiler column). */
     int lane_ = 0;

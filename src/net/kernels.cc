@@ -1,16 +1,14 @@
 /**
  * @file
- * Scalar, SSE2 and AVX2 bodies of the lane-vector kernels.
+ * Scalar, SSE2 and AVX2 bodies of the router latch kernel.
  *
- * Every body of one kernel computes the same result; see kernels.hh
- * for the concurrency contract that shapes the store widths. The
- * compile-time ceiling (LOCSIM_SIMD_MAX) drops bodies the configure
- * option excluded, and non-x86 targets compile only the scalar ones.
+ * Every body computes the same result; see kernels.hh for the
+ * concurrency contract that shapes the ranges. The compile-time
+ * ceiling (LOCSIM_SIMD_MAX) drops bodies the configure option
+ * excluded, and non-x86 targets compile only the scalar one.
  */
 
 #include "net/kernels.hh"
-
-#include <bit>
 
 #if defined(__x86_64__) && LOCSIM_SIMD_MAX >= 1
 #include <immintrin.h>
@@ -27,34 +25,7 @@ namespace {
 
 using util::simd::Level;
 
-// --- scalar bodies ---------------------------------------------------
-
-void
-flitPublishScalar(std::uint32_t *mid, const std::uint32_t *tail,
-                  std::uint64_t bits)
-{
-    while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        mid[b] = tail[b];
-    }
-}
-
-void
-creditPublishScalar(int *counts, std::uint64_t bits, int vcs)
-{
-    while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        int *st = counts + static_cast<std::size_t>(2 * vcs) *
-                               static_cast<std::size_t>(b);
-        int *vis = st + vcs;
-        for (int vc = 0; vc < vcs; ++vc) {
-            vis[vc] += st[vc];
-            st[vc] = 0;
-        }
-    }
-}
+// --- scalar body -----------------------------------------------------
 
 void
 latchBusyScalar(std::uint32_t *fws, std::uint32_t *fw,
@@ -79,58 +50,7 @@ latchBusyScalar(std::uint32_t *fws, std::uint32_t *fw,
 
 #if LOCSIM_KERNELS_X86
 
-// --- SSE2 bodies (x86-64 baseline, no target attribute needed) -------
-
-void
-flitPublishSse2(std::uint32_t *mid, const std::uint32_t *tail,
-                std::uint64_t bits)
-{
-    // SSE2 has no element-exact masked store, so full 128-bit stores
-    // are only safe when all four channels of the group are dirty
-    // (dirty implies owned by the publishing rotator); mixed groups
-    // publish scalar. Batched lanes make the all-dirty case the
-    // common one: a congested logical link dirties all K lanes of
-    // its pow2-padded group together.
-    for (int g = 0; bits != 0; ++g, bits >>= 4) {
-        const auto m = static_cast<unsigned>(bits & 0xfu);
-        if (m == 0)
-            continue;
-        if (m == 0xfu) {
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(mid + 4 * g),
-                _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(tail + 4 * g)));
-        } else {
-            unsigned mm = m;
-            while (mm != 0) {
-                const int b = std::countr_zero(mm);
-                mm &= mm - 1;
-                mid[4 * g + b] = tail[4 * g + b];
-            }
-        }
-    }
-}
-
-void
-creditPublish2Sse2(int *counts, std::uint64_t bits)
-{
-    // vcs == 2: each channel is 4 ints [s0, s1, v0, v1]. One shifted
-    // add computes [_, _, v0+s0, v1+s1]; the mask zeroes the staged
-    // half. A single 16-byte store stays inside the channel's own
-    // counter block, so neighboring channels (possibly another
-    // shard's) are never written.
-    const __m128i keep = _mm_setr_epi32(0, 0, -1, -1);
-    while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        int *p = counts + 4 * static_cast<std::size_t>(b);
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-        const __m128i sum = _mm_add_epi32(v, _mm_slli_si128(v, 8));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(p),
-                         _mm_and_si128(sum, keep));
-    }
-}
+// --- SSE2 body (x86-64 baseline, no target attribute needed) ---------
 
 void
 latchBusySse2(std::uint32_t *fws, std::uint32_t *fw,
@@ -173,30 +93,7 @@ latchBusySse2(std::uint32_t *fws, std::uint32_t *fw,
 
 #if LOCSIM_SIMD_MAX >= 2
 
-// --- AVX2 bodies -----------------------------------------------------
-
-[[gnu::target("avx2")]] void
-flitPublishAvx2(std::uint32_t *mid, const std::uint32_t *tail,
-                std::uint64_t bits)
-{
-    // vpmaskmov stores are element-exact: channels of the word owned
-    // by another shard's rotator are never written, whatever the
-    // dirty pattern. Full-width tail loads are safe (rotation never
-    // writes tail) and in-bounds (cursor arrays are word-padded).
-    const __m256i sel =
-        _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    for (int g = 0; bits != 0; ++g, bits >>= 8) {
-        const auto m = static_cast<int>(bits & 0xffu);
-        if (m == 0)
-            continue;
-        const __m256i mv = _mm256_cmpeq_epi32(
-            _mm256_and_si256(_mm256_set1_epi32(m), sel), sel);
-        const __m256i t = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tail + 8 * g));
-        _mm256_maskstore_epi32(
-            reinterpret_cast<int *>(mid + 8 * g), mv, t);
-    }
-}
+// --- AVX2 body -------------------------------------------------------
 
 [[gnu::target("avx2")]] void
 latchBusyAvx2(std::uint32_t *fws, std::uint32_t *fw,
@@ -237,45 +134,6 @@ latchBusyAvx2(std::uint32_t *fws, std::uint32_t *fw,
 #endif // LOCSIM_KERNELS_X86
 
 } // namespace
-
-void
-flitPublishWord(std::uint32_t *mid, const std::uint32_t *tail,
-                std::uint64_t bits, Level level)
-{
-#if LOCSIM_KERNELS_X86
-#if LOCSIM_SIMD_MAX >= 2
-    if (level == Level::Avx2) {
-        flitPublishAvx2(mid, tail, bits);
-        return;
-    }
-#endif
-    if (level >= Level::Sse2) {
-        flitPublishSse2(mid, tail, bits);
-        return;
-    }
-#else
-    (void)level;
-#endif
-    flitPublishScalar(mid, tail, bits);
-}
-
-void
-creditPublishWord(int *counts, std::uint64_t bits, int vcs,
-                  Level level)
-{
-#if LOCSIM_KERNELS_X86
-    // The 128-bit body serves both vector levels: a credit publish is
-    // one shifted add per channel, which AVX2 cannot widen without
-    // writing across channel boundaries.
-    if (level >= Level::Sse2 && vcs == 2) {
-        creditPublish2Sse2(counts, bits);
-        return;
-    }
-#else
-    (void)level;
-#endif
-    creditPublishScalar(counts, bits, vcs);
-}
 
 void
 routerLatchBusy(std::uint32_t *flit_staged, std::uint32_t *flit_wake,

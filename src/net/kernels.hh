@@ -1,43 +1,19 @@
 /**
  * @file
- * Lane-vector kernels for the link-fabric and router hot paths.
+ * Lane-vector kernel for the router hot path.
  *
- * Three data-parallel passes dominate the fabric's per-cycle fixed
- * cost once the stores are lane-striped SoA (link_fabric.hh):
+ * The start-of-cycle latch is the one data-parallel pass left in the
+ * fabric's per-cycle fixed cost: wake |= staged, staged = 0 per router
+ * word, plus the busy test (buffered | wakes) != 0, for a shard's
+ * contiguous node range. It is compiled at scalar, SSE2 and AVX2
+ * levels in one binary (the AVX2 body carries a gnu::target
+ * attribute) and selected by the util::simd::Level the caller
+ * resolved at construction. All levels compute bit-identical results.
  *
- *  - flit publish: mid = tail for every channel of one 64-bit dirty
- *    word (rotation phase),
- *  - credit publish: visible += staged, staged = 0 per VC for every
- *    channel of one dirty word (rotation phase),
- *  - router latch/busy scan: wake |= staged, staged = 0 per router
- *    word, plus the busy test (buffered | wakes) != 0, for a shard's
- *    contiguous node range (start of every network cycle).
- *
- * Each kernel is compiled at scalar, SSE2 and AVX2 levels in one
- * binary (the AVX2 bodies carry gnu::target attributes) and selected
- * by the util::simd::Level the caller resolved at construction. All
- * levels compute bit-identical results; the vector bodies only ever
- * differ in how many elements one instruction touches.
- *
- * Concurrency contract (sharded rotation runs one rotator per shard
- * over a shared id space, and shard node ranges share cache lines at
- * their boundaries):
- *
- *  - flit publish: full-width loads of tail are safe (tail is only
- *    written during the tick phase, barrier-separated from rotation),
- *    but stores to mid MUST touch only the dirty channels — other
- *    channels of the word may belong to a concurrently publishing
- *    shard. The AVX2 body uses vpmaskmov stores (element-exact by
- *    ISA contract); the SSE2 body uses full 128-bit stores only when
- *    all four channels of the group are dirty (dirty implies owned)
- *    and falls back to scalar stores otherwise.
- *  - credit publish: each channel's counters are updated with one
- *    128-bit load/store confined to that channel's [staged x2,
- *    visible x2] block, so neighboring channels are never written.
- *  - latch/busy: the caller peels the range to absolute multiples of
- *    the group size; partial boundary groups (which may share a
- *    vector with another shard's nodes) take the scalar path in the
- *    caller.
+ * Concurrency contract: shard node ranges share cache lines at their
+ * boundaries, so the caller peels the range to absolute multiples of
+ * the group size; partial boundary groups (which may share a vector
+ * with another shard's nodes) take the scalar path in the caller.
  */
 
 #ifndef LOCSIM_NET_KERNELS_HH_
@@ -51,26 +27,6 @@
 namespace locsim {
 namespace net {
 namespace kernels {
-
-/**
- * Publish one dirty word of flit channels: mid[b] = tail[b] for every
- * set bit b of @p bits. @p mid and @p tail point at the word's first
- * channel; the store pads its cursor arrays to whole words, so all 64
- * slots are readable (only dirty ones are written).
- */
-void flitPublishWord(std::uint32_t *mid, const std::uint32_t *tail,
-                     std::uint64_t bits, util::simd::Level level);
-
-/**
- * Publish one dirty word of credit channels: for every set bit b,
- * visible[vc] += staged[vc]; staged[vc] = 0 over the channel's
- * @p vcs VCs. @p counts points at the first channel's staged base;
- * each channel occupies 2 * vcs ints ([staged x vcs][visible x vcs]).
- * The vector body covers vcs == 2 (the torus default); other VC
- * counts take the scalar path at any level.
- */
-void creditPublishWord(int *counts, std::uint64_t bits, int vcs,
-                       util::simd::Level level);
 
 /**
  * Latch staged router wakes and evaluate busy flags for the absolute

@@ -108,12 +108,6 @@ struct Flit
     std::uint8_t vc : 5 = 0;  //!< VC on the current link
 };
 
-/** A credit returned upstream: one buffer slot freed on (port, vc). */
-struct Credit
-{
-    std::uint8_t vc = 0;
-};
-
 // Checkpoint serialization for the wire-level value types. Free
 // functions (not members) so the structs stay plain aggregates.
 
@@ -175,20 +169,6 @@ loadFlit(util::Deserializer &d)
     f.hops = d.get<std::uint16_t>();
     f.stalls = d.get<std::uint16_t>();
     return f;
-}
-
-inline void
-saveCredit(util::Serializer &s, const Credit &c)
-{
-    s.put(c.vc);
-}
-
-inline Credit
-loadCredit(util::Deserializer &d)
-{
-    Credit c;
-    c.vc = d.get<std::uint8_t>();
-    return c;
 }
 
 } // namespace net

@@ -46,31 +46,19 @@ nodeCountFor(const NetworkConfig &config)
 
 } // namespace
 
-Network::Network(sim::Engine &engine, const NetworkConfig &config,
-                 LinkStores *shared)
+Network::Network(sim::Engine &engine, const NetworkConfig &config)
     : Network(config, std::vector<sim::Engine *>{&engine},
-              ShardPlan::contiguous(nodeCountFor(config), 1), shared)
+              ShardPlan::contiguous(nodeCountFor(config), 1))
 {
 }
 
 Network::Network(const NetworkConfig &config,
                  const std::vector<sim::Engine *> &engines,
-                 const ShardPlan &plan, LinkStores *shared)
+                 const ShardPlan &plan)
     : config_(config),
       topo_(config.radix, config.dims, config.wraparound),
-      plan_(plan), engines_(engines),
-      // Credit flow control bounds link occupancy to the downstream
-      // buffer depth; +2 leaves slack for the cycle of latching delay
-      // on each side of the credit loop.
-      owned_stores_(shared != nullptr
-                        ? nullptr
-                        : std::make_unique<LinkStores>(
-                              config.router.buffer_depth + 2,
-                              config.router.vcs, plan.shards)),
-      flit_store_(shared != nullptr ? shared->flits
-                                    : owned_stores_->flits),
-      credit_store_(shared != nullptr ? shared->credits
-                                      : owned_stores_->credits)
+      ports_(2 * config.dims + 1), local_port_(2 * config.dims),
+      plan_(plan), engines_(engines)
 {
     const sim::NodeId n = topo_.nodeCount();
     const int K = plan_.shards;
@@ -81,19 +69,14 @@ Network::Network(const NetworkConfig &config,
                       plan_.first(0) == 0 && plan_.last(K - 1) == n,
                   "shard plan does not cover the fabric");
 
-    // Each shard engine rotates its slice of the link stores through
-    // one batch rotator per store: channels register with the rotator
-    // of the shard that PUSHES into them, so publication happens on
-    // the producer's thread; cross-shard consumers learn about new
-    // content through the remote wake words bound below. A batched
-    // fabric's rotators are shared across lanes, so the batch owner
-    // registers them exactly once itself.
-    if (shared == nullptr) {
+    // Cross-shard deposits stage their wake bits in the producer
+    // shard's outbox, which that shard's engine rotates (delivers)
+    // between tick phases. A sequential fabric needs none.
+    if (K > 1) {
         for (int s = 0; s < K; ++s) {
+            outboxes_.push_back(std::make_unique<WakeOutbox>());
             engines_[static_cast<std::size_t>(s)]->addChannel(
-                flit_store_.rotator(s));
-            engines_[static_cast<std::size_t>(s)]->addChannel(
-                credit_store_.rotator(s));
+                outboxes_.back().get());
         }
     }
 
@@ -109,10 +92,6 @@ Network::Network(const NetworkConfig &config,
         ep.source_queue.reserve(32);
         ep.delivered.reserve(32);
     }
-    inject_link_.resize(n);
-    inject_credit_.resize(n);
-    eject_link_.resize(n);
-    eject_credit_.resize(n);
     shards_.resize(static_cast<std::size_t>(K));
     for (ShardState &shard : shards_)
         shard.records.reserve(static_cast<std::size_t>(n) * 8);
@@ -125,28 +104,20 @@ Network::Network(const NetworkConfig &config,
     for (int s = 0; s < K; ++s)
         shard_ticks_.push_back(std::make_unique<ShardTick>(*this, s));
 
-    auto make_flit_channel = [&](int owner_shard) {
-        const ChannelId id = flit_store_.add(owner_shard);
-        flit_channels_.push_back(id);
-        return id;
-    };
-    auto make_credit_channel = [&](int owner_shard) {
-        const ChannelId id = credit_store_.add(owner_shard);
-        credit_channels_.push_back(id);
-        return id;
-    };
-
     // Router state slabs, sized once before router construction (the
     // routers keep raw pointers into them).
-    const int ports = 2 * config_.dims + 1;
-    const int units = ports * config_.router.vcs;
+    const int vcs = config_.router.vcs;
+    const int units = ports_ * vcs;
     const std::size_t vc_cap = Router::vcRingCapacity(config_.router);
     input_units_.resize(static_cast<std::size_t>(n) *
                         static_cast<std::size_t>(units));
     output_ports_.resize(static_cast<std::size_t>(n) *
-                         static_cast<std::size_t>(ports));
+                         static_cast<std::size_t>(ports_));
     vc_slab_.resize(static_cast<std::size_t>(n) *
                     static_cast<std::size_t>(units) * vc_cap);
+    // The ejection output has buffer_depth credits, like any output,
+    // so its ring needs the same capacity as an input VC.
+    eject_slab_.resize(static_cast<std::size_t>(n) * vc_cap);
     // Wake/occupancy slabs, padded to whole groups of 8 so the latch
     // kernel's full-width accesses on the last group stay in bounds.
     // Pad words start zero and are never staged, so they always read
@@ -161,117 +132,81 @@ Network::Network(const NetworkConfig &config,
 
     for (sim::NodeId node = 0; node < n; ++node) {
         Router::RouterSlices slices;
-        slices.inputs = input_units_.data() +
-                        static_cast<std::size_t>(node) *
-                            static_cast<std::size_t>(units);
-        slices.outputs = output_ports_.data() +
-                         static_cast<std::size_t>(node) *
-                             static_cast<std::size_t>(ports);
-        slices.vc_slots = vc_slab_.data() +
-                          static_cast<std::size_t>(node) *
-                              static_cast<std::size_t>(units) * vc_cap;
+        slices.inputs = input_units_.data() + unitIndex(node, 0, 0);
+        slices.outputs = output_ports_.data() + portIndex(node, 0);
+        slices.vc_slots = vc_slab_.data() + unitIndex(node, 0, 0) * vc_cap;
         slices.flit_wake_staged = flit_wake_staged_.data() + node;
         slices.flit_wake = flit_wake_.data() + node;
         slices.credit_wake_staged = credit_wake_staged_.data() + node;
         slices.credit_wake = credit_wake_.data() + node;
         slices.buffered = buffered_slab_.data() + node;
-        routers_.push_back(arena_.make<Router>(topo_, node,
-                                               config_.router,
-                                               flit_store_,
-                                               credit_store_, slices));
+        routers_.push_back(arena_.make<Router>(
+            topo_, node, config_.router, slices,
+            K > 1 ? outboxes_[static_cast<std::size_t>(shardOf(node))]
+                        .get()
+                  : nullptr));
+        NodeEndpoint &ep = endpoints_[node];
+        ep.eject.slots = eject_slab_.data() + node * vc_cap;
+        ep.eject.mask = static_cast<std::uint32_t>(vc_cap - 1);
+        ep.inject_credits = config_.router.buffer_depth;
     }
 
-    // Wire neighbor links. For each node and each (dim, dir) we create
-    // the unidirectional flit channel node -> neighbor and its credit
-    // return channel. The channel leaving `node` on port p arrives at
-    // the neighbor on the port of the opposite direction.
-    struct PortWiring
-    {
-        ChannelId in = kNoChannel;
-        ChannelId out = kNoChannel;
-        ChannelId credit_up = kNoChannel;
-        ChannelId credit_down = kNoChannel;
-    };
-    std::vector<std::vector<PortWiring>> wiring(
-        n, std::vector<PortWiring>(static_cast<std::size_t>(ports)));
-
+    // Wire the links, recording each in construction order (the
+    // checkpoint record order). The link leaving `node` on port p
+    // arrives at the neighbor on the port of the opposite direction;
+    // its credits return the other way. A link between shards stages
+    // its bits through the producing shard's outbox instead of
+    // writing the consumer's staged word.
     for (sim::NodeId node = 0; node < n; ++node) {
         for (int dim = 0; dim < config_.dims; ++dim) {
             for (int dir : {+1, -1}) {
                 const sim::NodeId nbr = topo_.neighbor(node, dim, dir);
                 if (nbr == sim::kNodeNone)
                     continue; // mesh edge: no link in this direction
-                // Flits are pushed by node's router; credits are
-                // returned by the neighbor's.
-                const ChannelId flits = make_flit_channel(shardOf(node));
-                const ChannelId credits =
-                    make_credit_channel(shardOf(nbr));
-                const auto out_port =
-                    static_cast<std::size_t>(Router::portFor(dim, dir));
-                const auto in_port = static_cast<std::size_t>(
-                    Router::portFor(dim, -dir));
-                wiring[node][out_port].out = flits;
-                wiring[node][out_port].credit_down = credits;
-                wiring[nbr][in_port].in = flits;
-                wiring[nbr][in_port].credit_up = credits;
-            }
-        }
-        // Local (node <-> router) channels; endpoint and router are
-        // always co-sharded.
-        const auto local =
-            static_cast<std::size_t>(2 * config_.dims);
-        inject_link_[node] = make_flit_channel(shardOf(node));
-        inject_credit_[node] = make_credit_channel(shardOf(node));
-        eject_link_[node] = make_flit_channel(shardOf(node));
-        eject_credit_[node] = make_credit_channel(shardOf(node));
-        wiring[node][local].in = inject_link_[node];
-        wiring[node][local].credit_up = inject_credit_[node];
-        wiring[node][local].out = eject_link_[node];
-        wiring[node][local].credit_down = eject_credit_[node];
+                const int out_port = Router::portFor(dim, dir);
+                const int in_port = Router::portFor(dim, -dir);
+                links_.push_back({node, out_port, nbr, in_port});
+                const bool remote = shardOf(nbr) != shardOf(node);
 
-        endpoints_[node].inject_credits = config_.router.buffer_depth;
-    }
-
-    for (sim::NodeId node = 0; node < n; ++node) {
-        for (int port = 0; port < ports; ++port) {
-            const auto &w =
-                wiring[node][static_cast<std::size_t>(port)];
-            routers_[node]->connect(port, w.in, w.out, w.credit_up,
-                                    w.credit_down);
-        }
-    }
-
-    // Re-bind the wakes of shard-crossing channels to the consumer
-    // router's atomic remote words (connect() above bound them to the
-    // plain staged words, which are only safe within one shard). The
-    // bit is the consumer-side port, mirroring Router::connect.
-    if (K > 1) {
-        for (sim::NodeId node = 0; node < n; ++node) {
-            for (int dim = 0; dim < config_.dims; ++dim) {
-                for (int dir : {+1, -1}) {
-                    const sim::NodeId nbr =
-                        topo_.neighbor(node, dim, dir);
-                    if (nbr == sim::kNodeNone ||
-                        shardOf(nbr) == shardOf(node)) {
-                        continue;
-                    }
-                    const auto out_port = static_cast<std::size_t>(
-                        Router::portFor(dim, dir));
-                    const auto in_port = static_cast<std::size_t>(
-                        Router::portFor(dim, -dir));
-                    // Flit channel node -> nbr wakes nbr's router.
-                    flit_store_.bindRemoteWake(
-                        wiring[node][out_port].out,
-                        &routers_[nbr]->remoteFlitWakeWord(),
-                        1u << in_port);
-                    // Its credit return wakes node's router.
-                    credit_store_.bindRemoteWake(
-                        wiring[node][out_port].credit_down,
-                        &routers_[node]->remoteCreditWakeWord(),
-                        1u << out_port);
+                Router::Downstream down;
+                down.units = &input_units_[unitIndex(nbr, in_port, 0)];
+                down.shift = static_cast<std::uint8_t>(in_port * vcs);
+                down.vc_mask = 0xff;
+                if (remote) {
+                    down.remote =
+                        outboxes_[static_cast<std::size_t>(shardOf(node))]
+                            ->add(&routers_[nbr]->remoteFlitWakeWord());
+                } else {
+                    down.wake = &flit_wake_staged_[nbr];
                 }
+                routers_[node]->connectOutput(out_port, down);
+
+                Router::Upstream up;
+                up.shift = static_cast<std::uint8_t>(out_port * vcs);
+                if (remote) {
+                    up.remote =
+                        outboxes_[static_cast<std::size_t>(shardOf(nbr))]
+                            ->add(&routers_[node]->remoteCreditWakeWord());
+                } else {
+                    up.word = &credit_wake_staged_[node];
+                }
+                routers_[nbr]->connectInput(in_port, up);
             }
         }
+        // Injection and ejection: endpoint and router are always
+        // co-sharded. Injection credits go straight to the endpoint's
+        // bank; ejection deposits into the endpoint's ring.
+        NodeEndpoint &ep = endpoints_[node];
+        links_.push_back({node, -1, node, local_port_});
+        links_.push_back({node, local_port_, node, -1});
+        Router::Downstream eject;
+        eject.units = &ep.eject;
+        eject.wake = &ep.eject_staged;
+        routers_[node]->connectOutput(local_port_, eject);
+        Router::Upstream inject;
+        inject.word = &ep.inject_banked;
+        inject.counter = true;
+        routers_[node]->connectInput(local_port_, inject);
     }
 
     // Kernel-path metadata, fixed once all remote wake bindings are
@@ -414,11 +349,12 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
     if (ep.source_queue.empty())
         return;
 
-    // Collect returned injection credits. Credits bank up in the link
-    // while the node has nothing to send, so collecting them lazily
-    // (only when a message wants to inject) is equivalent to
-    // collecting every cycle.
-    ep.inject_credits += credit_store_.takeAll(inject_credit_[node]);
+    // Collect returned injection credits. Credits bank up while the
+    // node has nothing to send, so collecting them lazily (only when
+    // a message wants to inject) is equivalent to collecting every
+    // cycle.
+    ep.inject_credits +=
+        static_cast<int>(std::exchange(ep.inject_banked, 0u));
     LOCSIM_ASSERT(ep.inject_credits <= config_.router.buffer_depth,
                   "injection credit overflow at node ", node);
 
@@ -458,7 +394,16 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
         }
     }
 
-    Flit flit;
+    // Deposit into the router's injection VC (VC 0 of the local port)
+    // and stage its wake bit; the router latches it next cycle.
+    Router::InputVc &ring = input_units_[unitIndex(node, local_port_, 0)];
+    LOCSIM_ASSERT(ep.inject_cursor - ring.head <= ring.mask,
+                  "injection ring overflow: credit protocol violated "
+                  "at node ",
+                  node);
+    Flit &flit = ring.slots[ep.inject_cursor & ring.mask];
+    ++ep.inject_cursor;
+    flit = Flit{};
     flit.msg = msg.id;
     flit.src = msg.src;
     flit.dst = msg.dst;
@@ -466,7 +411,8 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
     flit.head = ep.flits_sent == 0;
     flit.tail = ep.flits_sent + 1 == msg.flits;
     flit.vc = 0;
-    flit_store_.push(inject_link_[node], flit);
+    flit_wake_staged_[node] |=
+        1u << routers_[node]->unitBit(local_port_, 0);
     --ep.inject_credits;
     ++ep.flits_sent;
 
@@ -480,14 +426,23 @@ void
 Network::tickEjection(sim::NodeId node, sim::Tick now)
 {
     NodeEndpoint &ep = endpoints_[node];
-    const ChannelId link = eject_link_[node];
 
-    // The node drains one flit per network cycle (an 8-bit channel
-    // delivers one flit per cycle, Section 3.1).
-    if (flit_store_.empty(link))
+    // Latch last cycle's deposit (at most one: one flit per output
+    // port per cycle), then drain one flit per network cycle (an
+    // 8-bit channel delivers one flit per cycle, Section 3.1).
+    if (ep.eject_staged != 0) {
+        ep.eject_staged = 0;
+        ++ep.eject.tail;
+    }
+    if (ep.eject.bufEmpty())
         return;
-    Flit flit = flit_store_.pop(link);
-    credit_store_.push(eject_credit_[node], flit.vc);
+    const Flit flit = ep.eject.bufFront();
+    ep.eject.bufPop();
+    // Return the slot's credit to the router's ejection output; the
+    // router latched this cycle's bits before this endpoint ran, so
+    // it sees the credit next cycle.
+    credit_wake_staged_[node] |=
+        1u << routers_[node]->unitBit(local_port_, flit.vc);
 
     // Wormhole ejection delivers one message head-to-tail at a time
     // (the ejection output VC is owned until the tail), so the
@@ -616,12 +571,11 @@ Network::tickShard(int s, sim::Tick now)
         // below must stay bit-identical to this one — CI diffs the
         // two builds byte-for-byte.
         //
-        // Latch the wake bits staged by last cycle's channel pushes
-        // (including cross-shard pushes, via the routers' remote
-        // words) before anything pushes this cycle: injection,
-        // ejection credits and router traversal below all stage wakes
-        // for the NEXT cycle, matching the channels' one-cycle
-        // latching delay.
+        // Latch the bits staged by last cycle's deposits (including
+        // cross-shard ones, via the routers' remote words) before
+        // anything deposits this cycle: injection, ejection credits
+        // and router traversal below all stage bits for the NEXT
+        // cycle, which is the links' one-cycle latency.
         for (sim::NodeId node = lo; node < hi; ++node)
             routers_[node]->latchWakes();
         if (plan_.shards > 1)
@@ -630,10 +584,9 @@ Network::tickShard(int s, sim::Tick now)
             tickEjection(node, now);
         for (sim::NodeId node = lo; node < hi; ++node)
             tickInjection(node, now);
-        // An idle router's tick is a no-op (no buffered flits,
-        // nothing visible on its channels, and its arbitration state
-        // is derived from `now`), so skipping it cannot change
-        // behavior.
+        // An idle router's tick is a no-op (no buffered flits, no
+        // latched arrivals, and its arbitration state is derived from
+        // `now`), so skipping it cannot change behavior.
         for (sim::NodeId node = lo; node < hi; ++node) {
             if (routers_[node]->busy())
                 routers_[node]->tick(now);
@@ -860,28 +813,85 @@ Network::bufferedFlits() const
     return flits;
 }
 
+Network::LinkLanes
+Network::lanesOf(const LinkEnds &link) const
+{
+    // Endpoint links carry VC 0 only: one lane. A router consumer
+    // has one ring per VC, filled through the producer's per-VC
+    // cursors.
+    if (link.consumer_port < 0) {
+        return {&endpoints_[link.consumer].eject,
+                output_ports_[portIndex(link.producer,
+                                        link.producer_port)]
+                    .cursor.data(),
+                1};
+    }
+    const Router::InputVc *rings =
+        &input_units_[unitIndex(link.consumer, link.consumer_port, 0)];
+    if (link.producer_port < 0)
+        return {rings, &endpoints_[link.producer].inject_cursor, 1};
+    return {rings,
+            output_ports_[portIndex(link.producer, link.producer_port)]
+                .cursor.data(),
+            config_.router.vcs};
+}
+
+std::uint32_t
+Network::creditsInFlight(const LinkEnds &link, int vc) const
+{
+    if (link.producer_port < 0)
+        return vc == 0 ? endpoints_[link.producer].inject_banked : 0u;
+    const Router &router = *routers_[link.producer];
+    return (router.stagedCreditBits() >>
+            router.unitBit(link.producer_port, vc)) &
+           1u;
+}
+
+TransitCounts
+Network::inTransit() const
+{
+    TransitCounts counts;
+    for (const LinkEnds &link : links_) {
+        const LinkLanes lanes = lanesOf(link);
+        std::uint64_t flits = 0;
+        for (int i = 0; i < lanes.count; ++i)
+            flits += lanes.cursors[i] - lanes.rings[i].tail;
+        if (link.producer_port < 0) {
+            counts.inject += flits;
+            continue;
+        }
+        if (link.consumer_port < 0) {
+            counts.eject += flits;
+        } else {
+            counts.neighbor += flits;
+            if (shardOf(link.producer) != shardOf(link.consumer))
+                counts.cross_shard += flits;
+        }
+        for (int vc = 0; vc < config_.router.vcs; ++vc)
+            counts.credits += creditsInFlight(link, vc);
+    }
+    return counts;
+}
+
 std::size_t
 Network::memoryBytes() const
 {
-    // Routers, input/output units and the vc slab are arena-backed;
-    // arena_.bytesAllocated() covers them. Lane-striped stores owned
-    // by a batch are counted once by the owner, not per lane.
+    // Routers are arena-backed (arena_.bytesAllocated()); the input /
+    // output units and flit rings live in the slabs.
     std::size_t bytes = sizeof(*this) + arena_.bytesAllocated() +
                         input_units_.capacity() *
                             sizeof(Router::InputVc) +
                         output_ports_.capacity() *
                             sizeof(Router::OutputPort) +
-                        vc_slab_.capacity() * sizeof(Flit);
+                        (vc_slab_.capacity() + eject_slab_.capacity()) *
+                            sizeof(Flit) +
+                        links_.capacity() * sizeof(LinkEnds);
     bytes += (flit_wake_staged_.capacity() + flit_wake_.capacity() +
               credit_wake_staged_.capacity() + credit_wake_.capacity() +
               buffered_slab_.capacity()) *
              sizeof(std::uint32_t);
     for (const auto &scratch : busy_scratch_)
         bytes += scratch.capacity();
-    if (owned_stores_ != nullptr) {
-        bytes += flit_store_.memoryBytes() +
-                 credit_store_.memoryBytes();
-    }
     for (const NodeEndpoint &ep : endpoints_) {
         bytes += ep.source_queue.memoryBytes() +
                  ep.delivered.memoryBytes();
@@ -957,19 +967,53 @@ Network::saveState(util::Serializer &s) const
                       "cannot checkpoint a traced network");
     }
 
-    // Channels and routers serialize in construction order, which
+    // Links and routers serialize in construction order, which
     // depends only on the topology (never on the shard plan); router
     // state folds cross-shard wake words into their sequential
     // staged-word equivalents. The stream is therefore identical for
     // any shard count and restores at any other.
-    for (const ChannelId id : flit_channels_)
-        flit_store_.saveChannel(s, id);
-    for (const ChannelId id : credit_channels_)
-        credit_store_.saveChannel(s, id);
+    //
+    // A link record is the latched-link layout (head, mid, tail, then
+    // the flits in [head, tail)): between cycles every link had
+    // published everything it carried, so mid == tail, and what it
+    // held was exactly what is in transit now — at most one flit. Its
+    // cursors were counts of flits consumed and pushed, which are now
+    // the sums of the consumer rings' tails and the producer's
+    // per-VC cursors.
+    for (const LinkEnds &link : links_) {
+        const LinkLanes lanes = lanesOf(link);
+        std::uint32_t consumed = 0;
+        std::uint32_t produced = 0;
+        for (int i = 0; i < lanes.count; ++i) {
+            consumed += lanes.rings[i].tail;
+            produced += lanes.cursors[i];
+        }
+        s.put<std::uint64_t>(consumed);
+        s.put<std::uint64_t>(produced);
+        s.put<std::uint64_t>(produced);
+        for (int i = 0; i < lanes.count; ++i) {
+            const Router::InputVc &ring = lanes.rings[i];
+            for (std::uint32_t c = ring.tail; c != lanes.cursors[i]; ++c)
+                saveFlit(s, ring.slots[c & ring.mask]);
+        }
+    }
+    // Credit records: (staged, visible) per VC. Between cycles all
+    // were visible; a returned credit not yet latched (or collected,
+    // for injection) counts as visible.
+    for (const LinkEnds &link : links_) {
+        for (int vc = 0; vc < config_.router.vcs; ++vc) {
+            s.put(0);
+            s.put(static_cast<int>(creditsInFlight(link, vc)));
+        }
+    }
     for (const Router *router : routers_)
         router->saveState(s);
 
     for (const NodeEndpoint &ep : endpoints_) {
+        // The ejection ring's position lives in its link record; a
+        // latched flit is always drained in the cycle it latches.
+        LOCSIM_ASSERT(ep.eject.bufEmpty(),
+                      "ejection ring holds a latched flit between cycles");
         s.put<std::uint64_t>(ep.source_queue.size());
         for (std::size_t i = 0; i < ep.source_queue.size(); ++i)
             saveMessage(s, ep.source_queue[i]);
@@ -1026,12 +1070,103 @@ Network::saveState(util::Serializer &s) const
 }
 
 void
+Network::restoreLink(const LinkEnds &link, const LinkImage &image)
+{
+    // Only ever applied to this network's own lanes: drop the const
+    // the read-side view carries.
+    const LinkLanes lanes = lanesOf(link);
+    auto *rings = const_cast<Router::InputVc *>(lanes.rings);
+    auto *cursors = const_cast<std::uint32_t *>(lanes.cursors);
+    if (link.consumer_port < 0)
+        rings[0].head = rings[0].tail = image.head;
+    std::uint32_t consumed = 0;
+    for (int i = 0; i < lanes.count; ++i) {
+        cursors[i] = rings[i].tail;
+        consumed += rings[i].tail;
+    }
+    if (consumed != image.head) {
+        throw std::runtime_error(
+            "Network::loadState: link record disagrees with its "
+            "consumer's buffer");
+    }
+    if (image.tail != image.head) {
+        const int lane = image.flit.vc;
+        if (lane >= lanes.count) {
+            throw std::runtime_error(
+                "Network::loadState: flit in transit on a VC the link "
+                "does not carry");
+        }
+        Router::InputVc &ring = rings[lane];
+        if (static_cast<int>(ring.bufSize()) >=
+            config_.router.buffer_depth) {
+            throw std::runtime_error(
+                "Network::loadState: flit in transit overflows its "
+                "ring");
+        }
+        ring.slots[ring.tail & ring.mask] = image.flit;
+        ++cursors[lane];
+        if (link.consumer_port < 0) {
+            endpoints_[link.consumer].eject_staged = 1u;
+        } else {
+            Router &consumer = *routers_[link.consumer];
+            consumer.stageFlitBits(
+                1u << consumer.unitBit(link.consumer_port, lane));
+        }
+    }
+    for (int vc = 0; vc < config_.router.vcs; ++vc) {
+        const std::int64_t credits =
+            image.credits[static_cast<std::size_t>(vc)];
+        if (link.producer_port < 0) {
+            if (credits < 0 || credits > config_.router.buffer_depth ||
+                (vc != 0 && credits != 0)) {
+                throw std::runtime_error(
+                    "Network::loadState: bad injection credit record");
+            }
+            endpoints_[link.producer].inject_banked +=
+                static_cast<std::uint32_t>(credits);
+            continue;
+        }
+        // At most one credit per link per cycle: a bit.
+        if (credits < 0 || credits > 1) {
+            throw std::runtime_error(
+                "Network::loadState: more than one credit in flight "
+                "on a link VC");
+        }
+        Router &producer = *routers_[link.producer];
+        if (credits == 1) {
+            producer.stageCreditBits(
+                1u << producer.unitBit(link.producer_port, vc));
+        }
+    }
+}
+
+void
 Network::loadState(util::Deserializer &d)
 {
-    for (const ChannelId id : flit_channels_)
-        flit_store_.loadChannel(d, id);
-    for (const ChannelId id : credit_channels_)
-        credit_store_.loadChannel(d, id);
+    // Link records precede the routers in the stream but restore into
+    // router and endpoint state, so parse them first and apply them
+    // once both are loaded.
+    std::vector<LinkImage> images(links_.size());
+    for (LinkImage &image : images) {
+        image.head = static_cast<std::uint32_t>(d.get<std::uint64_t>());
+        const auto mid =
+            static_cast<std::uint32_t>(d.get<std::uint64_t>());
+        image.tail = static_cast<std::uint32_t>(d.get<std::uint64_t>());
+        if (mid != image.tail || image.tail - image.head > 1) {
+            throw std::runtime_error(
+                "Network::loadState: a link record holds more than "
+                "one flit in transit");
+        }
+        if (image.tail != image.head)
+            image.flit = loadFlit(d);
+    }
+    for (LinkImage &image : images) {
+        for (int vc = 0; vc < config_.router.vcs; ++vc) {
+            const std::int64_t staged = d.get<int>();
+            image.credits[static_cast<std::size_t>(vc)] =
+                staged + d.get<int>();
+        }
+    }
     for (Router *router : routers_)
         router->loadState(d);
 
@@ -1059,7 +1194,11 @@ Network::loadState(util::Deserializer &d)
             ep.arrived_msg = d.get<MessageId>();
             ep.arrived_count = d.get<std::uint32_t>();
         }
+        ep.inject_banked = 0;
+        ep.eject_staged = 0;
     }
+    for (std::size_t i = 0; i < links_.size(); ++i)
+        restoreLink(links_[i], images[i]);
 
     for (ShardState &shard : shards_) {
         shard.records.clear();

@@ -1,33 +1,35 @@
 /**
  * @file
- * The torus network fabric: routers, channels, per-node injection and
+ * The torus network fabric: routers, links, per-node injection and
  * ejection interfaces, and network-level statistics.
  *
  * Sequential machines register the Network as a single Clocked
  * component ticking at the network clock (period 1). Sharded machines
  * partition the nodes into contiguous spatial shards, each driven by
- * its own engine: every router, endpoint, and channel belongs to
- * exactly one shard, and the per-shard adapter returned by
+ * its own engine: every router and endpoint belongs to exactly one
+ * shard, and the per-shard adapter returned by
  * shardClocked() ticks just that shard's slice of the fabric. Clients
  * (coherence controllers, traffic generators) interact only through
  * send()/receive() on a node's interface; the fabric handles
  * flitization, wormhole transport, and reassembly.
  *
- * Data layout: all link channels live in two structure-of-arrays
- * stores (FlitLinkStore / CreditLinkStore) indexed by dense channel
- * ids, all router input-VC / output-port state lives in Network-owned
- * slabs sliced per router, and message accounting records live in
- * per-shard generation-checked pools indexed by a flat hash map. The
- * steady-state loop therefore walks contiguous arrays and recycles
- * pooled records without touching the allocator.
+ * Data layout: links carry no storage of their own. A producer
+ * deposits each flit into the consumer's input-VC ring (or the node's
+ * ejection ring) and stages a wake bit; credits travel as staged bits
+ * (see router.hh). All router input-VC / output-port state lives in
+ * Network-owned slabs sliced per router, and message accounting
+ * records live in per-shard generation-checked pools indexed by a flat
+ * hash map. The steady-state loop therefore walks contiguous arrays
+ * and recycles pooled records without touching the allocator.
  *
  * Cross-shard state is limited to three mechanisms, all designed so
  * results are bit-identical to the sequential fabric for any shard
  * count (see docs/SHARDING.md for the full argument):
  *
- *  - Latched channels crossing a shard boundary deliver their consumer
- *    wake bits atomically during the rotation phase (see
- *    Rotatable::bindRemoteWake), never at push time.
+ *  - A deposit into a consumer on another shard writes the ring slot
+ *    directly (a slot the consumer cannot read until its next latch)
+ *    but stages its wake bit in the producer shard's WakeOutbox, which
+ *    delivers it atomically during the rotation phase.
  *  - Message accounting records migrate from the source shard to the
  *    destination shard through parity-double-buffered mailboxes
  *    (by value: pool handles never cross shards), posted at injection
@@ -48,7 +50,6 @@
 
 #include "obs/trace.hh"
 #include "sim/engine.hh"
-#include "net/link_fabric.hh"
 #include "net/router.hh"
 #include "stats/stats.hh"
 #include "util/arena.hh"
@@ -190,26 +191,30 @@ struct NetworkStats
     void loadState(util::Deserializer &d);
 };
 
+/** Flits deposited but not yet latched, by link kind (diagnostic). */
+struct TransitCounts
+{
+    std::uint64_t neighbor = 0;    //!< router -> router
+    std::uint64_t cross_shard = 0; //!< neighbor links between shards
+    std::uint64_t inject = 0;      //!< endpoint -> router
+    std::uint64_t eject = 0;       //!< router -> endpoint
+    std::uint64_t credits = 0;     //!< credits staged, not yet latched
+};
+
 /**
  * The full fabric for one machine.
  *
- * Construction wires every router and registers each store's per-shard
- * rotator with its shard engine. For a sequential machine the caller
- * registers the Network itself as a Clocked component with period 1; a
- * sharded machine registers shardClocked(s) with each shard engine
- * instead.
+ * Construction wires every router and, on sharded fabrics, registers
+ * each shard's WakeOutbox with its shard engine. For a sequential
+ * machine the caller registers the Network itself as a Clocked
+ * component with period 1; a sharded machine registers shardClocked(s)
+ * with each shard engine instead.
  */
 class Network : public sim::Clocked
 {
   public:
-    /**
-     * Sequential fabric: one engine, trivial shard plan. A non-null
-     * @p shared points at an externally owned lane-striped LinkStores
-     * (batched execution); the caller must have selected this fabric's
-     * lane with beginLane() and registers the rotators itself.
-     */
-    Network(sim::Engine &engine, const NetworkConfig &config,
-            LinkStores *shared = nullptr);
+    /** Sequential fabric: one engine, trivial shard plan. */
+    Network(sim::Engine &engine, const NetworkConfig &config);
 
     /**
      * Sharded fabric: engines[s] drives shard s of @p plan. All
@@ -217,7 +222,7 @@ class Network : public sim::Clocked
      */
     Network(const NetworkConfig &config,
             const std::vector<sim::Engine *> &engines,
-            const ShardPlan &plan, LinkStores *shared = nullptr);
+            const ShardPlan &plan);
 
     ~Network() override;
 
@@ -316,6 +321,9 @@ class Network : public sim::Clocked
     /** Flits currently buffered in all routers (sampler probe). */
     std::uint64_t bufferedFlits() const;
 
+    /** Flits and credits in transit right now (checkpoint tests). */
+    TransitCounts inTransit() const;
+
     /** Resident bytes of fabric storage (footprint accounting). */
     std::size_t memoryBytes() const;
 
@@ -345,13 +353,18 @@ class Network : public sim::Clocked
     void setProfiler(obs::Profiler *profiler, int lane);
 
     /**
-     * Serialize the complete fabric state: every channel and router in
-     * construction order, endpoint queues, in-flight accounting and
-     * statistics. The byte stream is independent of the shard count
-     * (records are sorted by id, per-shard statistics are merged, and
-     * cross-shard wake words fold into their sequential equivalents),
-     * so a checkpoint taken at any K restores at any other K. Requires
-     * no attached tracer (span ids would dangle across a restore).
+     * Serialize the complete fabric state: one flit record and one
+     * credit record per link, then every router, in construction
+     * order, endpoint queues, in-flight accounting and statistics.
+     * Link records keep the LSCK layout of the latched-link fabric
+     * this one replaced: a link's (head, mid, tail) cursors are the
+     * sums of its per-VC consumer tails and producer cursors, and its
+     * flits are the ones in transit (see saveLink()). The byte stream
+     * is independent of the shard count (records are sorted by id,
+     * per-shard statistics are merged, and cross-shard wake words fold
+     * into their sequential equivalents), so a checkpoint taken at any
+     * K restores at any other K. Requires no attached tracer (span ids
+     * would dangle across a restore).
      */
     void saveState(util::Serializer &s) const;
 
@@ -366,9 +379,22 @@ class Network : public sim::Clocked
         util::RingQueue<Message> source_queue;
         std::uint32_t flits_sent = 0;    //!< of the current message
         int inject_credits = 0;          //!< VC0 credits into router
+        /**
+         * Credits the router returned, not yet collected. Collected
+         * lazily (only when a message wants to inject); the router
+         * ticks after this endpoint within a cycle, so a credit
+         * returned in cycle t is first collectable in t+1.
+         */
+        std::uint32_t inject_banked = 0;
+        /** Write cursor into the router's injection VC ring. */
+        std::uint32_t inject_cursor = 0;
         /** Message-id sequence for this source endpoint. */
         std::uint64_t next_seq = 0;
         // Ejection side.
+        /** The ring the router deposits into (routing fields unused). */
+        Router::InputVc eject;
+        /** Set by the router's deposit; latched as tail++ next cycle. */
+        std::uint32_t eject_staged = 0;
         util::RingQueue<Message> delivered;
         /**
          * Reassembly cursor. Ejection drains a single FIFO whose
@@ -420,6 +446,65 @@ class Network : public sim::Clocked
         int shard_;
     };
 
+    /**
+     * One physical link in construction order (the checkpoint record
+     * order): flits go producer -> consumer, credits come back. A
+     * port of -1 names the node's endpoint (injection producer or
+     * ejection consumer).
+     */
+    struct LinkEnds
+    {
+        sim::NodeId producer;
+        int producer_port;
+        sim::NodeId consumer;
+        int consumer_port;
+    };
+
+    /**
+     * A link's lanes: per VC, the consumer ring and the producer's
+     * write cursor into it (one lane for the endpoint links, which
+     * carry VC 0 only). Flits in transit on lane i are the ring slots
+     * [rings[i].tail, cursors[i]).
+     */
+    struct LinkLanes
+    {
+        const Router::InputVc *rings;
+        const std::uint32_t *cursors;
+        int count;
+    };
+
+    /** One link's flit and credit records as read from a checkpoint. */
+    struct LinkImage
+    {
+        std::uint32_t head = 0;
+        std::uint32_t tail = 0; //!< head or head + 1
+        Flit flit;              //!< valid when tail != head
+        std::array<std::int64_t, Router::kMaxVcs> credits{};
+    };
+
+    LinkLanes lanesOf(const LinkEnds &link) const;
+    /** Credits in flight back over @p link on @p vc. */
+    std::uint32_t creditsInFlight(const LinkEnds &link, int vc) const;
+    void restoreLink(const LinkEnds &link, const LinkImage &image);
+
+    std::size_t
+    unitIndex(sim::NodeId node, int port, int vc) const
+    {
+        return (static_cast<std::size_t>(node) *
+                    static_cast<std::size_t>(ports_) +
+                static_cast<std::size_t>(port)) *
+                   static_cast<std::size_t>(config_.router.vcs) +
+               static_cast<std::size_t>(vc);
+    }
+
+    std::size_t
+    portIndex(sim::NodeId node, int port) const
+    {
+        return static_cast<std::size_t>(node) *
+                   static_cast<std::size_t>(ports_) +
+               static_cast<std::size_t>(port);
+    }
+
     void tickInjection(sim::NodeId node, sim::Tick now);
     void tickEjection(sim::NodeId node, sim::Tick now);
     void drainRecordMail(int dst_shard, sim::Tick now);
@@ -435,21 +520,13 @@ class Network : public sim::Clocked
 
     NetworkConfig config_;
     TorusTopology topo_;
+    int ports_ = 0;       //!< router ports, local port last
+    int local_port_ = 0;  //!< injection / ejection port index
     ShardPlan plan_;
     std::vector<sim::Engine *> engines_; //!< engines_[s] drives shard s
 
-    /**
-     * The SoA link fabric: all flit and credit links, indexed by the
-     * dense ChannelIds recorded in the id vectors below (construction
-     * order, which the serialization stream follows). A solo fabric
-     * owns its stores and registers one batch rotator per shard with
-     * that shard's engine; a batched fabric borrows the batch owner's
-     * lane-striped stores (owned_stores_ stays null) and leaves
-     * rotator registration to the owner.
-     */
-    std::unique_ptr<LinkStores> owned_stores_;
-    FlitLinkStore &flit_store_;
-    CreditLinkStore &credit_store_;
+    /** Per-shard cross-shard wake staging (empty when K == 1). */
+    std::vector<std::unique_ptr<WakeOutbox>> outboxes_;
 
     /**
      * Backing store for the routers. One fabric allocates many small
@@ -461,8 +538,7 @@ class Network : public sim::Clocked
     util::Arena arena_;
 
     std::vector<Router *> routers_;
-    std::vector<ChannelId> flit_channels_;
-    std::vector<ChannelId> credit_channels_;
+    std::vector<LinkEnds> links_;
 
     /**
      * Fabric-wide router state slabs, sliced per router (see
@@ -472,6 +548,8 @@ class Network : public sim::Clocked
     std::vector<Router::InputVc> input_units_;
     std::vector<Router::OutputPort> output_ports_;
     std::vector<Flit> vc_slab_;
+    /** Per-node ejection rings (same capacity as an input VC). */
+    std::vector<Flit> eject_slab_;
 
     /**
      * Per-node wake and occupancy words, one uint32 per router per
@@ -491,8 +569,8 @@ class Network : public sim::Clocked
     /**
      * Per-shard list of nodes with cross-shard producers. The kernel
      * path drains their remote wake atomics into the staged words
-     * before the vector latch; every other node's staged words are
-     * only written by its own shard, so the vector pass is race-free.
+     * before the vector latch; every node's staged words are only
+     * written by its own shard, so the vector pass is race-free.
      */
     std::vector<std::vector<sim::NodeId>> remote_nodes_;
 
@@ -506,12 +584,6 @@ class Network : public sim::Clocked
 
     /** Lane-vector kernel level, resolved once at construction. */
     util::simd::Level simd_level_ = util::simd::Level::Off;
-
-    // Per-node endpoint channels (indexed by node).
-    std::vector<ChannelId> inject_link_;
-    std::vector<ChannelId> inject_credit_;
-    std::vector<ChannelId> eject_link_;
-    std::vector<ChannelId> eject_credit_;
 
     std::vector<NodeEndpoint> endpoints_;
 

@@ -13,11 +13,11 @@ namespace locsim {
 namespace net {
 
 Router::Router(const TorusTopology &topo, sim::NodeId node,
-               const RouterConfig &config, FlitLinkStore &flits,
-               CreditLinkStore &credits, const RouterSlices &slices)
-    : topo_(topo), node_(node), config_(config), flit_store_(flits),
-      credit_store_(credits), inputs_(slices.inputs),
-      outputs_(slices.outputs), buffered_(slices.buffered),
+               const RouterConfig &config, const RouterSlices &slices,
+               WakeOutbox *outbox)
+    : topo_(topo), node_(node), config_(config), inputs_(slices.inputs),
+      outputs_(slices.outputs), outbox_(outbox),
+      buffered_(slices.buffered),
       flit_wake_staged_(slices.flit_wake_staged),
       flit_wake_(slices.flit_wake),
       credit_wake_staged_(slices.credit_wake_staged),
@@ -35,7 +35,7 @@ Router::Router(const TorusTopology &topo, sim::NodeId node,
     LOCSIM_ASSERT(ports * config_.vcs < 32,
                   "activity masks hold one bit per input unit");
     LOCSIM_ASSERT(ports <= kMaxPorts, "per-port arrays are fixed-size");
-    LOCSIM_ASSERT(config_.vcs <= CreditLinkStore::kMaxVcs,
+    LOCSIM_ASSERT(config_.vcs <= kMaxVcs,
                   "per-port VC state uses fixed-size arrays");
     const std::size_t vc_cap = vcRingCapacity(config_);
     const int units = unitCount();
@@ -52,103 +52,75 @@ Router::Router(const TorusTopology &topo, sim::NodeId node,
         outputs_[i] = OutputPort{};
         outputs_[i].owner.fill(-1);
     }
-    in_links_.fill(kNoChannel);
-    out_links_.fill(kNoChannel);
-    credit_up_.fill(kNoChannel);
-    credit_down_.fill(kNoChannel);
 }
 
 void
-Router::connect(int port, ChannelId in, ChannelId out,
-                ChannelId credit_up, ChannelId credit_down)
+Router::connectOutput(int port, const Downstream &down)
 {
     LOCSIM_ASSERT(port >= 0 && port < portCount(), "bad port index");
     const auto p = static_cast<std::size_t>(port);
-    in_links_[p] = in;
-    out_links_[p] = out;
-    credit_up_[p] = credit_up;
-    credit_down_[p] = credit_down;
-    // Input channels wake this router at push time so tick() visits
-    // only the ports that actually carry something.
-    if (in != kNoChannel)
-        flit_store_.bindWake(in, flit_wake_staged_, 1u << port);
-    if (credit_down != kNoChannel) {
-        credit_store_.bindWake(credit_down, credit_wake_staged_,
-                               1u << port);
-    }
-    // The consumer downstream of `out` exposes buffer_depth slots per
-    // VC; start with full credit.
-    if (out != kNoChannel) {
-        for (int v = 0; v < config_.vcs; ++v)
-            outputs_[p].credits[static_cast<std::size_t>(v)] =
-                static_cast<std::int16_t>(config_.buffer_depth);
-    }
+    downstream_[p] = down;
+    // The consumer exposes buffer_depth slots per VC; start with full
+    // credit.
+    for (int v = 0; v < config_.vcs; ++v)
+        outputs_[p].credits[static_cast<std::size_t>(v)] =
+            static_cast<std::int16_t>(config_.buffer_depth);
 }
 
 void
 Router::receiveCredits()
 {
-    // Visit only the ports whose credit links woke us; the wake
-    // contract guarantees every other credit link is empty.
-    std::uint32_t ports = std::exchange(*credit_wake_, 0u);
-    while (ports != 0) {
-        const int port = std::countr_zero(ports);
-        ports &= ports - 1;
-        const ChannelId ch = credit_down_[static_cast<std::size_t>(port)];
+    // Each latched bit is exactly one credit for one (port, VC): at
+    // most one flit leaves the downstream input port per cycle.
+    std::uint32_t units = std::exchange(*credit_wake_, 0u);
+    while (units != 0) {
+        const int unit = std::countr_zero(units);
+        units &= units - 1;
+        const int port = unit_port_[static_cast<std::size_t>(unit)];
+        const auto vc =
+            static_cast<std::size_t>(unit_vc_[static_cast<std::size_t>(unit)]);
         OutputPort &out = outputs_[static_cast<std::size_t>(port)];
-        for (int vc = 0; vc < config_.vcs; ++vc) {
-            const int taken = credit_store_.take(ch, vc);
-            if (taken == 0)
-                continue;
-            std::int16_t &count =
-                out.credits[static_cast<std::size_t>(vc)];
-            count = static_cast<std::int16_t>(count + taken);
-            LOCSIM_ASSERT(count <= config_.buffer_depth,
-                          "credit overflow on node ", node_, " port ",
-                          port);
-            // Credits for an owned VC may unblock this port (credits
-            // for a released VC need no re-arm: a later claim arms it).
-            if (out.owner[static_cast<std::size_t>(vc)] != -1)
-                ready_ports_ |= 1u << port;
-        }
+        LOCSIM_ASSERT(out.credits[vc] < config_.buffer_depth,
+                      "credit overflow on node ", node_, " port ",
+                      port);
+        ++out.credits[vc];
+        // Credits for an owned VC may unblock this port (credits for
+        // a released VC need no re-arm: a later claim arms it).
+        if (out.owner[vc] != -1)
+            ready_ports_ |= 1u << port;
     }
 }
 
 void
 Router::receiveFlits()
 {
-    std::uint32_t ports = std::exchange(*flit_wake_, 0u);
-    while (ports != 0) {
-        const int port = std::countr_zero(ports);
-        ports &= ports - 1;
-        const ChannelId ch = in_links_[static_cast<std::size_t>(port)];
-        // Batch drain: one head-cursor load and one store per port
-        // instead of per flit.
-        const std::uint32_t n = flit_store_.visibleCount(ch);
-        const std::uint32_t head = flit_store_.headCursor(ch);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const Flit &flit = flit_store_.at(ch, head + i);
-            LOCSIM_ASSERT(flit.vc < config_.vcs, "flit VC range");
-            const int unit = port * config_.vcs + flit.vc;
-            InputVc &ivc = inputs_[static_cast<std::size_t>(unit)];
-            LOCSIM_ASSERT(static_cast<int>(ivc.bufSize()) <
-                              config_.buffer_depth,
-                          "input buffer overflow: credit protocol "
-                          "violated at node ",
-                          node_, " port ", port, " vc ",
-                          static_cast<int>(flit.vc));
-            ivc.bufPush(flit);
-            vc_occupied_ |= 1u << unit;
-            ++*buffered_;
-            if (ivc.routed) {
-                // A body flit joined a unit that holds its output VC:
-                // that port may forward again.
-                ready_ports_ |= 1u << ivc.out_port;
-            } else {
-                alloc_pending_ |= 1u << unit;
-            }
+    // Each latched bit is exactly one flit the upstream producer
+    // deposited last cycle at this unit's tail slot (at most one flit
+    // crosses a link per cycle): latching it is tail++, no copy.
+    std::uint32_t units = std::exchange(*flit_wake_, 0u);
+    while (units != 0) {
+        const int unit = std::countr_zero(units);
+        units &= units - 1;
+        InputVc &ivc = inputs_[static_cast<std::size_t>(unit)];
+        LOCSIM_ASSERT(ivc.slots[ivc.tail & ivc.mask].vc ==
+                          unit_vc_[static_cast<std::size_t>(unit)],
+                      "flit VC does not match its ring at node ", node_,
+                      " unit ", unit);
+        ++ivc.tail;
+        LOCSIM_ASSERT(static_cast<int>(ivc.bufSize()) <=
+                          config_.buffer_depth,
+                      "input buffer overflow: credit protocol violated "
+                      "at node ",
+                      node_, " unit ", unit);
+        vc_occupied_ |= 1u << unit;
+        ++*buffered_;
+        if (ivc.routed) {
+            // A body flit joined a unit that holds its output VC:
+            // that port may forward again.
+            ready_ports_ |= 1u << ivc.out_port;
+        } else {
+            alloc_pending_ |= 1u << unit;
         }
-        flit_store_.consume(ch, n);
     }
 }
 
@@ -282,8 +254,9 @@ Router::switchTraversal(sim::Tick now)
         const int port = std::countr_zero(scan);
         scan &= scan - 1;
         OutputPort &out = outputs_[static_cast<std::size_t>(port)];
-        const ChannelId link = out_links_[static_cast<std::size_t>(port)];
-        if (link == kNoChannel)
+        const Downstream &down =
+            downstream_[static_cast<std::size_t>(port)];
+        if (down.units == nullptr)
             continue;
         bool forwarded = false;
         // Blocked only by the one-flit-per-input-port rule this cycle;
@@ -310,22 +283,51 @@ Router::switchTraversal(sim::Tick now)
             if (out.credits[static_cast<std::size_t>(vc)] <= 0)
                 continue; // re-armed by receiveCredits
 
-            // Copy the flit straight into its staged link slot and
-            // rewrite link-level fields in place (one 32-byte copy per
-            // hop instead of buffer -> stack -> link).
-            Flit &flit = flit_store_.stage(link);
+            // Deposit the flit straight into the consumer's ring at
+            // this port's write cursor and rewrite link-level fields
+            // in place: the hop's only flit copy. The slot lies past
+            // the consumer's tail, so the consumer never reads it
+            // before its latch next cycle.
+            const int lane = vc & down.vc_mask;
+            InputVc &dst = down.units[lane];
+            std::uint32_t &cursor =
+                out.cursor[static_cast<std::size_t>(lane)];
+            LOCSIM_ASSERT(
+                cursor - std::atomic_ref<std::uint32_t>(dst.head).load(
+                             std::memory_order_relaxed) <=
+                    dst.mask,
+                "ring overflow: credit protocol violated at node ",
+                node_, " port ", port, " vc ", vc);
+            Flit &flit = dst.slots[cursor & dst.mask];
+            ++cursor;
             flit = ivc.bufFront();
             ivc.bufPop();
             --*buffered_;
             if (ivc.bufEmpty())
                 vc_occupied_ &= ~(1u << owner);
             input_port_used |= 1u << in_port;
+            const std::uint32_t arrival = 1u << (down.shift + lane);
+            if (down.wake != nullptr) {
+                LOCSIM_ASSERT((*down.wake & arrival) == 0,
+                              "two flits on one link in a cycle");
+                *down.wake |= arrival;
+            } else {
+                outbox_->stage(down.remote, arrival);
+            }
 
             // Return a credit upstream for the freed buffer slot.
-            const ChannelId up =
-                credit_up_[static_cast<std::size_t>(in_port)];
-            if (up != kNoChannel)
-                credit_store_.push(up, in_vc);
+            const Upstream &up =
+                upstream_[static_cast<std::size_t>(in_port)];
+            const std::uint32_t credit = 1u << (up.shift + in_vc);
+            if (up.counter) {
+                ++*up.word;
+            } else if (up.word != nullptr) {
+                LOCSIM_ASSERT((*up.word & credit) == 0,
+                              "two credits on one link in a cycle");
+                *up.word |= credit;
+            } else {
+                outbox_->stage(up.remote, credit);
+            }
 
             // Rewrite link-level VC and dateline state.
             const bool to_neighbor = port != localPort();
@@ -348,15 +350,12 @@ Router::switchTraversal(sim::Tick now)
                                   .add("port", port)
                                   .add("vc", vc))
                         .str());
-                if (up != kNoChannel) {
-                    tracer_->instant(
-                        trace_track_, now, "credit",
-                        obs::Category::Net,
-                        std::move(obs::Args()
-                                      .add("port", in_port)
-                                      .add("vc", in_vc))
-                            .str());
-                }
+                tracer_->instant(
+                    trace_track_, now, "credit", obs::Category::Net,
+                    std::move(obs::Args()
+                                  .add("port", in_port)
+                                  .add("vc", in_vc))
+                        .str());
             }
 
             if (flit.tail) {

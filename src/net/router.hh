@@ -18,13 +18,19 @@
  *  - Per-packet output VC ownership (wormhole): a head flit claims an
  *    output VC; the tail releases it.
  *
- * All ports communicate through latched links, so the order in which
- * routers tick within a cycle is immaterial. Links live in the
- * Network's FlitLinkStore/CreditLinkStore and are named by dense
- * ChannelIds; the router's own input-VC and output-port state lives
- * in Network-owned slabs (one contiguous array per kind across all
- * routers), handed to each router as a RouterSlices view. The router
- * object itself is just wiring, masks and statistics.
+ * Links are not objects. Switch traversal deposits each flit straight
+ * into the consumer's input-VC ring (or the node's ejection ring) at a
+ * write cursor the producer owns, and stages one wake bit per input
+ * unit in the consumer's staged word; a freed buffer slot stages one
+ * credit bit per (output port, VC) in the upstream router's staged
+ * credit word. Consumers latch staged bits only at the start of the
+ * next cycle, so a deposit is invisible for exactly one cycle and the
+ * order in which routers tick within a cycle is immaterial (see
+ * DESIGN.md, "The deposit protocol"). The router's input-VC and
+ * output-port state lives in Network-owned slabs (one contiguous array
+ * per kind across all routers), handed to each router as a
+ * RouterSlices view; the router object itself is wiring, masks and
+ * statistics.
  */
 
 #ifndef LOCSIM_NET_ROUTER_HH_
@@ -35,16 +41,75 @@
 #include <bit>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.hh"
 #include "sim/channel.hh"
-#include "net/link_fabric.hh"
 #include "net/message.hh"
 #include "net/topology.hh"
 #include "stats/stats.hh"
+#include "util/logging.hh"
 
 namespace locsim {
 namespace net {
+
+/**
+ * Cross-shard wake bits staged by one shard's producers. A deposit
+ * into a consumer on another shard cannot set the consumer's staged
+ * word directly (the consumer latches it concurrently in the same
+ * tick phase), so the producer stages the bit here and rotation —
+ * barrier-separated from every tick phase — fetch_or's it into the
+ * consumer's remote word, which the consumer drains at the start of
+ * the next cycle: exactly when a same-shard bit would latch. One
+ * entry per cross-shard link; sequential fabrics have none.
+ */
+class WakeOutbox final : public sim::Rotatable
+{
+  public:
+    /** Add a link whose bits deliver into @p target; returns its entry. */
+    std::uint32_t
+    add(std::atomic<std::uint32_t> *target)
+    {
+        entries_.push_back({target, 0u});
+        touched_.reserve(entries_.size());
+        return static_cast<std::uint32_t>(entries_.size() - 1);
+    }
+
+    /** Stage @p bit on @p entry; delivered at the next rotation. */
+    void
+    stage(std::uint32_t entry, std::uint32_t bit)
+    {
+        Entry &e = entries_[entry];
+        LOCSIM_ASSERT((e.bits & bit) == 0,
+                      "two deposits on one cross-shard link in a cycle");
+        if (e.bits == 0)
+            touched_.push_back(entry);
+        e.bits |= bit;
+        markDirty();
+    }
+
+    void
+    rotate() override
+    {
+        dirty_ = false;
+        for (const std::uint32_t entry : touched_) {
+            Entry &e = entries_[entry];
+            e.target->fetch_or(std::exchange(e.bits, 0u),
+                               std::memory_order_relaxed);
+        }
+        touched_.clear();
+    }
+
+  private:
+    struct Entry
+    {
+        std::atomic<std::uint32_t> *target;
+        std::uint32_t bits;
+    };
+    std::vector<Entry> entries_;
+    /** Entries with staged bits, in first-stage order. */
+    std::vector<std::uint32_t> touched_;
+};
 
 /** Configuration knobs for the router fabric. */
 struct RouterConfig
@@ -61,22 +126,28 @@ struct RouterConfig
 /**
  * One switch of the torus fabric.
  *
- * The Network wires up link channels between routers and owns the
- * flat state slabs; the router itself only knows its node id, the
- * topology, its slab slices and its channel ids.
+ * The Network wires routers to their neighbors and endpoints and owns
+ * the flat state slabs; the router itself only knows its node id, the
+ * topology, its slab slices and where each port deposits flits and
+ * returns credits.
  */
 class Router
 {
   public:
     /** The activity masks hold one bit per input unit (port * vc). */
     static constexpr int kMaxPorts = 16;
+    /** Per-port VC state uses fixed-size arrays. */
+    static constexpr int kMaxVcs = 8;
 
     /**
      * One input VC: a private flit buffer (a slice of the fabric-wide
      * contiguous ring slab, power-of-two sized for buffer_depth;
      * credit flow control guarantees it never overflows) plus the
      * wormhole routing state of the packet at its head. Ring indices
-     * are monotonic and masked on access.
+     * are monotonic and masked on access. [head, tail) is the latched
+     * buffer; the upstream producer deposits at its own write cursor
+     * (>= tail, at most one flit ahead), and the consumer's latch
+     * advances tail over it one cycle later.
      */
     struct InputVc
     {
@@ -89,12 +160,17 @@ class Router
         std::uint32_t bufSize() const { return tail - head; }
         const Flit &bufFront() const { return slots[head & mask]; }
         Flit &bufFrontMut() { return slots[head & mask]; }
-        void bufPush(const Flit &flit)
+        /**
+         * head is read by the producer's ring-overflow check, which
+         * may run on another shard's thread, so it is stored through
+         * std::atomic_ref (relaxed: a plain store on x86).
+         */
+        void
+        bufPop()
         {
-            slots[tail & mask] = flit;
-            ++tail;
+            std::atomic_ref<std::uint32_t>(head).store(
+                head + 1, std::memory_order_relaxed);
         }
-        void bufPop() { ++head; }
 
         bool routed = false;      //!< head holds its output VC
         /**
@@ -112,17 +188,52 @@ class Router
         std::int8_t out_vc = -1;
     };
 
-    /** Packed like InputVc: all of a router's output-port state fits
-     *  in about two cache lines. Checkpoint streams still carry the
+    /** Packed like InputVc. Checkpoint streams still carry the
      *  original int-width fields. */
     struct OutputPort
     {
         /** Encoded owner input (port * vcs + vc), or -1 if free. */
-        std::array<std::int8_t, CreditLinkStore::kMaxVcs> owner{};
+        std::array<std::int8_t, kMaxVcs> owner{};
         /** Credits available per output VC. */
-        std::array<std::int16_t, CreditLinkStore::kMaxVcs> credits{};
+        std::array<std::int16_t, kMaxVcs> credits{};
         /** Round-robin pointer over output VCs. */
         std::int8_t next_vc = 0;
+        /**
+         * Write cursor per downstream ring: flits ever deposited
+         * through this port on each VC (monotonic, masked by the
+         * consumer ring). Owned by this router alone.
+         */
+        std::array<std::uint32_t, kMaxVcs> cursor{};
+    };
+
+    /**
+     * Where one output port deposits flits: the consumer's input
+     * units for the arriving port (indexed by VC), and the staged word
+     * that latches them. vc_mask is 0 for the ejection ring (one
+     * FIFO, whatever the VC) and all-ones for a neighbor port.
+     * Cross-shard consumers have no directly writable word: their
+     * bits go through this router's WakeOutbox entry remote.
+     */
+    struct Downstream
+    {
+        InputVc *units = nullptr; //!< null: no link (mesh edge)
+        std::uint32_t *wake = nullptr; //!< null: cross-shard
+        std::uint32_t remote = 0;
+        std::uint8_t shift = 0; //!< consumer bit of VC 0
+        std::uint8_t vc_mask = 0;
+    };
+
+    /**
+     * Where credits freed on one input port go: a bit per (output
+     * port, VC) in the upstream router's staged credit word, or (for
+     * the injection port) a count the co-sharded endpoint collects.
+     */
+    struct Upstream
+    {
+        std::uint32_t *word = nullptr; //!< null: cross-shard
+        std::uint32_t remote = 0;
+        std::uint8_t shift = 0; //!< upstream bit of VC 0
+        bool counter = false;   //!< word counts credits
     };
 
     /**
@@ -147,9 +258,11 @@ class Router
         std::uint32_t *buffered = nullptr;
     };
 
+    /** @param outbox this router's shard's cross-shard wake
+     *         staging (null on sequential fabrics). */
     Router(const TorusTopology &topo, sim::NodeId node,
-           const RouterConfig &config, FlitLinkStore &flits,
-           CreditLinkStore &credits, const RouterSlices &slices);
+           const RouterConfig &config, const RouterSlices &slices,
+           WakeOutbox *outbox);
 
     /** Number of ports including injection/ejection. */
     int portCount() const { return 2 * topo_.dims() + 1; }
@@ -177,20 +290,18 @@ class Router
     /** The local (injection input / ejection output) port index. */
     int localPort() const { return 2 * topo_.dims(); }
 
-    /**
-     * Connect the channels for one port.
-     *
-     * @param port port index.
-     * @param in flits arriving into this router (kNoChannel for the
-     *        ejection side of the local port pair; the local port uses
-     *        @p in for injection and @p out for ejection).
-     * @param out flits leaving this router.
-     * @param credit_up credits this router returns to whoever feeds
-     *        @p in.
-     * @param credit_down credits arriving for @p out.
-     */
-    void connect(int port, ChannelId in, ChannelId out,
-                 ChannelId credit_up, ChannelId credit_down);
+    /** Wire output @p port's deposits; starts with full credit. */
+    void connectOutput(int port, const Downstream &down);
+
+    /** Wire where input @p port returns its credits. */
+    void
+    connectInput(int port, const Upstream &up)
+    {
+        upstream_[static_cast<std::size_t>(port)] = up;
+    }
+
+    /** Consumer bit of (port, vc) in this router's staged words. */
+    int unitBit(int port, int vc) const { return port * config_.vcs + vc; }
 
     /**
      * Advance one network cycle. @p now is the engine tick; internal
@@ -201,11 +312,11 @@ class Router
     void tick(sim::Tick now);
 
     /**
-     * Latch the wake bits staged by last cycle's channel pushes into
-     * the masks tick() consumes. The Network calls this on every
-     * router at the start of a network cycle, before anything pushes:
-     * pushes made during the current cycle stage wakes for the next
-     * one, mirroring the channels' one-cycle latching delay.
+     * Latch the bits staged by last cycle's deposits into the masks
+     * tick() consumes. The Network calls this on every router at the
+     * start of a network cycle, before anything deposits: deposits
+     * made during the current cycle stage bits for the next one, which
+     * is the one-cycle link latency.
      */
     void
     latchWakes()
@@ -245,16 +356,16 @@ class Router
             std::popcount(flits) + std::popcount(credits));
     }
 
-    /** True once any channel bound a cross-shard wake to this router. */
+    /** True once a cross-shard producer was bound to this router. */
     bool hasRemoteWakes() const { return has_remote_wakes_; }
 
     /**
-     * Cross-shard wake words. In sharded runs, an input channel whose
-     * producer router lives on another shard delivers its wake here
-     * (atomically, during the rotation phase) instead of into the
-     * plain staged words; latchWakes() then drains both. The extra
-     * exchange is gated on has_remote_wakes_ so the sequential path
-     * pays nothing. The Network performs the binding.
+     * Cross-shard wake words. In sharded runs, a producer on another
+     * shard delivers its bits here (atomically, through its shard's
+     * WakeOutbox during the rotation phase) instead of into the plain
+     * staged words; latchWakes() then drains both. The extra exchange
+     * is gated on has_remote_wakes_ so the sequential path pays
+     * nothing. The Network performs the binding.
      */
     std::atomic<std::uint32_t> &
     remoteFlitWakeWord()
@@ -272,9 +383,9 @@ class Router
 
     /**
      * Activity report: true if any flit is buffered in this router or
-     * a latched wake says a flit/credit became visible on an input
-     * channel. An idle router's tick() is a no-op, so the fabric may
-     * skip it entirely. Only meaningful after latchWakes().
+     * a latched bit says a flit or credit arrived. An idle router's
+     * tick() is a no-op, so the fabric may skip it entirely. Only
+     * meaningful after latchWakes().
      */
     bool
     busy() const
@@ -326,8 +437,10 @@ class Router
      * Serialize the router's dynamic state: input-VC buffers with
      * their wormhole routing state, output VC ownership and credits,
      * all wake/occupancy masks (staged wakes can be nonzero at a run
-     * boundary), arbitration cache, and per-port statistics. Channel
-     * wiring and decode tables are reconstructed at build time.
+     * boundary), arbitration cache, and per-port statistics. Wiring
+     * and decode tables are reconstructed at build time. Write
+     * cursors and flits in transit are not router state: the Network
+     * serializes them as link records (see Network::saveState).
      */
     void
     saveState(util::Serializer &s) const
@@ -359,15 +472,14 @@ class Router
         // The slab word is 32-bit in memory; the stream keeps its
         // original 64-bit field.
         s.put<std::uint64_t>(*buffered_);
-        // Fold pending cross-shard wakes into the staged words: the
-        // two are drained identically by latchWakes(), and folding
-        // keeps checkpoint bytes independent of the shard count.
-        s.put(*flit_wake_staged_ |
-              remote_flit_wake_.load(std::memory_order_relaxed));
-        s.put(*flit_wake_);
-        s.put(*credit_wake_staged_ |
-              remote_credit_wake_.load(std::memory_order_relaxed));
-        s.put(*credit_wake_);
+        // The stream carries one wake bit per port; fold the per-unit
+        // staged bits (with pending cross-shard ones, which latch
+        // identically) into that form, independent of the shard
+        // count. Latched words are always clear between cycles.
+        s.put(portBits(stagedFlitBits()));
+        s.put(portBits(*flit_wake_));
+        s.put(portBits(stagedCreditBits()));
+        s.put(portBits(*credit_wake_));
         s.put(vc_occupied_);
         s.put(owned_ports_);
         s.put(rr_now_);
@@ -415,10 +527,22 @@ class Router
         }
         *buffered_ =
             static_cast<std::uint32_t>(d.get<std::uint64_t>());
-        *flit_wake_staged_ = d.get<std::uint32_t>();
-        *flit_wake_ = d.get<std::uint32_t>();
-        *credit_wake_staged_ = d.get<std::uint32_t>();
-        *credit_wake_ = d.get<std::uint32_t>();
+        // Staged bits are rebuilt from the link records the Network
+        // restores after the routers (their per-port form in the
+        // stream is implied by them); latched words must be clear.
+        d.get<std::uint32_t>();
+        const std::uint32_t flit_wake = d.get<std::uint32_t>();
+        d.get<std::uint32_t>();
+        const std::uint32_t credit_wake = d.get<std::uint32_t>();
+        if (flit_wake != 0 || credit_wake != 0) {
+            throw std::runtime_error(
+                "Router::loadState: latched wake words set between "
+                "cycles");
+        }
+        *flit_wake_staged_ = 0;
+        *flit_wake_ = 0;
+        *credit_wake_staged_ = 0;
+        *credit_wake_ = 0;
         remote_flit_wake_.store(0u, std::memory_order_relaxed);
         remote_credit_wake_.store(0u, std::memory_order_relaxed);
         vc_occupied_ = d.get<std::uint32_t>();
@@ -442,7 +566,49 @@ class Router
         alloc_stalls_.loadState(d);
     }
 
+    /** Unlatched credit bits, including pending cross-shard ones. */
+    std::uint32_t
+    stagedCreditBits() const
+    {
+        return *credit_wake_staged_ |
+               remote_credit_wake_.load(std::memory_order_relaxed);
+    }
+
+    /** Stage flit bits (checkpoint restore of flits in transit). */
+    void stageFlitBits(std::uint32_t bits) { *flit_wake_staged_ |= bits; }
+
+    /** Stage credit bits (checkpoint restore of credits in flight). */
+    void
+    stageCreditBits(std::uint32_t bits)
+    {
+        *credit_wake_staged_ |= bits;
+    }
+
   private:
+    /**
+     * Fold per-unit wake bits into the per-port form the checkpoint
+     * stream carries (one bit per port with any unit set).
+     */
+    std::uint32_t
+    portBits(std::uint32_t units) const
+    {
+        const std::uint32_t lane = (1u << config_.vcs) - 1u;
+        std::uint32_t ports = 0;
+        for (int p = 0; p < portCount(); ++p) {
+            if ((units >> (p * config_.vcs)) & lane)
+                ports |= 1u << p;
+        }
+        return ports;
+    }
+
+    /** Unlatched flit bits, including pending cross-shard ones. */
+    std::uint32_t
+    stagedFlitBits() const
+    {
+        return *flit_wake_staged_ |
+               remote_flit_wake_.load(std::memory_order_relaxed);
+    }
+
     void receiveCredits();
     void receiveFlits();
     void routeAndAllocate(sim::Tick now);
@@ -462,38 +628,34 @@ class Router
     sim::NodeId node_;
     RouterConfig config_;
 
-    FlitLinkStore &flit_store_;
-    CreditLinkStore &credit_store_;
-
     InputVc *inputs_ = nullptr;     // [port][vc] flattened slab slice
     OutputPort *outputs_ = nullptr; // [port] slab slice
 
     /**
-     * Channel ids per port. portCount() is bounded by kMaxPorts (the
+     * Per-port wiring. portCount() is bounded by kMaxPorts (the
      * constructor asserts ports * vcs < 32 with vcs >= 2), so fixed
-     * arrays avoid four heap vectors per router.
+     * arrays avoid heap vectors per router.
      */
-    std::array<ChannelId, kMaxPorts> in_links_;
-    std::array<ChannelId, kMaxPorts> out_links_;
-    std::array<ChannelId, kMaxPorts> credit_up_;
-    std::array<ChannelId, kMaxPorts> credit_down_;
+    std::array<Downstream, kMaxPorts> downstream_{};
+    std::array<Upstream, kMaxPorts> upstream_{};
+    WakeOutbox *outbox_ = nullptr;
 
     /** Flits currently held in input VC buffers (kept incrementally;
      *  slab word, see RouterSlices). */
     std::uint32_t *buffered_ = nullptr;
 
     /**
-     * Activity bitmasks, one bit per port (wake words) or per input
-     * unit / output port (occupancy). The wake words are written by
-     * the input channels at push time (store wake bindings) and
-     * latched by latchWakes(); tick() then visits only ports whose
-     * channels actually carry something, and the allocation /
-     * traversal phases visit only units with buffered flits / ports
-     * with owned VCs. The constructor asserts port * VC counts fit in
-     * 32 bits. All four words live in Network-owned per-node slabs
-     * (RouterSlices) so the start-of-cycle latch is a contiguous —
-     * and vectorizable — sweep; these pointers name this router's
-     * words.
+     * Activity bitmasks. The flit words hold one bit per input unit
+     * (port * vcs + vc), each standing for exactly one deposited flit;
+     * the credit words one bit per (output port * vcs + vc), each one
+     * credit. Producers set the staged words during a cycle;
+     * latchWakes() moves them into the latched words tick() consumes.
+     * The occupancy masks let the allocation / traversal phases visit
+     * only units with buffered flits / ports with owned VCs. The
+     * constructor asserts port * VC counts fit in 32 bits. All four
+     * wake words live in Network-owned per-node slabs (RouterSlices)
+     * so the start-of-cycle latch is a contiguous — and vectorizable —
+     * sweep; these pointers name this router's words.
      */
     std::uint32_t *flit_wake_staged_ = nullptr;
     std::uint32_t *flit_wake_ = nullptr;
@@ -518,7 +680,7 @@ class Router
      * set; the bit is cleared when a scan proves the port cannot
      * forward until new input arrives, and re-armed by exactly the
      * events that could unblock it: a credit arrival (receiveCredits),
-     * a flit arrival into a routed unit (receiveFlits), or a fresh VC
+     * a flit latched into a routed unit (receiveFlits), or a fresh VC
      * claim (routeAndAllocate). alloc_pending_ likewise narrows the
      * allocation scan to units whose head packet still needs an
      * output VC. Both masks are derived state: they are never

@@ -2,8 +2,10 @@
  * @file
  * Latched FIFO channels for cycle-driven simulation.
  *
- * All communication between clocked components goes through Channel
- * objects. A value pushed during cycle t becomes visible to the
+ * A Channel is the engine's general latched link between clocked
+ * components (the network fabric keeps the same contract without
+ * channel objects, see net/router.hh). A value pushed during cycle t
+ * becomes visible to the
  * consumer no earlier than cycle t+1 (the engine rotates the channel
  * at the end of the tick in which it was pushed). This gives clean
  * two-phase semantics: the order in which components are ticked within
@@ -21,9 +23,7 @@
 #ifndef LOCSIM_SIM_CHANNEL_HH_
 #define LOCSIM_SIM_CHANNEL_HH_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -60,60 +60,7 @@ class Rotatable
     /** True if values were staged since the last rotate(). */
     bool dirty() const { return dirty_; }
 
-    /**
-     * Bind a consumer-side wake word: every push ORs @p bit into
-     * @p mask. A consumer with many input channels can latch the mask
-     * once per cycle and visit only the channels that staged values,
-     * instead of polling every channel for emptiness. The mask must
-     * outlive the channel's use.
-     */
-    void
-    bindWake(std::uint32_t *mask, std::uint32_t bit)
-    {
-        wake_mask_ = mask;
-        wake_bit_ = bit;
-        remote_wake_ = nullptr;
-    }
-
-    /**
-     * Bind a *cross-shard* consumer wake word instead of a plain one.
-     * The producer and consumer live on different shard engines, so
-     * the wake must not be delivered at push time (the consumer may
-     * latch its wake words concurrently in the same tick phase).
-     * Instead rotate() — which runs in the barrier-separated rotation
-     * phase — ORs @p bit into the atomic @p mask; the consumer drains
-     * it at the start of the next tick, exactly when a same-shard wake
-     * would become observable. Replaces any bindWake() binding.
-     */
-    void
-    bindRemoteWake(std::atomic<std::uint32_t> *mask, std::uint32_t bit)
-    {
-        remote_wake_ = mask;
-        wake_mask_ = nullptr;
-        wake_bit_ = bit;
-    }
-
   protected:
-    /** Called by push implementations to flag the bound wake word. */
-    void
-    notifyWake()
-    {
-        if (wake_mask_ != nullptr)
-            *wake_mask_ |= wake_bit_;
-    }
-
-    /**
-     * Called by rotate() implementations *before* clearing dirty_:
-     * delivers the deferred cross-shard wake when values latched.
-     */
-    void
-    notifyRemoteWake()
-    {
-        if (remote_wake_ != nullptr && dirty_) {
-            remote_wake_->fetch_or(wake_bit_,
-                                   std::memory_order_relaxed);
-        }
-    }
     /** Record a push; enrols in the engine's dirty list once per cycle. */
     void
     markDirty()
@@ -130,9 +77,6 @@ class Rotatable
 
   private:
     std::vector<Rotatable *> *dirty_list_ = nullptr;
-    std::uint32_t *wake_mask_ = nullptr;
-    std::atomic<std::uint32_t> *remote_wake_ = nullptr;
-    std::uint32_t wake_bit_ = 0;
 };
 
 /**
@@ -164,7 +108,6 @@ class Channel : public Rotatable
         LOCSIM_ASSERT(canPush(), "push on full channel");
         staged_.push_back(std::move(value));
         markDirty();
-        notifyWake();
     }
 
     /** True if no value is currently visible to the consumer. */
@@ -199,7 +142,6 @@ class Channel : public Rotatable
     void
     rotate() override
     {
-        notifyRemoteWake();
         dirty_ = false;
         // Invariant: rotation drains the staging queue completely, so
         // when the visible queue is empty the whole staged contents

@@ -4,10 +4,11 @@
  *
  * The engine advances a global tick counter; clocked components
  * register with a clock period (in ticks) and phase offset and have
- * their tick() method invoked on matching ticks. All inter-component
- * communication flows through Channel objects registered with the
- * engine, which rotates them at the end of the tick they were pushed
- * in so that values pushed in cycle t are visible in cycle t+1.
+ * their tick() method invoked on matching ticks. Latched
+ * communication goes through Rotatable objects registered with the
+ * engine (Channels, or the fabric's cross-shard WakeOutbox), which it
+ * rotates at the end of the tick they were pushed in so that values
+ * pushed in cycle t are visible in cycle t+1.
  *
  * In the Alewife-like machine, network switches run at period 1 and
  * processors/controllers at period `ratio` (default 2), mirroring the

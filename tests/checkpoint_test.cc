@@ -14,6 +14,7 @@
 
 #include "machine/machine.hh"
 #include "util/serialize.hh"
+#include "util/sha256.hh"
 #include "workload/mapping.hh"
 
 namespace locsim {
@@ -192,6 +193,69 @@ TEST(Checkpoint, SaveLoadSaveIsByteStable)
     Machine second(config, mapping);
     second.restoreCheckpoint(image);
     EXPECT_EQ(second.saveCheckpoint(), image);
+}
+
+/**
+ * LSCK bytes are pinned, not just self-consistent: 8x8 machines saved
+ * mid-traffic must hash to digests recorded from the latched-link
+ * fabric that direct deposit replaced. Across the save points, flits
+ * are in transit on neighbor, injection, ejection and (at 2 shards)
+ * cross-shard links, and credits are in flight — the states whose
+ * records the deposit protocol re-derives from producer cursors and
+ * consumer rings. Each image also restores at the other shard count
+ * and re-saves to the same digest.
+ */
+TEST(Checkpoint, MidTrafficImagesMatchPinnedDigests)
+{
+    struct Point
+    {
+        std::uint64_t cycles;
+        const char *sha256;
+    };
+    const Point points[] = {
+        {1201,
+         "cb87038cf3dd99a43a2c4775f27bfcff7b3d497e9155947dc18b99eef873c4ef"},
+        {2502,
+         "c58099c712c9f97ee91c377ce3f74428ed1caef94e6feb022cd9c04b34814623"},
+        {3703,
+         "4c7207bbb4616c259145ef69d751b77263d7a49da85d3624d4b6c4f265f8c613"},
+    };
+    MachineConfig config;
+    config.contexts = 4;
+    const workload::Mapping mapping = identityMapping(config);
+    net::TransitCounts seen;
+    for (int shards : {1, 2}) {
+        config.shards = shards;
+        for (const Point &p : points) {
+            Machine machine(config, mapping);
+            machine.advance(p.cycles);
+            const std::vector<std::uint8_t> image =
+                machine.saveCheckpoint();
+            EXPECT_EQ(util::Sha256::hashHex(image), p.sha256)
+                << "at " << shards << " shards after " << p.cycles
+                << " cycles";
+
+            const net::TransitCounts t = machine.network().inTransit();
+            seen.neighbor += t.neighbor;
+            seen.cross_shard += t.cross_shard;
+            seen.inject += t.inject;
+            seen.eject += t.eject;
+            seen.credits += t.credits;
+
+            MachineConfig other = config;
+            other.shards = 3 - shards;
+            Machine restored(other, mapping);
+            restored.restoreCheckpoint(image);
+            EXPECT_EQ(util::Sha256::hashHex(restored.saveCheckpoint()),
+                      p.sha256)
+                << "restored at " << other.shards << " shards";
+        }
+    }
+    EXPECT_GT(seen.neighbor, 0u);
+    EXPECT_GT(seen.cross_shard, 0u);
+    EXPECT_GT(seen.inject, 0u);
+    EXPECT_GT(seen.eject, 0u);
+    EXPECT_GT(seen.credits, 0u);
 }
 
 TEST(Checkpoint, RestoredMachineContinuesCoherently)

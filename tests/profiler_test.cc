@@ -174,6 +174,8 @@ TEST(Counters, MachineRunPublishesFabricCounters)
     CounterRegistry::process().reset();
     {
         machine::MachineConfig config;
+        // Explicitly sequential: LOCSIM_SHARDS must not shard it.
+        config.shards = 1;
         machine::Machine machine(config,
                                  workload::Mapping::random(64, 7));
         machine.advance(500);
