@@ -23,7 +23,6 @@
 #include "cache/key.hh"
 #include "cache/prefix.hh"
 #include "cache/store.hh"
-#include "machine/batch.hh"
 #include "machine/calibration.hh"
 #include "machine/machine.hh"
 #include "model/alewife.hh"
@@ -70,12 +69,6 @@ struct HarnessOptions
      * bit-identical for every value; this is purely an execution knob.
      */
     int shards = 0;
-    /**
-     * Same-shape sweep cells to advance per lockstep batch (1 =
-     * unbatched). Like --shards, purely an execution knob: every
-     * cell's results are bit-identical at any batch size.
-     */
-    int batch = 1;
     /** --log-level / --trace-out / --trace-detail / --sample-period. */
     util::ObservabilityOptions obs;
     /** --attribution: add latency-decomposition columns. */
@@ -107,7 +100,7 @@ struct HarnessOptions
 
     /**
      * The host-side phase profiler, created iff --run-report is set
-     * (shards x batch slot grid). Shared so every machine the harness
+     * (one slot per shard). Shared so every machine the harness
      * builds can borrow a raw pointer that provably outlives it.
      */
     std::shared_ptr<obs::Profiler> profiler;
@@ -165,10 +158,6 @@ parseHarnessOptions(int argc, const char *const *argv,
                 "results at any count (0 = LOCSIM_SHARDS or "
                 "sequential)",
                 0);
-    opts.addInt("batch",
-                "same-shape sweep cells per lockstep batch, "
-                "bit-identical results at any size (1 = unbatched)",
-                1);
     opts.addFlag("attribution",
                  "report the latency decomposition (serialization, "
                  "hops, contention) per message");
@@ -236,19 +225,8 @@ parseHarnessOptions(int argc, const char *const *argv,
                      out.shards,
                      " (omit the flag for sequential execution)");
     }
-    out.batch = opts.getInt("batch");
-    if (opts.wasSet("batch") && out.batch <= 0) {
-        LOCSIM_FATAL("--batch must be a positive integer, got ",
-                     out.batch,
-                     " (omit the flag for unbatched execution)");
-    }
     out.attribution = opts.getFlag("attribution");
     out.obs = util::applyObservabilityOptions(opts);
-    if (out.batch > 1 && !out.obs.trace_out.empty()) {
-        LOCSIM_FATAL("--batch is incompatible with --trace-out "
-                     "(batch lanes share engines and cannot trace); "
-                     "drop one of the flags");
-    }
     // --quick shortens the *defaults*; an explicit --warmup/--window
     // always wins (previously --quick silently overwrote both).
     if (out.quick) {
@@ -303,7 +281,7 @@ parseHarnessOptions(int argc, const char *const *argv,
             }
         }
         out.profiler = std::make_shared<obs::Profiler>(
-            shard_guess > 0 ? shard_guess : 1, out.batch);
+            shard_guess > 0 ? shard_guess : 1, 1);
         if (out.sim_cache != nullptr)
             out.sim_cache->setProfileSlot(&out.profiler->hostSlot());
     }
@@ -481,7 +459,6 @@ maybeWriteRunReport(const HarnessOptions &options,
     report.addConfig("threads",
                      static_cast<long long>(options.threads));
     report.addConfig("shards", static_cast<long long>(options.shards));
-    report.addConfig("batch", static_cast<long long>(options.batch));
     report.addConfig("attribution", options.attribution);
     report.addConfig("sample_period",
                      static_cast<long long>(options.obs.sample_period));
@@ -559,13 +536,6 @@ summarizeAttribution(const machine::Measurement &m)
  * pool; every simulation owns its full machine state, and results are
  * collected by grid index, so the output is identical to the old
  * sequential loop for any thread count.
- *
- * With --batch K > 1 the grid is packed into lockstep batches of up
- * to K cells (machine::MachineBatch): the sweep's cells all share the
- * 8^2 torus shape, so any K of them can advance through one hot loop.
- * Each lane's measurement is bit-identical to a solo run, and cache
- * keys are per cell, so warm entries from unbatched runs hit and
- * entries stored by batched runs serve unbatched ones.
  */
 inline std::vector<SimPoint>
 runValidationSims(const std::vector<int> &context_counts,
@@ -583,186 +553,27 @@ runValidationSims(const std::vector<int> &context_counts,
         for (const auto &named : family)
             grid.push_back({contexts, &named});
     }
-    if (options.batch <= 1) {
-        return runner::parallelMap(
-            grid.size(),
-            [&](std::size_t i) {
-                const Cell &cell = grid[i];
-                machine::MachineConfig config;
-                config.contexts = cell.contexts;
-                applyObservability(config, options);
-                SimPoint point;
-                point.mapping = cell.named->name;
-                point.contexts = cell.contexts;
-                point.distance = cell.named->avg_distance;
-                point.sim_key = locsim::cache::simKey(
-                    config, cell.named->mapping, options.warmup,
-                    options.window);
-                // Cached cells return the recorded measurement
-                // without simulating; the shard (tracing runs only,
-                // which bypass the cache) is merged in grid order by
-                // maybeWriteTrace.
-                point.m = runCachedMeasurement(options, config,
-                                               cell.named->mapping,
-                                               &point.tracer);
-                return point;
-            },
-            options.threads);
-    }
-    // Batched: probe the cache per cell, advance the misses of each
-    // chunk as lanes of one MachineBatch, then record them under
-    // their per-cell keys. parseHarnessOptions already rejected
-    // --trace-out, so no cell needs a tracer.
-    return runner::batchMap(
+    return runner::parallelMap(
         grid.size(),
-        // Every cell of this sweep shares the 8^2 torus shape (only
-        // contexts and mapping vary), so one group covers the grid.
-        [](std::size_t) { return 0; }, options.batch,
-        [&](const std::vector<std::size_t> &chunk) {
-            std::vector<SimPoint> points(chunk.size());
-            struct Miss
-            {
-                std::size_t slot; //!< index into points / chunk
-                std::string key;  //!< empty when the cache is off
-            };
-            std::vector<Miss> misses;
-            std::vector<machine::BatchLaneSpec> specs;
-            locsim::cache::SimCache *store =
-                options.cacheUsable() ? options.sim_cache.get()
-                                      : nullptr;
-            for (std::size_t j = 0; j < chunk.size(); ++j) {
-                const Cell &cell = grid[chunk[j]];
-                machine::MachineConfig config;
-                config.contexts = cell.contexts;
-                applyObservability(config, options);
-                if (options.shards != 0)
-                    config.shards = options.shards;
-                config.profiler = options.profiler.get();
-                SimPoint &point = points[j];
-                point.mapping = cell.named->name;
-                point.contexts = cell.contexts;
-                point.distance = cell.named->avg_distance;
-                point.sim_key = locsim::cache::simKey(
-                    config, cell.named->mapping, options.warmup,
-                    options.window);
-                const std::string &key = point.sim_key;
-                if (store != nullptr) {
-                    if (auto payload = store->lookup(key)) {
-                        try {
-                            util::Deserializer d(*payload);
-                            point.m = machine::loadMeasurement(d);
-                            if (!d.atEnd())
-                                throw std::runtime_error(
-                                    "trailing payload bytes");
-                            // Count the hit (and re-store the bytes
-                            // if another process removed the entry
-                            // since the probe).
-                            store->getOrRun(
-                                key, [&] { return *payload; });
-                            continue;
-                        } catch (const std::exception &) {
-                            store->remove(key);
-                        }
-                    }
-                }
-                misses.push_back({j, key});
-                specs.push_back({config, cell.named->mapping});
-            }
-            if (!specs.empty()) {
-                locsim::cache::PrefixPlanner *planner =
-                    store != nullptr ? options.prefix_planner.get()
-                                     : nullptr;
-                const auto record =
-                    [&](std::size_t miss_index,
-                        const machine::Measurement &m) {
-                        points[misses[miss_index].slot].m = m;
-                        if (store != nullptr) {
-                            util::Serializer s;
-                            machine::saveMeasurement(s, m);
-                            std::vector<std::uint8_t> bytes =
-                                s.takeBuffer();
-                            store->getOrRun(misses[miss_index].key,
-                                            [&] { return bytes; });
-                        }
-                    };
-                // Split the chunk's misses by prefix-image
-                // availability: restorable lanes skip the warmup
-                // entirely, cold lanes advance it once as one batch
-                // (and leave images behind for every later window).
-                std::vector<std::size_t> cold;
-                std::vector<std::size_t> restorable;
-                std::vector<std::vector<std::uint8_t>> images;
-                for (std::size_t k = 0; k < specs.size(); ++k) {
-                    if (planner != nullptr) {
-                        if (auto image = planner->lookupImage(
-                                specs[k].config, specs[k].mapping,
-                                options.warmup)) {
-                            restorable.push_back(k);
-                            images.push_back(std::move(*image));
-                            continue;
-                        }
-                    }
-                    cold.push_back(k);
-                }
-                if (!restorable.empty()) {
-                    std::vector<machine::BatchLaneSpec> lane_specs;
-                    for (std::size_t k : restorable)
-                        lane_specs.push_back(specs[k]);
-                    try {
-                        machine::MachineBatch batch(lane_specs);
-                        batch.restoreCheckpoints(images);
-                        const std::vector<machine::Measurement>
-                            results = batch.measure(options.window);
-                        for (std::size_t i = 0;
-                             i < restorable.size(); ++i) {
-                            record(restorable[i], results[i]);
-                            planner->noteRestored(
-                                specs[restorable[i]].config,
-                                specs[restorable[i]].mapping,
-                                options.warmup, images[i]);
-                        }
-                        restorable.clear();
-                    } catch (const std::exception &) {
-                        // Corrupt or stale images: drop them and
-                        // demote the lanes to a cold warmup, which
-                        // re-stores good images.
-                        for (std::size_t k : restorable) {
-                            planner->dropImage(specs[k].config,
-                                               specs[k].mapping,
-                                               options.warmup);
-                        }
-                        cold.insert(cold.end(), restorable.begin(),
-                                    restorable.end());
-                        restorable.clear();
-                    }
-                }
-                if (!cold.empty()) {
-                    std::vector<machine::BatchLaneSpec> lane_specs;
-                    for (std::size_t k : cold)
-                        lane_specs.push_back(specs[k]);
-                    machine::MachineBatch batch(lane_specs);
-                    batch.advance(options.warmup);
-                    if (planner != nullptr) {
-                        // Batched lanes save at the warmup boundary
-                        // only; rung materialization is a solo-
-                        // producer refinement.
-                        for (std::size_t i = 0; i < cold.size();
-                             ++i) {
-                            planner->storeProducedImage(
-                                specs[cold[i]].config,
-                                specs[cold[i]].mapping,
-                                options.warmup,
-                                batch.lane(static_cast<int>(i))
-                                    .saveCheckpoint());
-                        }
-                    }
-                    const std::vector<machine::Measurement> results =
-                        batch.measure(options.window);
-                    for (std::size_t i = 0; i < cold.size(); ++i)
-                        record(cold[i], results[i]);
-                }
-            }
-            return points;
+        [&](std::size_t i) {
+            const Cell &cell = grid[i];
+            machine::MachineConfig config;
+            config.contexts = cell.contexts;
+            applyObservability(config, options);
+            SimPoint point;
+            point.mapping = cell.named->name;
+            point.contexts = cell.contexts;
+            point.distance = cell.named->avg_distance;
+            point.sim_key = locsim::cache::simKey(
+                config, cell.named->mapping, options.warmup,
+                options.window);
+            // Cached cells return the recorded measurement without
+            // simulating; the shard (tracing runs only, which bypass
+            // the cache) is merged in grid order by maybeWriteTrace.
+            point.m = runCachedMeasurement(options, config,
+                                           cell.named->mapping,
+                                           &point.tracer);
+            return point;
         },
         options.threads);
 }

@@ -33,20 +33,16 @@ fewer than 2 usable cores (see docs/PERFORMANCE.md; --assume-cores
 overrides detection, mainly for the self-test).
 
 Baseline entries may also carry an "aggregate_speedup" gate (the
-batched BM_BatchedSimCycles family):
+prefix-cached sweep, BM_PrefixSweep/prefix):
 
-    "aggregate_speedup": {"vs": "BM_BatchedSimCycles/1",
-                          "lanes": 8, "min": 3.0}
+    "aggregate_speedup": {"vs": "BM_PrefixSweep/noprefix",
+                          "lanes": 1, "min": 2.0}
 
-The entry's iteration advances `lanes` simulations at once, so its
-aggregate speedup over the solo benchmark named by "vs" is
+The entry's iteration does the work of `lanes` iterations of the
+benchmark named by "vs", so its aggregate speedup over it is
 lanes * median_ns(vs) / median_ns(entry), computed from the CURRENT
 runs (both sides from the same host and load, so the ratio is robust
-where absolute ns/op is not). A speedup below "min" regresses —
-unless the spec says "status": "documented-miss", which reports the
-shortfall without gating it (the honest-miss escape, mirroring how
-docs/PERFORMANCE.md records targets that measurement did not bear
-out; see its Batched execution section).
+where absolute ns/op is not). A speedup below "min" regresses.
 
 With --explain BASE_MANIFEST CURRENT_MANIFEST (two --run-report JSON
 files, e.g. from `micro_perf --run-report`), a fired gate is followed
@@ -150,16 +146,13 @@ def compare(baseline, runs, threshold, cores):
             solo_ns = median_metric(runs, spec["vs"], "ns_per_op")
             if entry_ns and solo_ns:
                 speedup = spec["lanes"] * solo_ns / entry_ns
-                documented = spec.get("status") == "documented-miss"
                 met = speedup >= spec["min"]
-                verdict = ("ok" if met
-                           else "documented miss; not gated"
-                           if documented else "BELOW TARGET")
+                verdict = "ok" if met else "BELOW TARGET"
                 lines.append(
                     f"{name:<{width}}  aggregate x{speedup:.2f} "
                     f"vs {spec['vs']} (target >= "
                     f"{spec['min']:g}x; {verdict})")
-                if gate and not met and not documented:
+                if gate and not met:
                     shortfall = ((speedup - spec["min"])
                                  / spec["min"] * 100.0)
                     regressions.append(
@@ -303,14 +296,11 @@ def self_test():
     expect(skipped == ["BM_ShardedOnly"],
            f"unexpected skip list: {skipped}")
     # Aggregate-speedup gates: 8 * 1000/2000 = x4.0 meets the 3x
-    # target, 4 * 1000/2000 = x2.0 misses it (gated unless the spec
-    # documents the miss).
+    # target, 4 * 1000/2000 = x2.0 misses it.
     expect(("BM_BatchMet", "aggregate speedup") not in flagged,
            "met aggregate-speedup target wrongly flagged")
     expect(("BM_BatchMissed", "aggregate speedup") in flagged,
            "missed aggregate-speedup target not flagged")
-    expect(("BM_BatchDocumented", "aggregate speedup") not in flagged,
-           "documented-miss aggregate-speedup spec wrongly gated")
     expect(len(flagged) == 4, f"unexpected regressions: {flagged}")
 
     # Multi-core host: the sharded entry is gated like any other.

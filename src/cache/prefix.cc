@@ -149,43 +149,6 @@ PrefixPlanner::warmMachine(const machine::MachineConfig &config,
     return machine;
 }
 
-std::optional<std::vector<std::uint8_t>>
-PrefixPlanner::lookupImage(const machine::MachineConfig &config,
-                           const workload::Mapping &mapping,
-                           std::uint64_t warmup) const
-{
-    return store_.lookupCheckpoint(prefixKey(config, mapping, warmup));
-}
-
-void
-PrefixPlanner::noteRestored(const machine::MachineConfig &config,
-                            const workload::Mapping &mapping,
-                            std::uint64_t warmup,
-                            const std::vector<std::uint8_t> &image)
-    const
-{
-    store_.getOrRunCheckpoint(prefixKey(config, mapping, warmup),
-                              [&] { return image; });
-}
-
-void
-PrefixPlanner::dropImage(const machine::MachineConfig &config,
-                         const workload::Mapping &mapping,
-                         std::uint64_t warmup) const
-{
-    store_.removeCheckpoint(prefixKey(config, mapping, warmup));
-}
-
-void
-PrefixPlanner::storeProducedImage(
-    const machine::MachineConfig &config,
-    const workload::Mapping &mapping, std::uint64_t warmup,
-    const std::vector<std::uint8_t> &image) const
-{
-    store_.getOrRunCheckpoint(prefixKey(config, mapping, warmup),
-                              [&] { return image; });
-}
-
 std::vector<std::string>
 PrefixPlanner::distinctPrefixes(
     const std::vector<PrefixPoint> &points) const

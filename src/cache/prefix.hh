@@ -16,7 +16,7 @@
  * Exactness is inherited, not asserted: restore-then-extend is
  * bit-identical to a straight run (tests/checkpoint_test.cc,
  * tests/prefix_test.cc), so a prefix-cached sweep's stdout is byte-
- * equal to an uncached one at every shard count and batch size.
+ * equal to an uncached one at every shard count.
  *
  * Production is deduplicated at two levels: within a process, the
  * store's singleflight runs one producer per prefix key however many
@@ -94,41 +94,6 @@ class PrefixPlanner
     warmMachine(const machine::MachineConfig &config,
                 const workload::Mapping &mapping,
                 std::uint64_t warmup) const;
-
-    /**
-     * Restore-or-null for batched execution: the stored prefix image
-     * for the point, or nullopt on a miss. The caller (the batched
-     * sweep driver) groups misses into one MachineBatch, advances the
-     * warmup once for all lanes, and records each lane's image via
-     * storeProducedImage — so a cold batched sweep still produces
-     * every prefix exactly once.
-     */
-    std::optional<std::vector<std::uint8_t>>
-    lookupImage(const machine::MachineConfig &config,
-                const workload::Mapping &mapping,
-                std::uint64_t warmup) const;
-
-    /** Record a restore served from @p image (hit accounting). */
-    void noteRestored(const machine::MachineConfig &config,
-                      const workload::Mapping &mapping,
-                      std::uint64_t warmup,
-                      const std::vector<std::uint8_t> &image) const;
-
-    /** Drop a corrupt stored image so the next producer recomputes. */
-    void dropImage(const machine::MachineConfig &config,
-                   const workload::Mapping &mapping,
-                   std::uint64_t warmup) const;
-
-    /**
-     * Store @p image as the prefix for (config, mapping, warmup),
-     * deduplicated under singleflight (miss+store accounting; a
-     * concurrent identical store becomes a dedup hit).
-     */
-    void storeProducedImage(const machine::MachineConfig &config,
-                            const workload::Mapping &mapping,
-                            std::uint64_t warmup,
-                            const std::vector<std::uint8_t> &image)
-        const;
 
     /**
      * The distinct prefix keys @p points will need — the images a

@@ -120,11 +120,11 @@ struct MachineConfig
     /**
      * Host-side phase profiler (off by default; not owned, must
      * outlive the machine). When set, the machine wires phase slots
-     * through every layer: engine dispatch/rotation/quiescence and
-     * lockstep barrier waits on slot (shard, 0), router scans and
-     * coherence ticks on slot (shard, lane), checkpoint save/restore
-     * on slot (0, lane). A host-only observer: it never influences
-     * simulated results and is excluded from the simulation cache key.
+     * through every layer: engine dispatch/rotation/quiescence,
+     * lockstep barrier waits, router scans and coherence ticks on
+     * slot (shard, 0), checkpoint save/restore on slot (0, 0). A
+     * host-only observer: it never influences simulated results and
+     * is excluded from the simulation cache key.
      */
     obs::Profiler *profiler = nullptr;
 };
@@ -195,19 +195,6 @@ Measurement loadMeasurement(util::Deserializer &d);
  */
 std::uint32_t checkpointFormatVersion();
 
-/**
- * Shared execution context for one lane of a machine batch (see
- * machine/batch.hh): the shard engines every lane registers its
- * components with. Each lane still owns its fabric. A machine built
- * with a context does not own engines and must be driven through its
- * MachineBatch, never through its own run()/advance()/measure().
- */
-struct BatchContext
-{
-    std::vector<sim::Engine *> engines; //!< one per shard, shared
-    int lane = 0; //!< this machine's lane index (profiler column)
-};
-
 /** The assembled machine. */
 class Machine : private sim::LockstepSerial
 {
@@ -215,14 +202,9 @@ class Machine : private sim::LockstepSerial
     /**
      * @param config machine knobs.
      * @param mapping thread placement (copied).
-     * @param batch shared batch context, or null for a solo machine
-     *        that owns its engines.
      */
     Machine(const MachineConfig &config,
             const workload::Mapping &mapping);
-    Machine(const MachineConfig &config,
-            const workload::Mapping &mapping,
-            const BatchContext *batch);
     ~Machine();
 
     /**
@@ -333,8 +315,6 @@ class Machine : private sim::LockstepSerial
     program(sim::NodeId node, int context) const;
 
   private:
-    friend class MachineBatch;
-
     void resetStats();
 
     /** Advance all shards @p ticks network cycles (engine ticks). */
@@ -344,65 +324,23 @@ class Machine : private sim::LockstepSerial
     void runSharded(sim::Tick ticks);
 
     /**
-     * @name Split measurement (batch driver interface)
-     * measure() == beginMeasurement() + runTicks() +
-     * collectMeasurement(); the batch driver advances all lanes
-     * between the two halves.
-     */
-    ///@{
-    void beginMeasurement();
-    Measurement collectMeasurement() const;
-    ///@}
-
-    /**
-     * @name Serial-point sampler stepping (lockstep driver hooks)
+     * @name Serial-point sampler stepping (sim::LockstepSerial)
      * With several shards the sampler is ticked at the serial point
      * of the lockstep window rather than by an engine; these apply
      * the same due/credit arithmetic Engine uses for Clocked
      * components, against next_sample_due_.
      */
     ///@{
-    bool serialSampleDue(sim::Tick now) const;
-    void serialSampleTick(sim::Tick now);
-    void serialSampleSkip(sim::Tick target);
-    ///@}
-
-    // sim::LockstepSerial: this machine's serial work is its sampler.
-    bool serialDue(sim::Tick now) const override
-    {
-        return serialSampleDue(now);
-    }
-    void serialTick(sim::Tick now) override { serialSampleTick(now); }
-    void serialSkip(sim::Tick target) override
-    {
-        serialSampleSkip(target);
-    }
-
-    /**
-     * @name Split checkpoint restore (batch driver interface)
-     * Lanes of a batch share engines, and restoreTime() must run
-     * once per engine before ANY lane's components re-arm their
-     * event-queue wakeups — so header parsing / timeline restore and
-     * component restore are separable steps.
-     */
-    ///@{
-    /** Validate framing, return the checkpoint's timeline position. */
-    static sim::Tick parseCheckpointHeader(util::Deserializer &d);
-    /** Restore everything after the header; throws on trailing bytes. */
-    void restoreComponents(util::Deserializer &d);
+    bool serialDue(sim::Tick now) const override;
+    void serialTick(sim::Tick now) override;
+    void serialSkip(sim::Tick target) override;
     ///@}
 
     MachineConfig config_;
     workload::Mapping mapping_;
     int shards_ = 1;
-    /** True when the engines belong to a MachineBatch. */
-    bool batched_ = false;
-    /** Batch lane index (0 for solo machines; profiler column). */
-    int lane_ = 0;
-    /** Engines this solo machine owns (empty when batched). */
-    std::vector<std::unique_ptr<sim::Engine>> owned_engines_;
-    /** All K engines by shard (aliases owned_engines_ or the batch's). */
-    std::vector<sim::Engine *> engines_;
+    /** One engine per shard. */
+    std::vector<std::unique_ptr<sim::Engine>> engines_;
     std::unique_ptr<net::Network> network_;
     std::vector<std::unique_ptr<coher::CacheController>> controllers_;
     std::vector<std::unique_ptr<proc::ThreadProgram>> programs_;
@@ -428,9 +366,6 @@ class Machine : private sim::LockstepSerial
      * with the same arithmetic Engine uses.
      */
     sim::Tick next_sample_due_ = 0;
-
-    /** Timeline position of the last beginMeasurement(). */
-    sim::Tick measure_start_ = 0;
 };
 
 } // namespace machine

@@ -347,8 +347,8 @@ class Network : public sim::Clocked
     /**
      * Attach a phase profiler (nullptr to detach; not owned). Each
      * shard's router scan (tickShard) records Phase::RouterScan on
-     * slot (shard, @p lane) — per-component attribution, so batched
-     * lanes separate even though they share engines.
+     * slot (shard, @p lane), so several networks driven by one
+     * engine can keep their router time apart.
      */
     void setProfiler(obs::Profiler *profiler, int lane);
 

@@ -7,8 +7,9 @@
  * time; the profiler observes where *host* cycles go — router scans,
  * link rotation, coherence processing, engine event dispatch, barrier
  * waits, quiescence fast-forwards, checkpoint I/O, and cache probes —
- * aggregated on a (shard, batch lane) grid so shard imbalance and
- * lane cost become first-class numbers.
+ * aggregated on a (shard, lane) grid so shard imbalance becomes a
+ * first-class number. Every machine records on lane 0; the lane axis
+ * remains for callers that drive several fabrics from one engine.
  *
  * Discipline mirrors the tracer's null-sink contract: every
  * instrumentation point holds a `PhaseSlot *` that is null when
@@ -22,11 +23,9 @@
  * includes the RouterScan and Coherence ticks it dispatches, so
  * child-phase time is also counted inside the parent (exclusive time
  * is derivable by subtraction; tests/profiler_test.cc pins the
- * children <= parent invariant). Attribution convention: phases the
- * whole shard shares (dispatch, rotation, quiescence, barrier) land
- * on lane 0 of their shard; per-component phases (router scan,
- * coherence) carry their machine's lane; checkpoint and cache phases
- * land on the host slot (0, 0) unless the caller knows better.
+ * children <= parent invariant). Attribution convention: engine,
+ * router and coherence phases land on their shard's slot; checkpoint
+ * and cache phases land on the host slot (0, 0).
  */
 
 #ifndef LOCSIM_OBS_PROFILER_HH_
@@ -51,7 +50,7 @@ enum class Phase : int {
     BarrierWait,        //!< lockstep barrier arrivals
     Quiescence,         //!< fast-forward jumps over idle stretches
     CheckpointSave,     //!< Machine::saveCheckpoint
-    CheckpointRestore,  //!< Machine::restoreCheckpoint (and batch)
+    CheckpointRestore,  //!< Machine::restoreCheckpoint
     CacheProbe,         //!< sim-cache key lookup / payload read
     CacheStore,         //!< sim-cache payload write
 };

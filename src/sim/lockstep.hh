@@ -1,9 +1,7 @@
 /**
  * @file
  * The conservative lockstep driver over a set of engines sharing one
- * timeline, extracted from the sharded machine so the batched machine
- * (machine/batch.hh) can drive K lanes' shared engines through the
- * same loop.
+ * timeline: the shard engines of one sharded machine.
  *
  * Each engine is advanced by one lane thread; a spin barrier
  * synchronizes three times per step: after lane 0 publishes the
@@ -24,6 +22,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "obs/profiler.hh"
@@ -77,7 +76,8 @@ class LockstepSerial
  */
 template <typename Pool>
 void
-runLockstep(const std::vector<Engine *> &engines, Pool &pool,
+runLockstep(const std::vector<std::unique_ptr<Engine>> &engines,
+            Pool &pool,
             Tick ticks, bool reference, LockstepSerial *serial,
             obs::Profiler *profiler = nullptr)
 {
@@ -112,12 +112,12 @@ runLockstep(const std::vector<Engine *> &engines, Pool &pool,
         ctl.op = Control::Op::Step;
         if (reference)
             return;
-        for (Engine *engine : engines) {
+        for (const auto &engine : engines) {
             if (!engine->allIdle())
                 return;
         }
         Tick target = end;
-        for (Engine *engine : engines) {
+        for (const auto &engine : engines) {
             const Tick next_event = engine->nextEventTick();
             if (next_event == kTickNever)
                 continue;

@@ -18,6 +18,7 @@
 #include "model/combined_model.hh"
 #include "net/topology.hh"
 #include "util/serialize.hh"
+#include "util/simd.hh"
 #include "workload/mapping.hh"
 
 namespace locsim {
@@ -558,6 +559,49 @@ TEST(Sharded, SamplerSeriesBitIdentical)
     const std::string sequential = run(1);
     for (int shards : {2, 4})
         EXPECT_EQ(sequential, run(shards)) << shards << " shards";
+}
+
+/**
+ * The scalar and lane-vector kernel paths are the same simulation:
+ * with the kernel level forced off (the LOCSIM_SIMD=off build's
+ * steady state) a machine produces byte-identical measurements and
+ * checkpoint images to the ambient level (SSE2/AVX2 where the CPU has
+ * it). The level is latched at construction, so each machine here is
+ * built entirely under its forced level.
+ */
+TEST(Sharded, ScalarAndVectorKernelPathsBitIdentical)
+{
+    const util::simd::Level ambient = util::simd::activeLevel();
+    auto runAt = [&](util::simd::Level level, int shards, int contexts,
+                     const workload::Mapping &mapping) {
+        util::simd::setActiveLevelForTest(level);
+        MachineConfig config;
+        config.radix = 4;
+        config.contexts = contexts;
+        config.shards = shards;
+        Machine machine(config, mapping);
+        std::vector<std::uint8_t> bytes =
+            measurementBytes(machine.run(600, 1800));
+        const std::vector<std::uint8_t> image =
+            machine.saveCheckpoint();
+        bytes.insert(bytes.end(), image.begin(), image.end());
+        util::simd::setActiveLevelForTest(ambient);
+        return bytes;
+    };
+    const workload::Mapping mappings[] = {
+        workload::Mapping::random(16, 7),
+        workload::Mapping::identity(16),
+    };
+    for (int shards : {1, 2}) {
+        for (int contexts : {1, 2, 3}) {
+            const workload::Mapping &mapping = mappings[contexts % 2];
+            EXPECT_EQ(runAt(util::simd::Level::Off, shards, contexts,
+                            mapping),
+                      runAt(ambient, shards, contexts, mapping))
+                << contexts << " context(s) at " << shards
+                << " shard(s)";
+        }
+    }
 }
 
 /**

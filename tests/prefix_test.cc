@@ -12,8 +12,8 @@
  *    here with instructions;
  *
  *  - PrefixPlanner: a prefix produced once serves every measurement
- *    window bit-identically, across shard counts, batch sizes, rung
- *    ladders, and corrupt stored images;
+ *    window bit-identically, across shard counts, rung ladders, and
+ *    corrupt stored images;
  *
  *  - bench harness: --warmup/--window validation and --quick
  *    precedence, sampled runs bypassing the prefix cache, and the
@@ -39,7 +39,6 @@
 #include "cache/key.hh"
 #include "cache/prefix.hh"
 #include "cache/store.hh"
-#include "machine/batch.hh"
 #include "machine/machine.hh"
 #include "obs/counters.hh"
 #include "obs/profiler.hh"
@@ -400,56 +399,6 @@ TEST(PrefixPlanner, RestoresAcrossShardCounts)
         EXPECT_EQ(s.prefix_hits, 1u);
         fs::remove_all(dir);
     }
-}
-
-/**
- * Batched restore (K = 4): lanes of one MachineBatch restored from
- * solo-produced images measure bit-identically to fresh solo runs.
- * Together with OneWarmupServesEveryWindowBitIdentically (K = 1) this
- * covers the harness's batch matrix.
- */
-TEST(PrefixPlanner, BatchRestoreMatchesSoloOracles)
-{
-    const fs::path dir = freshDir("batch-restore");
-    SimCache store(dir);
-    PrefixPlanner planner(store, PrefixOptions{});
-    constexpr std::uint64_t kWarmup = 600;
-    constexpr std::uint64_t kWindow = 400;
-
-    std::vector<machine::BatchLaneSpec> specs;
-    for (const int contexts : {1, 2, 4}) {
-        auto config = baseConfig();
-        config.contexts = contexts;
-        specs.push_back({config, baseMapping()});
-    }
-    {
-        auto config = baseConfig();
-        specs.push_back({config, workload::Mapping::random(16, 7)});
-    }
-
-    // Produce each lane's image solo, as a prior sweep would have.
-    std::vector<std::vector<std::uint8_t>> images;
-    for (const auto &spec : specs) {
-        planner.warmMachine(spec.config, spec.mapping, kWarmup);
-        auto image =
-            planner.lookupImage(spec.config, spec.mapping, kWarmup);
-        ASSERT_TRUE(image.has_value());
-        images.push_back(std::move(*image));
-    }
-
-    machine::MachineBatch batch(specs);
-    batch.restoreCheckpoints(images);
-    const std::vector<machine::Measurement> results =
-        batch.measure(kWindow);
-    ASSERT_EQ(results.size(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(measurementBytes(results[i]),
-                  measurementBytes(oracleRun(specs[i].config,
-                                             specs[i].mapping,
-                                             kWarmup, kWindow)))
-            << "lane " << i;
-    }
-    fs::remove_all(dir);
 }
 
 TEST(PrefixPlanner, CorruptImageIsDroppedAndRecomputed)
