@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,13 @@ parseRadixList(const std::string &arg)
             LOCSIM_FATAL("--radix-list expects comma-separated "
                          "radixes >= 2, got '",
                          arg, "'");
+        }
+        // strtol saturates at LONG_MAX on overflow, so this also
+        // catches values too large for a long.
+        if (radix > std::numeric_limits<int>::max()) {
+            LOCSIM_FATAL("--radix-list radix ", item,
+                         " is out of range (max ",
+                         std::numeric_limits<int>::max(), ")");
         }
         radixes.push_back(static_cast<int>(radix));
         if (comma == std::string::npos)

@@ -143,6 +143,22 @@ CacheController::busyFor(std::uint32_t cycles)
 }
 
 void
+CacheController::traceMessage(sim::Tick when, const char *dir,
+                              MsgType type, Addr addr,
+                              sim::NodeId peer)
+{
+    // msgTypeName returns static storage, satisfying Event::name's
+    // lifetime contract.
+    tracer_->instant(
+        trace_track_, when, msgTypeName(type), obs::Category::Coher,
+        std::move(obs::Args()
+                      .add("dir", dir)
+                      .add("line", lineIndexOf(addr))
+                      .add("peer", static_cast<std::int64_t>(peer)))
+            .str());
+}
+
+void
 CacheController::send(sim::NodeId dst, MsgType type, Addr addr,
                       std::uint64_t data, sim::NodeId requester,
                       std::uint32_t delay_cycles, int critical)
@@ -173,16 +189,8 @@ CacheController::send(sim::NodeId dst, MsgType type, Addr addr,
     outbox_.push_back(staged);
     stats_.messages_sent.inc();
 
-    if (tracer_ != nullptr) {
-        TraceEvent event;
-        event.when = engine_.now();
-        event.node = node_;
-        event.dir = TraceEvent::Dir::Send;
-        event.type = type;
-        event.addr = addr;
-        event.peer = dst;
-        tracer_->record(event);
-    }
+    if (tracer_ != nullptr)
+        traceMessage(engine_.now(), "send", type, addr, dst);
 }
 
 std::optional<MemResponse>
@@ -240,9 +248,6 @@ CacheController::queueCompletion(const MemResponse &resp,
     std::push_heap(pending_completions_.begin(),
                    pending_completions_.end(),
                    completesLater<PendingCompletion>);
-    // Captureless wakeup so Activity-mode fast-forward stops at the
-    // due tick even when every component is otherwise idle.
-    engine_.events().schedule(pc.due, [] {});
 }
 
 void
@@ -265,8 +270,7 @@ CacheController::tick(sim::Tick now)
     obs::ScopedPhase profile(profile_slot_, obs::Phase::Coherence);
 
     // Completions first: they only touch processor-side context state,
-    // and must land regardless of controller occupancy (the old
-    // event-queue completions also ignored busy_until_).
+    // and must land regardless of controller occupancy.
     drainCompletions(now);
 
     // Receive from the network every cycle (dedicated hardware path).
@@ -288,16 +292,8 @@ CacheController::tick(sim::Tick now)
         const ProtoMsg msg = inbox_.front();
         inbox_.pop_front();
         busyFor(config_.occupancy);
-        if (tracer_ != nullptr) {
-            TraceEvent event;
-            event.when = now;
-            event.node = node_;
-            event.dir = TraceEvent::Dir::Handle;
-            event.type = msg.type;
-            event.addr = msg.addr;
-            event.peer = msg.sender;
-            tracer_->record(event);
-        }
+        if (tracer_ != nullptr)
+            traceMessage(now, "handle", msg.type, msg.addr, msg.sender);
         handleProtocolMessage(msg);
     } else if (!proc_queue_.empty()) {
         const MemRequest req = proc_queue_.front();
@@ -1045,9 +1041,6 @@ CacheController::loadState(util::Deserializer &d)
         pc.seq = d.get<std::uint64_t>();
         pc.resp = loadMemResponse(d);
         pending_completions_.push_back(pc);
-        // Re-arm the wakeup that the serialized event queue dropped
-        // (the queue itself is not checkpointed; see Machine docs).
-        engine_.events().schedule(pc.due, [] {});
     }
     completion_seq_ = d.get<std::uint64_t>();
 

@@ -37,8 +37,8 @@
 #include "coher/cache.hh"
 #include "coher/directory.hh"
 #include "coher/protocol.hh"
-#include "coher/tracer.hh"
 #include "net/network.hh"
+#include "obs/trace.hh"
 #include "sim/engine.hh"
 #include "stats/stats.hh"
 #include "util/flat_map.hh"
@@ -192,8 +192,9 @@ class CacheController : public sim::Clocked
 
     /**
      * Restore state written by saveState() into a freshly constructed
-     * controller with the same configuration; re-schedules completion
-     * wakeup events into the engine (call after Engine::restoreTime).
+     * controller with the same configuration. The restored completion
+     * heap is the wakeup source (nextWake()), so nothing is scheduled
+     * into the engine.
      */
     void loadState(util::Deserializer &d);
 
@@ -201,10 +202,18 @@ class CacheController : public sim::Clocked
     ControllerStats &stats() { return stats_; }
 
     /**
-     * Attach a protocol tracer (nullptr to detach). Not owned; must
-     * outlive the controller while attached.
+     * Attach a tracer (nullptr to detach; not owned): emits one
+     * Category::Coher instant per protocol message sent or handled on
+     * @p track, named after the message type, with args dir
+     * ("send"/"handle"), line and peer (destination for sends, sender
+     * for handles).
      */
-    void setTracer(ProtocolTracer *tracer) { tracer_ = tracer; }
+    void
+    setTracer(obs::Tracer *tracer, int track)
+    {
+        tracer_ = tracer;
+        trace_track_ = track;
+    }
 
     /**
      * Attach a phase-profiler slot (nullptr to detach; not owned).
@@ -232,6 +241,14 @@ class CacheController : public sim::Clocked
     bool busy() const override
     {
         return !quiescent() || network_.pendingAt(node_) > 0;
+    }
+
+    /** Due tick of the earliest queued completion, if any. */
+    sim::Tick nextWake() const override
+    {
+        return pending_completions_.empty()
+                   ? sim::kTickNever
+                   : pending_completions_.front().due;
     }
 
   private:
@@ -326,6 +343,13 @@ class CacheController : public sim::Clocked
     int invalidateSharers(DirEntry &entry, Addr addr,
                           sim::NodeId keep);
 
+    /**
+     * Emit one protocol-message instant on the attached tracer
+     * (caller checks tracer_): @p dir is "send" or "handle".
+     */
+    void traceMessage(sim::Tick when, const char *dir, MsgType type,
+                      Addr addr, sim::NodeId peer);
+
     /** Send a protocol message, after @p delay_cycles proc cycles. */
     void send(sim::NodeId dst, MsgType type, Addr addr,
               std::uint64_t data, sim::NodeId requester,
@@ -354,9 +378,9 @@ class CacheController : public sim::Clocked
 
     /**
      * Queue @p resp for delivery after @p delay_cycles processor
-     * cycles. A captureless wakeup event keeps fast-forward honest
-     * (the engine must not skip past the due tick); the payload lives
-     * in pending_completions_, which is serializable plain data.
+     * cycles. The heap front is nextWake(), which keeps fast-forward
+     * from skipping past the due tick; the payload lives in
+     * pending_completions_, which is serializable plain data.
      */
     void queueCompletion(const MemResponse &resp,
                          std::uint32_t delay_cycles, bool wants_reply);
@@ -401,7 +425,8 @@ class CacheController : public sim::Clocked
     MemClient *client_ = nullptr;
     sim::Tick busy_until_ = 0;
     sim::Tick last_txn_issue_ = sim::kTickNever;
-    ProtocolTracer *tracer_ = nullptr;
+    obs::Tracer *tracer_ = nullptr;
+    int trace_track_ = 0;
     obs::PhaseSlot *profile_slot_ = nullptr;
 
     ControllerStats stats_;

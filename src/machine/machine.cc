@@ -214,7 +214,6 @@ Machine::Machine(const MachineConfig &config,
         // thread-local; with one shard this produces exactly the old
         // single-tracer track order.
         shard_tracers_.reserve(static_cast<std::size_t>(shards_));
-        coher_bridges_.reserve(nodes);
         for (int s = 0; s < shards_; ++s) {
             auto tracer = std::make_shared<obs::Tracer>(config.trace);
             engines_[s]->setTracer(tracer.get(),
@@ -222,13 +221,9 @@ Machine::Machine(const MachineConfig &config,
             network_->setShardTracer(s, tracer.get());
             for (sim::NodeId node = plan.first(s);
                  node < plan.last(s); ++node) {
-                coher_bridges_.push_back(
-                    std::make_unique<coher::ObsTracerBridge>(
-                        *tracer,
-                        tracer->newTrack("coher." +
-                                         std::to_string(node))));
                 controllers_[node]->setTracer(
-                    coher_bridges_.back().get());
+                    tracer.get(),
+                    tracer->newTrack("coher." + std::to_string(node)));
                 processors_[node]->setTracer(
                     tracer.get(),
                     tracer->newTrack("proc." + std::to_string(node)),
@@ -615,11 +610,10 @@ Machine::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
     if (d.get<std::uint32_t>() != kCheckpointVersion)
         throw std::runtime_error("checkpoint: version mismatch");
     const sim::Tick now = d.get<sim::Tick>();
-    // Time first: controllers re-arm their completion wakeups during
-    // loadState, and restoreTime requires an empty event queue. Every
-    // shard engine shares the one timeline. The skipped-ticks
-    // diagnostic restarts at zero: it describes this run, not the
-    // saved one.
+    // Every shard engine shares the one timeline; controllers' wakeups
+    // (nextWake) come from their restored completion heaps. The
+    // skipped-ticks diagnostic restarts at zero: it describes this
+    // run, not the saved one.
     for (const auto &engine : engines_)
         engine->restoreTime(now, 0);
     network_->loadState(d);

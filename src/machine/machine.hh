@@ -356,8 +356,6 @@ class Machine : private sim::LockstepSerial
     /** Per-shard trace shards; tracer_ aliases entry 0. */
     std::vector<std::shared_ptr<obs::Tracer>> shard_tracers_;
     std::shared_ptr<obs::Tracer> tracer_;
-    std::vector<std::unique_ptr<coher::ObsTracerBridge>>
-        coher_bridges_;
     std::unique_ptr<obs::MetricsSampler> sampler_;
     /**
      * When K > 1 the sampler is driven by the lockstep driver rather

@@ -75,7 +75,7 @@ Network::Network(const NetworkConfig &config,
     if (K > 1) {
         for (int s = 0; s < K; ++s) {
             outboxes_.push_back(std::make_unique<WakeOutbox>());
-            engines_[static_cast<std::size_t>(s)]->addChannel(
+            engines_[static_cast<std::size_t>(s)]->addRotatable(
                 outboxes_.back().get());
         }
     }

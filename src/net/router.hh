@@ -44,7 +44,7 @@
 #include <vector>
 
 #include "obs/trace.hh"
-#include "sim/channel.hh"
+#include "sim/engine.hh"
 #include "net/message.hh"
 #include "net/topology.hh"
 #include "stats/stats.hh"
@@ -85,13 +85,11 @@ class WakeOutbox final : public sim::Rotatable
         if (e.bits == 0)
             touched_.push_back(entry);
         e.bits |= bit;
-        markDirty();
     }
 
     void
     rotate() override
     {
-        dirty_ = false;
         for (const std::uint32_t entry : touched_) {
             Entry &e = entries_[entry];
             e.target->fetch_or(std::exchange(e.bits, 0u),

@@ -9,7 +9,6 @@
 
 #include "obs/profiler.hh"
 #include "obs/trace.hh"
-#include "sim/channel.hh"
 #include "util/logging.hh"
 
 namespace locsim {
@@ -31,15 +30,10 @@ Engine::addClocked(Clocked *component, Tick period, Tick offset)
 }
 
 void
-Engine::addChannel(Rotatable *channel)
+Engine::addRotatable(Rotatable *latch)
 {
-    LOCSIM_ASSERT(channel != nullptr, "null channel");
-    channels_.push_back(channel);
-    channel->bindDirtyList(&dirty_channels_);
-    // A channel can be registered with values already staged (or be
-    // re-registered after manual use); make sure it rotates this tick.
-    if (channel->dirty())
-        dirty_channels_.push_back(channel);
+    LOCSIM_ASSERT(latch != nullptr, "null latch");
+    rotatables_.push_back(latch);
 }
 
 void
@@ -49,10 +43,6 @@ Engine::beginTick()
     // Coherence scopes recorded by components nest inside this one.
     obs::ScopedPhase profile(profile_slot_,
                              obs::Phase::EngineDispatch);
-
-    // Fire any events due at the current time before components tick,
-    // so event effects are visible within this cycle.
-    events_.runUntil(now_);
 
     if (mode_ == StepMode::Reference) {
         for (auto &entry : clocked_) {
@@ -77,34 +67,30 @@ Engine::finishTick()
 {
     obs::ScopedPhase profile(profile_slot_, obs::Phase::LinkRotation);
 
-    if (mode_ == StepMode::Reference) {
-        // Dumb stepping: rotate every channel, every tick. Clean
-        // channels are invariant under rotate(), so this differs from
-        // the dirty-list path only in wasted work.
-        for (Rotatable *channel : channels_)
-            channel->rotate();
-    } else {
-        // Only channels pushed this cycle need rotating. rotate() may
-        // not push into other channels, so the list is stable here.
-        for (Rotatable *channel : dirty_channels_)
-            channel->rotate();
-    }
-    dirty_channels_.clear();
+    // A latch with nothing staged is invariant under rotate(), so
+    // rotating all of them every tick is exact in both step modes.
+    for (Rotatable *latch : rotatables_)
+        latch->rotate();
     ++now_;
 }
 
 bool
 Engine::allIdle() const
 {
-    // Values staged outside a tick (e.g. a test pushing a channel by
-    // hand before run()) must rotate on schedule, not after a skip.
-    if (!dirty_channels_.empty())
-        return false;
     for (const auto &entry : clocked_) {
         if (entry.component->busy())
             return false;
     }
     return true;
+}
+
+Tick
+Engine::nextEventTick() const
+{
+    Tick next = kTickNever;
+    for (const auto &entry : clocked_)
+        next = std::min(next, entry.component->nextWake());
+    return next;
 }
 
 void
@@ -136,10 +122,10 @@ Engine::tryFastForward(Tick end)
     if (!allIdle())
         return;
 
-    // Everyone is idle: nothing can happen until the next scheduled
-    // event wakes a component (or the run window closes).
+    // Everyone is idle: nothing can happen until a component's timed
+    // work falls due (or the run window closes).
     Tick target = end;
-    const Tick next_event = events_.nextTick();
+    const Tick next_event = nextEventTick();
     if (next_event != kTickNever) {
         if (next_event <= now_)
             return; // due immediately; step normally
@@ -167,11 +153,6 @@ Engine::traceRun(Tick start, Tick skipped_before)
 void
 Engine::restoreTime(Tick now, Tick skipped)
 {
-    LOCSIM_ASSERT(dirty_channels_.empty(),
-                  "restoreTime with staged channel values");
-    LOCSIM_ASSERT(events_.empty(),
-                  "restoreTime with events pending; restore time "
-                  "before components re-arm their wakeups");
     now_ = now;
     skipped_ticks_ = skipped;
     for (auto &entry : clocked_) {

@@ -6,9 +6,9 @@
  * register with a clock period (in ticks) and phase offset and have
  * their tick() method invoked on matching ticks. Latched
  * communication goes through Rotatable objects registered with the
- * engine (Channels, or the fabric's cross-shard WakeOutbox), which it
- * rotates at the end of the tick they were pushed in so that values
- * pushed in cycle t are visible in cycle t+1.
+ * engine (the fabric's cross-shard WakeOutbox), which it rotates at
+ * the end of every tick so that values staged in cycle t are visible
+ * in cycle t+1.
  *
  * In the Alewife-like machine, network switches run at period 1 and
  * processors/controllers at period `ratio` (default 2), mirroring the
@@ -17,17 +17,14 @@
  * Activity tracking (StepMode::Activity, the default):
  *  - each clocked entry carries a precomputed next-due tick, so firing
  *    a component is a single compare instead of a per-entry modulo;
- *  - only channels pushed this cycle are rotated (see Rotatable's
- *    dirty list); a clean channel is invariant under rotation;
  *  - when every component reports idle via Clocked::busy(), the engine
- *    fast-forwards time to the next event-queue wakeup (or the end of
- *    the run), crediting skipped cycles via Clocked::skipIdle() so
- *    time-based statistics (e.g. processor idle cycles) stay exact.
+ *    fast-forwards time to the earliest Clocked::nextWake() (or the
+ *    end of the run), crediting skipped cycles via Clocked::skipIdle()
+ *    so time-based statistics (e.g. processor idle cycles) stay exact.
  *
- * StepMode::Reference disables all three optimizations (modulo scan,
- * rotate every channel, never skip) and is kept as the oracle for the
- * equivalence tests: both modes must produce tick-for-tick identical
- * simulation results.
+ * StepMode::Reference disables both optimizations (modulo scan, never
+ * skip) and is kept as the oracle for the equivalence tests: both
+ * modes must produce tick-for-tick identical simulation results.
  */
 
 #ifndef LOCSIM_SIM_ENGINE_HH_
@@ -36,7 +33,6 @@
 #include <functional>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace locsim {
@@ -48,7 +44,22 @@ class Tracer;
 
 namespace sim {
 
-class Rotatable;
+/**
+ * Latched state the engine rotates at the end of every tick, after
+ * every component has ticked. rotate() makes values staged this cycle
+ * visible next cycle and must be a no-op when nothing was staged.
+ * Values staged outside a tick do not block a quiescence skip on
+ * their own: a component whose progress depends on them must report
+ * busy() until they have rotated.
+ */
+class Rotatable
+{
+  public:
+    virtual ~Rotatable() = default;
+
+    /** Publish this cycle's staged values. */
+    virtual void rotate() = 0;
+};
 
 /** Interface for components driven by the engine's clock. */
 class Clocked
@@ -75,12 +86,20 @@ class Clocked
      * tick() would have (e.g. idle-cycle counters) and nothing else.
      */
     virtual void skipIdle(Tick ticks) { (void)ticks; }
+
+    /**
+     * Earliest tick at which this component, idle now, has timed work
+     * (e.g. a completion falling due); kTickNever when it has none.
+     * Fast-forward never jumps past it, so a component may sleep
+     * through a fixed latency without reporting busy().
+     */
+    virtual Tick nextWake() const { return kTickNever; }
 };
 
 /**
- * Drives a set of Clocked components and latched channels.
+ * Drives a set of Clocked components and Rotatable latches.
  *
- * Not copyable; registered components and channels must outlive the
+ * Not copyable; registered components and latches must outlive the
  * engine or be removed before destruction (the engine does not own
  * them).
  */
@@ -89,7 +108,7 @@ class Engine
   public:
     /** Stepping strategy; see the file comment. */
     enum class StepMode {
-        Activity,  //!< next-due scheduling, dirty rotation, skipping
+        Activity,  //!< next-due scheduling, quiescence skipping
         Reference, //!< poll everything every tick (equivalence oracle)
     };
 
@@ -107,8 +126,8 @@ class Engine
     void addClocked(Clocked *component, Tick period = 1,
                     Tick offset = 0);
 
-    /** Register a channel to be rotated when pushed. */
-    void addChannel(Rotatable *channel);
+    /** Register a latch to be rotated at the end of every tick. */
+    void addRotatable(Rotatable *latch);
 
     /** Select the stepping strategy (results are identical in both). */
     void setStepMode(StepMode mode) { mode_ = mode; }
@@ -116,9 +135,6 @@ class Engine
 
     /** Current simulation time. */
     Tick now() const { return now_; }
-
-    /** Event queue sharing this engine's timeline. */
-    EventQueue &events() { return events_; }
 
     /** Advance the simulation by @p ticks cycles. */
     void run(Tick ticks);
@@ -128,7 +144,7 @@ class Engine
      * before that tick executes) or @p max_ticks elapse.
      *
      * Note: while the machine is globally quiescent the engine only
-     * re-evaluates the predicate at event-queue wakeups; a predicate
+     * re-evaluates the predicate at component wakeups; a predicate
      * that depends on nothing but now() may therefore be observed
      * later (never earlier) than in Reference mode. Predicates over
      * component state are unaffected: that state cannot change while
@@ -146,29 +162,33 @@ class Engine
      *
      * The sharded machine driver advances K engines over one shared
      * timeline by splitting a tick into its two phases: beginTick()
-     * fires events and due clocked components at now(); finishTick()
-     * rotates the channels pushed this cycle and advances now(). The
-     * split is safe to run concurrently across engines because latched
-     * channels make intra-cycle tick order irrelevant, and rotation
-     * only touches channels owned by (registered with) this engine.
+     * ticks the due clocked components at now(); finishTick() rotates
+     * the registered latches and advances now(). The split is safe to
+     * run concurrently across engines because latching makes
+     * intra-cycle tick order irrelevant, and rotation only touches
+     * latches owned by (registered with) this engine.
      * run() is exactly a loop of beginTick()+finishTick() with
      * tryFastForward() between iterations.
      */
     ///@{
-    /** Phase A: run due events, then tick due clocked components. */
+    /** Phase A: tick the due clocked components. */
     void beginTick();
 
-    /** Phase B: rotate dirty channels (all in Reference), ++now(). */
+    /** Phase B: rotate every registered latch, ++now(). */
     void finishTick();
 
     /**
-     * True when nothing can happen before the next event-queue wakeup:
-     * no staged channel values and every component reports idle.
+     * True when nothing can happen before the next component wakeup:
+     * every component reports idle.
      */
     bool allIdle() const;
 
-    /** Next event-queue wakeup (kTickNever when empty). */
-    Tick nextEventTick() const { return events_.nextTick(); }
+    /**
+     * Earliest Clocked::nextWake() over the registered components
+     * (kTickNever when none has timed work). Only meaningful once
+     * allIdle() holds.
+     */
+    Tick nextEventTick() const;
 
     /**
      * Jump now() to @p target (> now()), crediting skipped component
@@ -192,9 +212,8 @@ class Engine
      * Restore the timeline from a checkpoint: set now()/skippedTicks()
      * and recompute every registered component's next-due tick exactly
      * as if the components had been registered at this time (same
-     * formula as addClocked). Preconditions: no staged channel values
-     * and an empty event queue — callers re-schedule wakeups from
-     * their own serialized state afterwards.
+     * formula as addClocked). Components derive their nextWake() from
+     * their own serialized state, so nothing needs re-arming.
      */
     void restoreTime(Tick now, Tick skipped);
 
@@ -230,7 +249,7 @@ class Engine
     void traceRun(Tick start, Tick skipped_before);
 
     /**
-     * If every component is idle, jump now_ to the next event-queue
+     * If every component is idle, jump now_ to the next component
      * wakeup (capped at @p end), crediting skipped component ticks.
      */
     void tryFastForward(Tick end);
@@ -246,9 +265,7 @@ class Engine
     Tick now_ = 0;
     StepMode mode_ = StepMode::Activity;
     std::vector<ClockedEntry> clocked_;
-    std::vector<Rotatable *> channels_;
-    std::vector<Rotatable *> dirty_channels_;
-    EventQueue events_;
+    std::vector<Rotatable *> rotatables_;
     Tick skipped_ticks_ = 0;
     obs::Tracer *tracer_ = nullptr;
     int trace_track_ = 0;

@@ -5,8 +5,8 @@
  *
  * Each engine is advanced by one lane thread; a spin barrier
  * synchronizes three times per step: after lane 0 publishes the
- * decision (step / quiescence-skip / done), after phase A (events +
- * component ticks) completes fabric-wide, and after rotation
+ * decision (step / quiescence-skip / done), after phase A (component
+ * ticks) completes fabric-wide, and after rotation
  * completes fabric-wide. Latched channels give one network cycle of
  * conservative lookahead, which is what makes phase A safe to run
  * concurrently across engines (see docs/SHARDING.md).

@@ -5,6 +5,7 @@
 
 #include "util/options.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -93,10 +94,14 @@ OptionParser::parse(int argc, const char *const *argv)
         }
         if (opt.kind == Kind::Int) {
             char *end = nullptr;
+            errno = 0;
             (void)std::strtoll(value.c_str(), &end, 10);
             if (end == value.c_str() || *end != '\0')
                 LOCSIM_FATAL("option --", name,
                              " expects an integer, got '", value, "'");
+            if (errno == ERANGE)
+                LOCSIM_FATAL("option --", name,
+                             " is out of range, got '", value, "'");
         } else if (opt.kind == Kind::Double) {
             char *end = nullptr;
             (void)std::strtod(value.c_str(), &end);

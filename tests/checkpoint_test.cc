@@ -69,8 +69,15 @@ bitIdentical(const Measurement &a, const Measurement &b)
  * Mf must equal Md2 bit for bit. The odd pre/window lengths land the
  * save point mid-transaction, with flits in router buffers and
  * completions pending, so the full state actually round-trips.
+ *
+ * Restore schedules nothing into the engine: each controller's
+ * nextWake() comes from its restored completion heap alone, so it
+ * must match the saver's node for node.
+ *
+ * @return true if some controller had a completion wakeup pending
+ *         (nextWake() != kTickNever) when the image was saved.
  */
-void
+bool
 expectRestoreExtendsBitIdentically(const MachineConfig &config,
                                    std::uint64_t pre,
                                    std::uint64_t window)
@@ -89,10 +96,18 @@ expectRestoreExtendsBitIdentically(const MachineConfig &config,
 
     Machine resumer(config, mapping);
     resumer.restoreCheckpoint(image);
+    bool wake_pending = false;
+    for (sim::NodeId node = 0; node < mapping.size(); ++node) {
+        const sim::Tick wake = saver.controller(node).nextWake();
+        wake_pending |= wake != sim::kTickNever;
+        EXPECT_EQ(resumer.controller(node).nextWake(), wake)
+            << "node " << node;
+    }
     const Measurement resumed = resumer.measure(window);
 
     EXPECT_TRUE(bitIdentical(resumed, expected));
     EXPECT_EQ(resumed.violations, 0u);
+    return wake_pending;
 }
 
 TEST(Checkpoint, RestoreThenExtendMatchesStraightRun)
@@ -114,7 +129,10 @@ TEST(Checkpoint, UniformWorkloadRngRoundTrips)
     MachineConfig config = smallConfig();
     config.workload = WorkloadKind::UniformRandom;
     config.uniform_app.seed = 99;
-    expectRestoreExtendsBitIdentically(config, 601, 1201);
+    // This save point also holds a pending completion, so the restore
+    // path that rebuilds wakeups from the heap alone is exercised in
+    // activity stepping.
+    EXPECT_TRUE(expectRestoreExtendsBitIdentically(config, 601, 1201));
 }
 
 TEST(Checkpoint, ReferenceSteppingRoundTrips)

@@ -11,13 +11,14 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "coher/cache.hh"
 #include "coher/controller.hh"
 #include "coher/directory.hh"
 #include "net/network.hh"
+#include "obs/trace.hh"
 #include "sim/engine.hh"
 #include "util/random.hh"
 
@@ -685,76 +686,44 @@ TEST_F(ProtocolFixture, RandomizedStressKeepsInvariants)
 TEST_F(ProtocolFixture, TracerCapturesReadMissFlow)
 {
     build(2, 2);
-    RingTracer tracer;
-    controllers[0]->setTracer(&tracer);
-    controllers[3]->setTracer(&tracer);
+    obs::Tracer tracer;
+    const int track0 = tracer.newTrack("coher.0");
+    const int track3 = tracer.newTrack("coher.3");
+    controllers[0]->setTracer(&tracer, track0);
+    controllers[3]->setTracer(&tracer, track3);
 
     const Addr addr = makeAddr(3, 0);
     store(3, addr, 5); // local write at the home: no messages
     EXPECT_TRUE(tracer.events().empty());
 
     EXPECT_EQ(load(0, addr), 5u); // remote read: GetS + DataS
-    const auto events = tracer.eventsForLine(addr);
+    const std::vector<obs::Event> &events = tracer.events();
     ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events[0].dir, TraceEvent::Dir::Send);
-    EXPECT_EQ(events[0].type, MsgType::GetS);
-    EXPECT_EQ(events[0].node, 0u);
-    EXPECT_EQ(events[0].peer, 3u);
-    EXPECT_EQ(events[1].dir, TraceEvent::Dir::Handle);
-    EXPECT_EQ(events[1].type, MsgType::GetS);
-    EXPECT_EQ(events[1].node, 3u);
-    EXPECT_EQ(events[2].type, MsgType::DataS);
-    EXPECT_EQ(events[2].dir, TraceEvent::Dir::Send);
-    EXPECT_EQ(events[3].type, MsgType::DataS);
-    EXPECT_EQ(events[3].dir, TraceEvent::Dir::Handle);
+    for (const obs::Event &event : events) {
+        EXPECT_EQ(event.phase, 'i');
+        EXPECT_EQ(event.cat, obs::Category::Coher);
+    }
+    const std::string line = "\"line\":" +
+                             std::to_string(lineIndexOf(addr));
+    EXPECT_STREQ(events[0].name, "GetS");
+    EXPECT_EQ(events[0].track, track0);
+    EXPECT_EQ(events[0].args,
+              "\"dir\":\"send\"," + line + ",\"peer\":3");
+    EXPECT_STREQ(events[1].name, "GetS");
+    EXPECT_EQ(events[1].track, track3);
+    EXPECT_EQ(events[1].args,
+              "\"dir\":\"handle\"," + line + ",\"peer\":0");
+    EXPECT_STREQ(events[2].name, "DataS");
+    EXPECT_EQ(events[2].track, track3);
+    EXPECT_EQ(events[2].args,
+              "\"dir\":\"send\"," + line + ",\"peer\":0");
+    EXPECT_STREQ(events[3].name, "DataS");
+    EXPECT_EQ(events[3].track, track0);
+    EXPECT_EQ(events[3].args,
+              "\"dir\":\"handle\"," + line + ",\"peer\":3");
     // Timestamps are monotone along the flow.
     for (std::size_t i = 1; i < events.size(); ++i)
-        EXPECT_GE(events[i].when, events[i - 1].when);
-
-    // Formatting is stable and greppable.
-    const std::string line = formatTraceEvent(events[0]);
-    EXPECT_NE(line.find("send GetS"), std::string::npos);
-    EXPECT_NE(line.find("node 0"), std::string::npos);
-}
-
-TEST(RingTracerUnit, BoundedAndQueryable)
-{
-    RingTracer tracer(3);
-    for (std::uint64_t i = 0; i < 5; ++i) {
-        TraceEvent event;
-        event.when = i;
-        event.addr = makeAddr(1, static_cast<std::uint32_t>(i % 2));
-        tracer.record(event);
-    }
-    EXPECT_EQ(tracer.events().size(), 3u);
-    EXPECT_EQ(tracer.dropped(), 2u);
-    EXPECT_EQ(tracer.events().front().when, 2u);
-    EXPECT_EQ(tracer.eventsForLine(makeAddr(1, 0)).size(), 2u);
-    tracer.clear();
-    EXPECT_TRUE(tracer.events().empty());
-    EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-TEST(CsvTracerUnit, EmitsHeaderAndRows)
-{
-    std::ostringstream oss;
-    CsvTracer tracer(oss);
-    TraceEvent event;
-    event.when = 42;
-    event.node = 7;
-    event.dir = TraceEvent::Dir::Handle;
-    event.type = MsgType::InvAck;
-    event.addr = makeAddr(2, 9);
-    event.peer = 1;
-    tracer.record(event);
-    tracer.record(event);
-    const std::string out = oss.str();
-    EXPECT_NE(out.find("tick,node,dir,type,home,line,peer"),
-              std::string::npos);
-    EXPECT_NE(out.find("42,7,handle,InvAck,2,9,1"),
-              std::string::npos);
-    // Header only once.
-    EXPECT_EQ(out.find("tick"), out.rfind("tick"));
+        EXPECT_GE(events[i].ts, events[i - 1].ts);
 }
 
 TEST_F(ProtocolFixture, LargerFabricAllPairsCoherent)

@@ -324,6 +324,37 @@ TEST(DepositDeathTest, CreditBeyondBufferDepthTripsTheOverflowCheck)
  * fabric state (each with only that message's own last credit
  * staged).
  */
+/**
+ * Sends one message at a fixed tick. Idle until then, waking the
+ * engine through nextWake(); registered ahead of the network so the
+ * send lands before the fabric ticks that cycle.
+ */
+class TimedSender : public sim::Clocked
+{
+  public:
+    TimedSender(Network &network, Message msg, sim::Tick when)
+        : network_(network), msg_(msg), when_(when)
+    {
+    }
+
+    void
+    tick(sim::Tick now) override
+    {
+        if (now == when_) {
+            network_.send(msg_);
+            when_ = sim::kTickNever;
+        }
+    }
+
+    bool busy() const override { return false; }
+    sim::Tick nextWake() const override { return when_; }
+
+  private:
+    Network &network_;
+    Message msg_;
+    sim::Tick when_;
+};
+
 TEST(Deposit, QuiescenceSkipWithStagedCreditMatchesReference)
 {
     auto run = [](sim::Engine::StepMode mode, bool check_skip) {
@@ -332,13 +363,13 @@ TEST(Deposit, QuiescenceSkipWithStagedCreditMatchesReference)
         NetworkConfig config;
         config.radix = 4;
         Network network(engine, config);
-        engine.addClocked(&network, 1);
         const sim::NodeId dst = network.topology().neighbor(0, 0, 1);
-        network.send(oneFlit(0, dst));
         // The second message is sent long after the first lands, on
         // the same path, so it reuses the credit left staged.
-        engine.events().schedule(
-            200, [&] { network.send(oneFlit(0, dst)); });
+        TimedSender later(network, oneFlit(0, dst), 200);
+        engine.addClocked(&later, 1);
+        engine.addClocked(&network, 1);
+        network.send(oneFlit(0, dst));
         engine.run(4); // delivered at tick 3: credit staged
         if (check_skip) {
             EXPECT_TRUE(network.idle());

@@ -689,6 +689,19 @@ TEST(Options, ZeroOrNegativeCycleBudgetsAreFatalEarly)
                 ::testing::ExitedWithCode(1), "--prefix-rung-stride");
     EXPECT_EXIT(parseArgs({"--prefix-rung-stride", "-5"}),
                 ::testing::ExitedWithCode(1), "--prefix-rung-stride");
+    // Values outside int range are fatal, never narrowed: 4294967297
+    // would otherwise wrap to 1.
+    EXPECT_EXIT(parseArgs({"--warmup", "4294967297"}),
+                ::testing::ExitedWithCode(1), "--warmup is out of range");
+    EXPECT_EXIT(parseArgs({"--window", "-4294967295"}),
+                ::testing::ExitedWithCode(1), "--window is out of range");
+    EXPECT_EXIT(parseArgs({"--threads", "4294967297"}),
+                ::testing::ExitedWithCode(1), "--threads is out of range");
+    EXPECT_EXIT(parseArgs({"--shards", "4294967298"}),
+                ::testing::ExitedWithCode(1), "--shards is out of range");
+    EXPECT_EXIT(parseArgs({"--prefix-rung-stride", "4294967396"}),
+                ::testing::ExitedWithCode(1),
+                "--prefix-rung-stride is out of range");
 }
 
 TEST(Options, ExplicitBudgetsWinOverQuick)

@@ -1,216 +1,67 @@
 /**
  * @file
- * Unit tests for the simulation kernel: channels, event queue, engine
- * clock domains, and two-phase ordering guarantees.
+ * Unit tests for the simulation kernel: engine clock domains, latch
+ * rotation, component wakeups and quiescence fast-forward, and
+ * two-phase ordering guarantees.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
-#include "sim/channel.hh"
 #include "sim/engine.hh"
-#include "sim/event_queue.hh"
 
 namespace locsim {
 namespace sim {
 namespace {
 
-TEST(Channel, PushNotVisibleUntilRotate)
+/**
+ * A latched FIFO for the engine tests: values pushed in cycle t
+ * become visible after the end-of-tick rotation, i.e. in cycle t+1.
+ */
+class LatchedFifo : public Rotatable
 {
-    Channel<int> ch;
-    ch.push(1);
-    EXPECT_TRUE(ch.empty());
-    EXPECT_EQ(ch.size(), 1u);
-    ch.rotate();
-    EXPECT_FALSE(ch.empty());
-    EXPECT_EQ(ch.front(), 1);
-    EXPECT_EQ(ch.pop(), 1);
-    EXPECT_TRUE(ch.empty());
-}
+  public:
+    void push(int value) { staged_.push_back(value); }
+    bool empty() const { return visible_.empty(); }
+    bool staged() const { return !staged_.empty(); }
+    int front() const { return visible_.front(); }
 
-TEST(Channel, FifoOrderAcrossRotations)
-{
-    Channel<int> ch;
-    ch.push(1);
-    ch.push(2);
-    ch.rotate();
-    ch.push(3);
-    ch.rotate();
-    EXPECT_EQ(ch.pop(), 1);
-    EXPECT_EQ(ch.pop(), 2);
-    EXPECT_EQ(ch.pop(), 3);
-}
+    int
+    pop()
+    {
+        const int value = visible_.front();
+        visible_.pop_front();
+        return value;
+    }
 
-TEST(Channel, CapacityEnforced)
-{
-    Channel<int> ch(2);
-    EXPECT_TRUE(ch.canPush());
-    ch.push(1);
-    ch.push(2);
-    EXPECT_FALSE(ch.canPush());
-    ch.rotate();
-    EXPECT_FALSE(ch.canPush()); // rotation does not free space
-    ch.pop();
-    EXPECT_TRUE(ch.canPush());
-}
+    void
+    rotate() override
+    {
+        visible_.insert(visible_.end(), staged_.begin(), staged_.end());
+        staged_.clear();
+    }
 
-TEST(Channel, ClearEmptiesBothQueues)
-{
-    Channel<int> ch;
-    ch.push(1);
-    ch.rotate();
-    ch.push(2);
-    ch.clear();
-    EXPECT_TRUE(ch.empty());
-    EXPECT_EQ(ch.size(), 0u);
-}
+  private:
+    std::deque<int> visible_;
+    std::deque<int> staged_;
+};
 
-TEST(EventQueue, RunsInTimeOrder)
+/**
+ * Owns a LatchedFifo's pending work: busy while values are staged, so
+ * the engine steps (and rotates) instead of skipping over them.
+ */
+class FifoOwner : public Clocked
 {
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(10, [&] { order.push_back(2); });
-    q.schedule(5, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(3); });
-    EXPECT_EQ(q.nextTick(), 5u);
-    EXPECT_EQ(q.runUntil(15), 2u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.runUntil(25), 1u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.nextTick(), kTickNever);
-}
+  public:
+    explicit FifoOwner(const LatchedFifo &fifo) : fifo_(fifo) {}
+    void tick(Tick) override {}
+    bool busy() const override { return fifo_.staged(); }
 
-TEST(EventQueue, SameTickFifoOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(7, [&order, i] { order.push_back(i); });
-    q.runUntil(7);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CallbackCanScheduleMore)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&] {
-        ++fired;
-        q.schedule(1, [&] { ++fired; });
-        q.schedule(5, [&] { ++fired; });
-    });
-    EXPECT_EQ(q.runUntil(1), 2u);
-    EXPECT_EQ(fired, 2);
-    q.runUntil(10);
-    EXPECT_EQ(fired, 3);
-}
-
-TEST(EventQueue, ClearDropsPending)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&] { ++fired; });
-    q.clear();
-    q.runUntil(100);
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, DuplicateTimestampsInterleavedWithOthers)
-{
-    // Schedule a jumbled mix of ticks with heavy duplication; firing
-    // order must be (tick, scheduling order) regardless of the heap's
-    // internal layout.
-    EventQueue q;
-    std::vector<std::pair<Tick, int>> order;
-    const Tick ticks[] = {9, 3, 9, 1, 3, 9, 1, 20, 3, 9};
-    for (int i = 0; i < 10; ++i)
-        q.schedule(ticks[i],
-                   [&order, t = ticks[i], i] {
-                       order.push_back({t, i});
-                   });
-    q.runUntil(30);
-    const std::vector<std::pair<Tick, int>> expected = {
-        {1, 3}, {1, 6}, {3, 1}, {3, 4}, {3, 8},
-        {9, 0}, {9, 2}, {9, 5}, {9, 9}, {20, 7}};
-    EXPECT_EQ(order, expected);
-}
-
-TEST(EventQueue, EqualKeyPopOrderStableAtScale)
-{
-    // Enough same-tick events to force many sift-down paths through
-    // the binary heap; the sequence number must keep them FIFO.
-    EventQueue q;
-    std::vector<int> order;
-    constexpr int kEvents = 1000;
-    for (int i = 0; i < kEvents; ++i)
-        q.schedule(5, [&order, i] { order.push_back(i); });
-    EXPECT_EQ(q.size(), static_cast<std::size_t>(kEvents));
-    EXPECT_EQ(q.runUntil(5), static_cast<std::size_t>(kEvents));
-    for (int i = 0; i < kEvents; ++i)
-        ASSERT_EQ(order[i], i);
-}
-
-TEST(EventQueue, InterleavedPushPopKeepsOrder)
-{
-    // Drain in stages, pushing between stages — including pushing a
-    // tick equal to one already pending. Later-scheduled events at an
-    // equal tick fire after the earlier-scheduled ones.
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(30, [&] { order.push_back(5); });
-    EXPECT_EQ(q.runUntil(10), 1u);
-    q.schedule(30, [&] { order.push_back(6); });
-    q.schedule(20, [&] { order.push_back(3); });
-    q.schedule(20, [&] { order.push_back(4); });
-    q.schedule(15, [&] { order.push_back(2); });
-    EXPECT_EQ(q.runUntil(29), 3u);
-    EXPECT_EQ(q.runUntil(30), 2u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, SurvivesFastForwardOverLargeGaps)
-{
-    // The engine's fast-forward path jumps now() straight to
-    // nextTick() while the machine is quiescent; events separated by
-    // huge gaps must still fire exactly once, in order, and nextTick()
-    // must always report the true next deadline for the skip.
-    EventQueue q;
-    std::vector<Tick> fired;
-    q.schedule(1, [&] { fired.push_back(1); });
-    q.schedule(1'000'000, [&] { fired.push_back(1'000'000); });
-    q.schedule(1'000'000'000, [&] { fired.push_back(1'000'000'000); });
-    EXPECT_EQ(q.runUntil(1), 1u);
-    EXPECT_EQ(q.nextTick(), 1'000'000u);
-    EXPECT_EQ(q.runUntil(q.nextTick()), 1u);
-    // Schedule behind the next deadline mid-flight.
-    q.schedule(2'000'000, [&] { fired.push_back(2'000'000); });
-    EXPECT_EQ(q.nextTick(), 2'000'000u);
-    EXPECT_EQ(q.runUntil(q.nextTick()), 1u);
-    EXPECT_EQ(q.runUntil(q.nextTick()), 1u);
-    EXPECT_EQ(fired, (std::vector<Tick>{1, 1'000'000, 2'000'000,
-                                        1'000'000'000}));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, PushDuringPopAtCurrentTickRunsThisSweep)
-{
-    // An event firing at tick t that schedules another event at t must
-    // see it run within the same runUntil(t) sweep, after every event
-    // scheduled before it (the two-phase engine relies on this).
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(4, [&] {
-        order.push_back(0);
-        q.schedule(4, [&] { order.push_back(2); });
-    });
-    q.schedule(4, [&] { order.push_back(1); });
-    EXPECT_EQ(q.runUntil(4), 3u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
+  private:
+    const LatchedFifo &fifo_;
+};
 
 /** Records the ticks at which it was clocked. */
 class TickRecorder : public Clocked
@@ -253,39 +104,53 @@ TEST(Engine, RunUntilTimesOut)
     EXPECT_EQ(engine.now(), 50u);
 }
 
-TEST(Engine, EventsFireBeforeComponents)
+/** Idle component with one timed wakeup; records its ticks. */
+class Sleeper : public Clocked
+{
+  public:
+    explicit Sleeper(Tick wake) : wake_(wake) {}
+
+    void
+    tick(Tick now) override
+    {
+        ticks.push_back(now);
+        if (now >= wake_)
+            wake_ = kTickNever;
+    }
+
+    bool busy() const override { return false; }
+    Tick nextWake() const override { return wake_; }
+
+    std::vector<Tick> ticks;
+
+  private:
+    Tick wake_;
+};
+
+TEST(Engine, FastForwardStopsAtEarliestNextWake)
 {
     Engine engine;
-    std::vector<std::string> order;
-
-    class Named : public Clocked
-    {
-      public:
-        Named(std::vector<std::string> &log) : log_(log) {}
-        void tick(Tick) override { log_.push_back("component"); }
-
-      private:
-        std::vector<std::string> &log_;
-    };
-
-    Named component(order);
-    engine.addClocked(&component, 1);
-    engine.events().schedule(0, [&] { order.push_back("event"); });
-    engine.run(1);
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], "event");
-    EXPECT_EQ(order[1], "component");
+    Sleeper late(40), early(25);
+    engine.addClocked(&late, 1);
+    engine.addClocked(&early, 1);
+    EXPECT_EQ(engine.nextEventTick(), 25u);
+    engine.run(100);
+    // Skips land on each wakeup in turn, then run out the window.
+    EXPECT_EQ(early.ticks, (std::vector<Tick>{25, 40}));
+    EXPECT_EQ(late.ticks, (std::vector<Tick>{25, 40}));
+    EXPECT_EQ(engine.nextEventTick(), kTickNever);
+    EXPECT_EQ(engine.skippedTicks(), 98u);
 }
 
 /**
- * Two components exchanging values through channels must behave
- * identically regardless of registration order — the channel latch
+ * Two components exchanging values through latches must behave
+ * identically regardless of registration order — the latch
  * guarantees cycle t pushes are seen at cycle t+1.
  */
 class PingPong : public Clocked
 {
   public:
-    PingPong(Channel<int> &in, Channel<int> &out) : in_(in), out_(out) {}
+    PingPong(LatchedFifo &in, LatchedFifo &out) : in_(in), out_(out) {}
 
     void
     tick(Tick) override
@@ -299,17 +164,17 @@ class PingPong : public Clocked
     std::size_t sent = 0;
 
   private:
-    Channel<int> &in_;
-    Channel<int> &out_;
+    LatchedFifo &in_;
+    LatchedFifo &out_;
 };
 
 TEST(Engine, ChannelLatchingMakesOrderIrrelevant)
 {
     auto run = [](bool a_first) {
         Engine engine;
-        Channel<int> ab, ba;
-        engine.addChannel(&ab);
-        engine.addChannel(&ba);
+        LatchedFifo ab, ba;
+        engine.addRotatable(&ab);
+        engine.addRotatable(&ba);
         PingPong a(ba, ab), b(ab, ba);
         if (a_first) {
             engine.addClocked(&a, 1);
@@ -328,59 +193,6 @@ TEST(Engine, ChannelLatchingMakesOrderIrrelevant)
     // Value sent at cycle t arrives at cycle t+1: 9 values seen.
     EXPECT_EQ(forward.first.size(), 9u);
     EXPECT_EQ(forward.first.front(), 0);
-}
-
-TEST(Channel, DirtyFlagTracksStagedValues)
-{
-    Channel<int> ch;
-    EXPECT_FALSE(ch.dirty());
-    ch.push(1);
-    EXPECT_TRUE(ch.dirty());
-    ch.push(2); // second push of the cycle keeps it dirty
-    EXPECT_TRUE(ch.dirty());
-    ch.rotate();
-    EXPECT_FALSE(ch.dirty());
-    ch.push(3);
-    EXPECT_TRUE(ch.dirty());
-    ch.clear();
-    EXPECT_FALSE(ch.dirty());
-}
-
-TEST(Channel, DirtyListEnrolsOncePerCycle)
-{
-    std::vector<Rotatable *> dirty;
-    Channel<int> ch;
-    ch.bindDirtyList(&dirty);
-    ch.push(1);
-    ch.push(2);
-    ASSERT_EQ(dirty.size(), 1u);
-    EXPECT_EQ(dirty[0], &ch);
-    ch.rotate();
-    dirty.clear();
-    ch.push(3);
-    EXPECT_EQ(dirty.size(), 1u);
-}
-
-TEST(Channel, SwapRotateKeepsFifoOrderThroughEmptyAndBusyPhases)
-{
-    // Exercise both rotate() paths: the O(1) swap (visible empty) and
-    // the append loop (consumer left values behind), and verify the
-    // global FIFO order is identical to an element-by-element move.
-    Channel<int> ch;
-    ch.push(1);
-    ch.push(2);
-    ch.rotate(); // swap path
-    EXPECT_EQ(ch.pop(), 1);
-    ch.push(3);
-    ch.push(4);
-    ch.rotate(); // append path: 2 still visible
-    EXPECT_EQ(ch.pop(), 2);
-    EXPECT_EQ(ch.pop(), 3);
-    EXPECT_EQ(ch.pop(), 4);
-    ch.push(5);
-    ch.rotate(); // swap path again after full drain
-    EXPECT_EQ(ch.pop(), 5);
-    EXPECT_TRUE(ch.empty());
 }
 
 TEST(Engine, ReferenceModeMatchesActivityTickSchedule)
@@ -402,19 +214,21 @@ TEST(Engine, ReferenceModeMatchesActivityTickSchedule)
 }
 
 /**
- * Does three ticks of work, sleeps via the event queue for a while,
- * then works again — the quiescence pattern the fast-forward path
- * must handle: idle ticks are credited, work ticks land on the same
- * cycles as in reference mode.
+ * Does three ticks of work, naps through nextWake() for a while, then
+ * works again — the quiescence pattern the fast-forward path must
+ * handle: idle ticks are credited, work ticks land on the same cycles
+ * as in reference mode.
  */
 class BurstWorker : public Clocked
 {
   public:
-    explicit BurstWorker(Engine &engine) : engine_(engine) {}
-
     void
     tick(Tick now) override
     {
+        if (work_remaining == 0 && now >= wake_at) {
+            wake_at = kTickNever;
+            work_remaining = 3;
+        }
         if (work_remaining == 0) {
             ++idle_ticks; // what an idle poll would have cost
             return;
@@ -422,12 +236,13 @@ class BurstWorker : public Clocked
         work_ticks.push_back(now);
         if (--work_remaining == 0 && naps_left > 0) {
             --naps_left;
-            engine_.events().schedule(
-                now + 16, [this] { work_remaining = 3; });
+            wake_at = now + 16;
         }
     }
 
     bool busy() const override { return work_remaining > 0; }
+
+    Tick nextWake() const override { return wake_at; }
 
     void skipIdle(Tick ticks) override { idle_ticks += ticks; }
 
@@ -435,9 +250,7 @@ class BurstWorker : public Clocked
     Tick idle_ticks = 0;
     int work_remaining = 3;
     int naps_left = 2;
-
-  private:
-    Engine &engine_;
+    Tick wake_at = kTickNever;
 };
 
 TEST(Engine, FastForwardMatchesReferenceAndCreditsIdleTicks)
@@ -445,7 +258,7 @@ TEST(Engine, FastForwardMatchesReferenceAndCreditsIdleTicks)
     auto run = [](Engine::StepMode mode) {
         Engine engine;
         engine.setStepMode(mode);
-        BurstWorker worker(engine);
+        BurstWorker worker;
         engine.addClocked(&worker, 1);
         engine.run(64);
         EXPECT_EQ(engine.now(), 64u);
@@ -463,7 +276,7 @@ TEST(Engine, FastForwardMatchesReferenceAndCreditsIdleTicks)
 TEST(Engine, FastForwardSkipsTicksWhileQuiescent)
 {
     Engine engine;
-    BurstWorker worker(engine);
+    BurstWorker worker;
     engine.addClocked(&worker, 1);
     engine.run(64);
     EXPECT_GT(engine.skippedTicks(), 0u);
@@ -478,7 +291,7 @@ TEST(Engine, FastForwardCreditsSlowClockCorrectly)
     auto run = [](Engine::StepMode mode) {
         Engine engine;
         engine.setStepMode(mode);
-        BurstWorker worker(engine);
+        BurstWorker worker;
         engine.addClocked(&worker, 4, 1);
         engine.run(100);
         return std::make_pair(worker.work_ticks, worker.idle_ticks);
@@ -491,34 +304,40 @@ TEST(Engine, FastForwardCreditsSlowClockCorrectly)
 
 TEST(Engine, ManualChannelPushRotatesBeforeAnySkip)
 {
-    // A test (or component outside the tick loop) staging a value by
-    // hand must see it become visible after exactly one tick even if
-    // the whole machine is otherwise quiescent.
+    // A value staged by hand, outside the tick loop, must become
+    // visible after exactly one tick even if the machine is otherwise
+    // quiescent: its owner reports the staged value as work, so the
+    // engine steps and rotates before it skips.
     Engine engine;
-    Channel<int> ch;
-    engine.addChannel(&ch);
-    BurstWorker worker(engine);
+    LatchedFifo fifo;
+    engine.addRotatable(&fifo);
+    FifoOwner owner(fifo);
+    engine.addClocked(&owner, 1);
+    BurstWorker worker;
     worker.work_remaining = 0; // idle from the start
     worker.naps_left = 0;
     engine.addClocked(&worker, 1);
-    ch.push(7);
+    fifo.push(7);
     engine.run(5);
     EXPECT_EQ(engine.now(), 5u);
-    ASSERT_FALSE(ch.empty());
-    EXPECT_EQ(ch.front(), 7);
+    ASSERT_FALSE(fifo.empty());
+    EXPECT_EQ(fifo.front(), 7);
     EXPECT_EQ(worker.idle_ticks, 5u);
+    EXPECT_EQ(engine.skippedTicks(), 4u);
 }
 
 TEST(Engine, ChannelRegisteredDirtyRotatesOnFirstTick)
 {
     // Registration after a manual push must still rotate on schedule.
     Engine engine;
-    Channel<int> ch;
-    ch.push(3);
-    engine.addChannel(&ch);
+    LatchedFifo fifo;
+    FifoOwner owner(fifo);
+    engine.addClocked(&owner, 1);
+    fifo.push(3);
+    engine.addRotatable(&fifo);
     engine.run(1);
-    ASSERT_FALSE(ch.empty());
-    EXPECT_EQ(ch.front(), 3);
+    ASSERT_FALSE(fifo.empty());
+    EXPECT_EQ(fifo.front(), 3);
 }
 
 } // namespace

@@ -350,6 +350,10 @@ TEST(OptionsDeathTest, RejectsBadInput)
                  "expects an integer");
     EXPECT_DEATH(parse({"prog", "--count"}), "requires a value");
     EXPECT_DEATH(parse({"prog", "--fast=1"}), "takes no value");
+    EXPECT_DEATH(parse({"prog", "--count", "99999999999999999999"}),
+                 "out of range");
+    EXPECT_DEATH(parse({"prog", "--count=-99999999999999999999"}),
+                 "out of range");
 }
 
 TEST(Options, UsageMentionsAllOptions)
