@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -193,24 +192,14 @@ parseHarnessOptions(int argc, const char *const *argv,
     out.start_time = std::chrono::steady_clock::now();
     out.csv_path = opts.getString("csv");
     out.quick = opts.getFlag("quick");
-    // Every int-typed flag is range-checked before narrowing: a
-    // silent wrap would turn --threads 4294967297 into 1 thread.
-    auto int_option = [&opts](const char *flag) {
-        const long long value = opts.getInt(flag);
-        if (value < std::numeric_limits<int>::min() ||
-            value > std::numeric_limits<int>::max()) {
-            LOCSIM_FATAL("--", flag, " is out of range, got ", value);
-        }
-        return static_cast<int>(value);
-    };
     // Validate on the raw ints: the uint64 cast below would turn a
     // negative value into an astronomically long simulation instead
     // of the diagnostic the typo deserves. A zero window measures
     // nothing and a zero warmup measures transient cold-start state;
     // both are always a mistyped flag, so fail before any simulation
     // (the --trace-out path-validation convention).
-    const int warmup_arg = int_option("warmup");
-    const int window_arg = int_option("window");
+    const int warmup_arg = opts.getInt32("warmup");
+    const int window_arg = opts.getInt32("window");
     if (warmup_arg <= 0) {
         LOCSIM_FATAL("--warmup must be a positive cycle count, got ",
                      warmup_arg);
@@ -221,7 +210,7 @@ parseHarnessOptions(int argc, const char *const *argv,
     }
     out.warmup = static_cast<std::uint64_t>(warmup_arg);
     out.window = static_cast<std::uint64_t>(window_arg);
-    out.threads = int_option("threads");
+    out.threads = opts.getInt32("threads");
     // 0 is the "all cores" default; an explicit non-positive count is
     // always a mistake (a shell expansion gone wrong), so reject it
     // rather than silently soaking up every core.
@@ -230,7 +219,7 @@ parseHarnessOptions(int argc, const char *const *argv,
                      out.threads,
                      " (omit the flag to use all cores)");
     }
-    out.shards = int_option("shards");
+    out.shards = opts.getInt32("shards");
     if (opts.wasSet("shards") && out.shards <= 0) {
         LOCSIM_FATAL("--shards must be a positive integer, got ",
                      out.shards,
@@ -254,7 +243,7 @@ parseHarnessOptions(int argc, const char *const *argv,
     out.no_cache = opts.getFlag("no-cache");
     out.cache_stats = opts.getFlag("cache-stats");
     out.no_prefix_cache = opts.getFlag("no-prefix-cache");
-    const int rung_stride = int_option("prefix-rung-stride");
+    const int rung_stride = opts.getInt32("prefix-rung-stride");
     if (opts.wasSet("prefix-rung-stride") && rung_stride <= 0) {
         LOCSIM_FATAL(
             "--prefix-rung-stride must be a positive cycle count, "

@@ -46,19 +46,13 @@ where absolute ns/op is not). A speedup below "min" regresses.
 
 With --explain BASE_MANIFEST CURRENT_MANIFEST (two --run-report JSON
 files, e.g. from `micro_perf --run-report`), a fired gate is followed
-by a host-time phase attribution: both manifests' profile.phases
-sections are normalized to shares of profiled time and the phases
-whose share grew the most are called out — "router_scan went from 40%
-to 55%" localizes a regression to the router scan before anyone opens
-a profiler. Manifests with profiling disabled are reported as such
-and skipped. Two shift patterns get named diagnoses: checkpoint-phase
-growth is attributed to prefix-cache overhead, and a run whose
-router_kernel share collapsed while router_scan grew is called out as
-"SIMD fallback engaged" — the scalar tick path records no
-router_kernel phase, so that signature means the build or host
-stopped selecting the lane-vector kernels (check the LOCSIM_SIMD
-CMake option, the LOCSIM_SIMD environment variable, and the host
-CPU's vector support).
+by a host-time phase attribution. Each manifest's profile.phases are
+turned into self time (a nesting phase minus the phases it contains,
+see src/obs/profiler.hh), and one rule names the phase whose self time
+grew most, with the change in ms and in share points of profiled
+time: "router_scan +3200.0 ms, +21.4 pts" localizes a regression
+before anyone opens a profiler. Manifests with profiling disabled are
+reported as such and skipped.
 
 Exit status: 0 when nothing regressed, or always 0 without --strict
 (report-only mode for informational CI steps); 1 with --strict when at
@@ -189,62 +183,53 @@ def load_manifest_phases(path):
             for name, entry in profile["phases"].items()}
 
 
+# Phases the profiler records inside another (src/obs/profiler.hh):
+# engine phase A dispatches the router and coherence ticks, and the
+# router scan contains the latch kernel.
+PARENT = {"router_scan": "engine_dispatch",
+          "coherence": "engine_dispatch",
+          "router_kernel": "router_scan"}
+
+
+def self_times(phases):
+    """Per-phase self time in ns: a phase's time minus its children's."""
+    own = dict(phases)
+    for child, parent in PARENT.items():
+        if child in phases and parent in own:
+            own[parent] -= phases[child]
+    return {name: max(0, ns) for name, ns in own.items()}
+
+
 def explain(base_phases, cur_phases):
     """Attribute a regression to host phases.
 
-    Returns printable lines: per-phase share-of-profiled-time before
-    and after, sorted by share growth, with the largest shift called
-    out. Shares (not raw ns) so the comparison survives differing
-    iteration counts and host speeds.
+    Returns printable lines: per-phase self-time share before and
+    after plus the change in ms, then the phase whose self time grew
+    most.
     """
-    base_total = sum(base_phases.values()) or 1
-    cur_total = sum(cur_phases.values()) or 1
-    deltas = []
-    for name in sorted(set(base_phases) | set(cur_phases)):
-        b = base_phases.get(name, 0) / base_total * 100.0
-        c = cur_phases.get(name, 0) / cur_total * 100.0
-        deltas.append((c - b, name, b, c))
-    deltas.sort(key=lambda d: -d[0])
-    lines = ["phase attribution (share of profiled host time):"]
-    for d, name, b, c in deltas:
+    base = self_times(base_phases)
+    cur = self_times(cur_phases)
+    base_total = sum(base.values()) or 1
+    cur_total = sum(cur.values()) or 1
+    rows = []
+    for name in sorted(set(base) | set(cur)):
+        b = base.get(name, 0)
+        c = cur.get(name, 0)
+        rows.append(((c - b) / 1e6, name, b / base_total * 100.0,
+                     c / cur_total * 100.0))
+    rows.sort(key=lambda r: -r[0])
+    lines = ["phase attribution (self time, share of profiled host "
+             "time):"]
+    for ms, name, b, c in rows:
         lines.append(f"  {name:<18} {b:6.1f}% -> {c:6.1f}%  "
-                     f"({d:+.1f} pts)")
-    top = deltas[0]
-    if top[0] > 0.5:
-        lines.append(f"largest shift: {top[1]} (+{top[0]:.1f} points "
-                     f"of profiled time) — look there first")
-        checkpoint_growth = sum(
-            d for d, name, _, _ in deltas
-            if d > 0 and name in ("checkpoint_save",
-                                  "checkpoint_restore"))
-        if checkpoint_growth > 0.5:
-            lines.append(
-                "checkpoint phases grew "
-                f"(+{checkpoint_growth:.1f} points): the regression "
-                "is prefix-cache overhead, not simulation — compare "
-                "BM_CheckpointRoundtrip, check image sizes and "
-                "--prefix-rung-stride, or rerun with "
-                "--no-prefix-cache to confirm")
-        kernel_delta = next(
-            (d for d, name, _, _ in deltas
-             if name == "router_kernel"), 0.0)
-        scan_delta = next(
-            (d for d, name, _, _ in deltas
-             if name == "router_scan"), 0.0)
-        if kernel_delta < -0.5 and scan_delta > 0.5:
-            lines.append(
-                "router_kernel share collapsed "
-                f"({kernel_delta:+.1f} points) while router_scan "
-                f"grew (+{scan_delta:.1f} points): SIMD fallback "
-                "engaged — the scalar tick path records no "
-                "router_kernel phase. Check the LOCSIM_SIMD CMake "
-                "option, the LOCSIM_SIMD environment variable, and "
-                "the host CPU's vector support before hunting "
-                "elsewhere")
+                     f"({ms:+.1f} ms, {c - b:+.1f} pts)")
+    ms, name, b, c = rows[0]
+    if ms > 0:
+        lines.append(f"grew most: {name} ({ms:+.1f} ms self time, "
+                     f"{c - b:+.1f} share points) — look there first")
     else:
-        lines.append("no phase's share moved meaningfully; the "
-                     "regression is spread evenly (or outside the "
-                     "instrumented phases)")
+        lines.append("no phase's self time grew; the regression is "
+                     "outside the instrumented phases")
     return lines
 
 
@@ -319,59 +304,29 @@ def self_test():
            not in {(n, l) for n, l, *_ in regs},
            "median did not filter a single noisy run")
 
-    # --explain: the fixture manifests shift time into router_scan;
-    # the attribution must rank it first and call it out.
+    # --explain: the steady fixture shifts self time into
+    # router_scan, the checkpoint fixture into checkpoint_restore.
     base_phases = load_manifest_phases(
         os.path.join(here, "fixtures", "manifest_base.json"))
     cur_phases = load_manifest_phases(
         os.path.join(here, "fixtures", "manifest_current.json"))
-    expect(base_phases is not None and cur_phases is not None,
+    ckpt_phases = load_manifest_phases(
+        os.path.join(here, "fixtures", "manifest_checkpoint.json"))
+    expect(None not in (base_phases, cur_phases, ckpt_phases),
            "fixture manifests did not load")
     explain_lines = explain(base_phases, cur_phases)
-    expect(any("largest shift: router_scan" in l
+    expect(any(l.startswith("grew most: router_scan (+3200.0 ms")
                for l in explain_lines),
            f"router_scan growth not attributed: {explain_lines}")
+    ckpt_lines = explain(base_phases, ckpt_phases)
+    expect(any(l.startswith("grew most: checkpoint_restore (+4500.0 ms")
+               for l in ckpt_lines),
+           f"checkpoint_restore growth not attributed: {ckpt_lines}")
     # A disabled-profile manifest is detected, not crashed on.
     disabled = load_manifest_phases(
         os.path.join(here, "fixtures", "manifest_disabled.json"))
     expect(disabled is None,
            "profiling-disabled manifest not reported as None")
-    # Checkpoint-phase attribution: a run whose time shifted into
-    # checkpoint_restore/checkpoint_save is ranked and called out as
-    # prefix-cache overhead.
-    ckpt_phases = load_manifest_phases(
-        os.path.join(here, "fixtures", "manifest_checkpoint.json"))
-    expect(ckpt_phases is not None,
-           "checkpoint fixture manifest did not load")
-    ckpt_lines = explain(base_phases, ckpt_phases)
-    expect(any("largest shift: checkpoint_restore" in l
-               for l in ckpt_lines),
-           f"checkpoint_restore growth not attributed: {ckpt_lines}")
-    expect(any("prefix-cache overhead" in l for l in ckpt_lines),
-           f"checkpoint growth hint missing: {ckpt_lines}")
-    base_lines = explain(base_phases, cur_phases)
-    expect(not any("prefix-cache overhead" in l for l in base_lines),
-           "checkpoint hint fired without checkpoint growth")
-    # SIMD-fallback attribution: the fallback fixture has no
-    # router_kernel phase (the scalar tick path never records one)
-    # and its time reappears in router_scan — that signature must be
-    # named, and must stay quiet when router_kernel's share merely
-    # tracks the baseline (manifest_current) or shrinks without scan
-    # growth (manifest_checkpoint).
-    fallback_phases = load_manifest_phases(
-        os.path.join(here, "fixtures", "manifest_simd_fallback.json"))
-    expect(fallback_phases is not None,
-           "SIMD-fallback fixture manifest did not load")
-    fallback_lines = explain(base_phases, fallback_phases)
-    expect(any("SIMD fallback engaged" in l for l in fallback_lines),
-           f"SIMD fallback not attributed: {fallback_lines}")
-    expect(any("LOCSIM_SIMD" in l for l in fallback_lines),
-           f"SIMD fallback hint lacks the knob to check: "
-           f"{fallback_lines}")
-    expect(not any("SIMD fallback" in l for l in base_lines),
-           "SIMD fallback hint fired on a steady router_kernel share")
-    expect(not any("SIMD fallback" in l for l in ckpt_lines),
-           "SIMD fallback hint fired without router_scan growth")
 
     if failures:
         for f in failures:

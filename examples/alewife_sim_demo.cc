@@ -83,7 +83,7 @@ main(int argc, char **argv)
     }
 
     machine::MachineConfig config;
-    config.contexts = static_cast<int>(opts.getInt("contexts"));
+    config.contexts = opts.getInt32("contexts");
     config.trace.enabled = !obs.trace_out.empty();
     config.trace.detail = obs.flit_detail ? obs::TraceDetail::Flit
                                           : obs::TraceDetail::Message;

@@ -32,7 +32,7 @@ main(int argc, char **argv)
     opts.addInt("window", "simulation window, processor cycles",
                 12000);
     opts.parse(argc, argv);
-    const int contexts = static_cast<int>(opts.getInt("contexts"));
+    const int contexts = opts.getInt32("contexts");
     const bool simulate = opts.getFlag("simulate");
 
     net::TorusTopology topo(8, 2);

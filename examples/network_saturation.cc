@@ -31,8 +31,8 @@ main(int argc, char **argv)
     opts.addInt("dims", "torus dimensions", 2);
     opts.addInt("cycles", "cycles per operating point", 15000);
     opts.parse(argc, argv);
-    const int radix = static_cast<int>(opts.getInt("radix"));
-    const int dims = static_cast<int>(opts.getInt("dims"));
+    const int radix = opts.getInt32("radix");
+    const int dims = opts.getInt32("dims");
     const auto cycles = static_cast<sim::Tick>(opts.getInt("cycles"));
 
     std::printf("=== Open loop: offered load vs delivered latency "
@@ -64,9 +64,11 @@ main(int argc, char **argv)
         const double delivered =
             static_cast<double>(network.stats().messages_delivered) /
             (window * nodes);
+        // Signed: warm-up messages delivered inside the window can
+        // outnumber the window's sends.
         const double backlog =
-            static_cast<double>(network.stats().messages_sent -
-                                network.stats().messages_delivered) /
+            (static_cast<double>(network.stats().messages_sent) -
+             static_cast<double>(network.stats().messages_delivered)) /
             nodes;
         table.newRow()
             .cell(rate, 3)

@@ -45,8 +45,7 @@ main(int argc, char **argv)
     config.transaction.fixed_overhead =
         opts.getDouble("fixed-overhead");
     config.machine.net_clock_ratio = opts.getDouble("clock-ratio");
-    config.machine.network.dims =
-        static_cast<int>(opts.getInt("dims"));
+    config.machine.network.dims = opts.getInt32("dims");
 
     // 2. Solve the combined model for both mapping regimes.
     model::LocalityAnalysis analysis(config);

@@ -37,7 +37,7 @@ main(int argc, char **argv)
                 "ports per switch in the indirect network", 4);
     opts.parse(argc, argv);
     const double contexts = opts.getDouble("contexts");
-    const int radix = static_cast<int>(opts.getInt("switch-radix"));
+    const int radix = opts.getInt32("switch-radix");
 
     std::printf("=== Per-processor transaction rate (x1000, network "
                 "cycles^-1) as N scales ===\n");

@@ -5,10 +5,9 @@
  * The start-of-cycle latch is the one data-parallel pass left in the
  * fabric's per-cycle fixed cost: wake |= staged, staged = 0 per router
  * word, plus the busy test (buffered | wakes) != 0, for a shard's
- * contiguous node range. It is compiled at scalar, SSE2 and AVX2
- * levels in one binary (the AVX2 body carries a gnu::target
- * attribute) and selected by the util::simd::Level the caller
- * resolved at construction. All levels compute bit-identical results.
+ * contiguous node range. It runs the SSE2 body on x86-64 and the
+ * scalar reference body elsewhere (util::simd::activeLevel(), fixed
+ * at compile time); both compute bit-identical results.
  *
  * Concurrency contract: shard node ranges share cache lines at their
  * boundaries, so the caller peels the range to absolute multiples of
@@ -21,8 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "util/simd.hh"
 
 namespace locsim {
 namespace net {
@@ -41,8 +38,7 @@ void routerLatchBusy(std::uint32_t *flit_staged,
                      std::uint32_t *credit_staged,
                      std::uint32_t *credit_wake,
                      const std::uint32_t *buffered, std::size_t first,
-                     std::size_t last, std::uint8_t *busy_bytes,
-                     util::simd::Level level);
+                     std::size_t last, std::uint8_t *busy_bytes);
 
 } // namespace kernels
 } // namespace net

@@ -209,14 +209,13 @@ Network::Network(const NetworkConfig &config,
         routers_[node]->connectInput(local_port_, inject);
     }
 
-    // Kernel-path metadata, fixed once all remote wake bindings are
-    // known: each shard's list of routers with cross-shard producers
-    // (their atomics are drained scalar before the vector latch) and
+    // Latch metadata, fixed once all remote wake bindings are known:
+    // each shard's list of routers with cross-shard producers (their
+    // atomics are drained into the staged words before the latch) and
     // its busy-byte scratch, one byte per group of 8 nodes the latch
     // kernel can touch (shard boundaries round outward to group
-    // boundaries; the kernel itself peels the shared edge groups to
-    // scalar). Sized here so the steady-state loop never allocates.
-    simd_level_ = util::simd::activeLevel();
+    // boundaries; tickShard peels the shared edge groups to scalar).
+    // Sized here so the steady-state loop never allocates.
     remote_nodes_.resize(static_cast<std::size_t>(K));
     busy_scratch_.resize(static_cast<std::size_t>(K));
     for (int s = 0; s < K; ++s) {
@@ -566,37 +565,12 @@ Network::tickShard(int s, sim::Tick now)
     const sim::NodeId lo = plan_.first(s);
     const sim::NodeId hi = plan_.last(s);
 
-    if (simd_level_ == util::simd::Level::Off) {
-        // Scalar reference path (LOCSIM_SIMD=off): the kernel path
-        // below must stay bit-identical to this one — CI diffs the
-        // two builds byte-for-byte.
-        //
-        // Latch the bits staged by last cycle's deposits (including
-        // cross-shard ones, via the routers' remote words) before
-        // anything deposits this cycle: injection, ejection credits
-        // and router traversal below all stage bits for the NEXT
-        // cycle, which is the links' one-cycle latency.
-        for (sim::NodeId node = lo; node < hi; ++node)
-            routers_[node]->latchWakes();
-        if (plan_.shards > 1)
-            drainRecordMail(s, now);
-        for (sim::NodeId node = lo; node < hi; ++node)
-            tickEjection(node, now);
-        for (sim::NodeId node = lo; node < hi; ++node)
-            tickInjection(node, now);
-        // An idle router's tick is a no-op (no buffered flits, no
-        // latched arrivals, and its arbitration state is derived from
-        // `now`), so skipping it cannot change behavior.
-        for (sim::NodeId node = lo; node < hi; ++node) {
-            if (routers_[node]->busy())
-                routers_[node]->tick(now);
-        }
-        return;
-    }
-
-    // Lane-vector path: the same latch / eject / inject / dispatch
-    // sequence, but the start-of-cycle latch and busy evaluation run
-    // as a vector kernel over groups of 8 contiguous nodes. Busy is
+    // Latch the bits staged by last cycle's deposits (including
+    // cross-shard ones, via the routers' remote words) before anything
+    // deposits this cycle: injection, ejection credits and router
+    // traversal below all stage bits for the NEXT cycle, which is the
+    // links' one-cycle latency. The latch and busy evaluation run as a
+    // lane-vector kernel over groups of 8 contiguous nodes. Busy is
     // computed at latch time rather than after injection; the two are
     // identical because ejection and injection only *stage* wakes for
     // the next cycle (and buffered counts change only inside router
@@ -623,34 +597,30 @@ Network::tickShard(int s, sim::Tick now)
         obs::ScopedPhase kernel(
             profile_slots_[static_cast<std::size_t>(s)],
             obs::Phase::RouterKernel);
-        // Cross-shard wakes fold into the staged words first, so the
-        // vector latch picks them up exactly as latchWakes() would
-        // have (rotation is barrier-separated from this phase, so the
-        // remote atomics are quiescent here).
+        // Cross-shard wakes fold into the staged words first, so both
+        // latches below pick them up (rotation is barrier-separated
+        // from this phase, so the remote atomics are quiescent here).
         for (const sim::NodeId node :
              remote_nodes_[static_cast<std::size_t>(s)])
             routers_[node]->drainRemoteWakes();
         std::fill(busy.begin(), busy.end(), std::uint8_t{0});
-        for (std::size_t node = lo_s; node < vlo && node < hi_s;
-             ++node) {
+        auto latch_edge = [&](std::size_t node) {
             routers_[node]->latchWakes();
             if (routers_[node]->busy())
                 busy[node / 8 - gfirst] |=
                     static_cast<std::uint8_t>(1u << (node & 7));
-        }
+        };
+        for (std::size_t node = lo_s; node < vlo && node < hi_s; ++node)
+            latch_edge(node);
         if (vhi > vlo) {
             kernels::routerLatchBusy(
                 flit_wake_staged_.data(), flit_wake_.data(),
                 credit_wake_staged_.data(), credit_wake_.data(),
                 buffered_slab_.data(), vlo, vhi,
-                busy.data() + (vlo / 8 - gfirst), simd_level_);
+                busy.data() + (vlo / 8 - gfirst));
         }
-        for (std::size_t node = vhi; node < hi_s; ++node) {
-            routers_[node]->latchWakes();
-            if (routers_[node]->busy())
-                busy[node / 8 - gfirst] |=
-                    static_cast<std::uint8_t>(1u << (node & 7));
-        }
+        for (std::size_t node = vhi; node < hi_s; ++node)
+            latch_edge(node);
     }
     if (plan_.shards > 1)
         drainRecordMail(s, now);
@@ -658,9 +628,10 @@ Network::tickShard(int s, sim::Tick now)
         tickEjection(node, now);
     for (sim::NodeId node = lo; node < hi; ++node)
         tickInjection(node, now);
-    // Dispatch straight off the busy bytes, ascending — the same
-    // node order as the scalar scan, without re-deriving busy per
-    // node.
+    // Dispatch straight off the busy bytes in ascending node order.
+    // An idle router's tick is a no-op (no buffered flits, no latched
+    // arrivals, and its arbitration state is derived from `now`), so
+    // skipping it cannot change behavior.
     for (std::size_t g = 0; g < busy.size(); ++g) {
         std::uint32_t bits = busy[g];
         while (bits != 0) {

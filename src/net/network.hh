@@ -57,7 +57,6 @@
 #include "util/pool.hh"
 #include "util/ring_queue.hh"
 #include "util/serialize.hh"
-#include "util/simd.hh"
 
 namespace locsim {
 
@@ -567,9 +566,9 @@ class Network : public sim::Clocked
     std::vector<std::uint32_t> buffered_slab_;
 
     /**
-     * Per-shard list of nodes with cross-shard producers. The kernel
-     * path drains their remote wake atomics into the staged words
-     * before the vector latch; every node's staged words are only
+     * Per-shard list of nodes with cross-shard producers. tickShard
+     * drains their remote wake atomics into the staged words before
+     * the latch; every node's staged words are only
      * written by its own shard, so the vector pass is race-free.
      */
     std::vector<std::vector<sim::NodeId>> remote_nodes_;
@@ -581,9 +580,6 @@ class Network : public sim::Clocked
      * allocates.
      */
     std::vector<std::vector<std::uint8_t>> busy_scratch_;
-
-    /** Lane-vector kernel level, resolved once at construction. */
-    util::simd::Level simd_level_ = util::simd::Level::Off;
 
     std::vector<NodeEndpoint> endpoints_;
 

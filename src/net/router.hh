@@ -311,35 +311,26 @@ class Router
 
     /**
      * Latch the bits staged by last cycle's deposits into the masks
-     * tick() consumes. The Network calls this on every router at the
-     * start of a network cycle, before anything deposits: deposits
-     * made during the current cycle stage bits for the next one, which
-     * is the one-cycle link latency.
+     * tick() consumes. The Network latches every router at the start
+     * of a network cycle, before anything deposits: deposits made
+     * during the current cycle stage bits for the next one, which is
+     * the one-cycle link latency. Shard-edge nodes latch here; the
+     * rest latch in kernels::routerLatchBusy, which does the same on
+     * the slab words. Cross-shard wakes must already be folded in by
+     * drainRemoteWakes().
      */
     void
     latchWakes()
     {
         *flit_wake_ |= std::exchange(*flit_wake_staged_, 0u);
         *credit_wake_ |= std::exchange(*credit_wake_staged_, 0u);
-        if (has_remote_wakes_) {
-            const std::uint32_t flits = remote_flit_wake_.exchange(
-                0u, std::memory_order_relaxed);
-            const std::uint32_t credits = remote_credit_wake_.exchange(
-                0u, std::memory_order_relaxed);
-            *flit_wake_ |= flits;
-            *credit_wake_ |= credits;
-            remote_wakes_ += static_cast<std::uint64_t>(
-                std::popcount(flits) + std::popcount(credits));
-        }
     }
 
     /**
-     * Kernel-path variant of the remote half of latchWakes(): fold
-     * pending cross-shard wakes into the *staged* words, which the
-     * lane-vector latch (kernels::routerLatchBusy) then ORs into the
-     * wake words exactly as latchWakes() would have — same final
-     * state, same remote_wakes_ accounting. The Network calls this
-     * for its per-shard remote-node list before running the kernel.
+     * Fold pending cross-shard wakes into the *staged* words, ahead of
+     * the latch that ORs them into the wake words, and count them in
+     * remote_wakes_. The Network calls this for its per-shard
+     * remote-node list at the start of each network cycle.
      */
     void
     drainRemoteWakes()
@@ -361,9 +352,9 @@ class Router
      * Cross-shard wake words. In sharded runs, a producer on another
      * shard delivers its bits here (atomically, through its shard's
      * WakeOutbox during the rotation phase) instead of into the plain
-     * staged words; latchWakes() then drains both. The extra exchange
-     * is gated on has_remote_wakes_ so the sequential path pays
-     * nothing. The Network performs the binding.
+     * staged words; drainRemoteWakes() folds them in before the latch.
+     * Only routers with has_remote_wakes_ are drained, so the
+     * sequential path pays nothing. The Network performs the binding.
      */
     std::atomic<std::uint32_t> &
     remoteFlitWakeWord()
@@ -403,8 +394,8 @@ class Router
     const stats::Counter &allocStalls() const { return alloc_stalls_; }
 
     /**
-     * Cross-shard wake bits drained by latchWakes() (popcount of the
-     * remote wake words). An execution diagnostic for the counter
+     * Cross-shard wake bits drained by drainRemoteWakes() (popcount
+     * of the remote wake words). An execution diagnostic for the counter
      * registry — 0 in sequential runs, shard-count-dependent and not
      * part of the simulated result, hence never serialized.
      */

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -146,6 +147,17 @@ OptionParser::getInt(const std::string &name) const
 {
     return std::strtoll(find(name, Kind::Int).value.c_str(), nullptr,
                         10);
+}
+
+int
+OptionParser::getInt32(const std::string &name) const
+{
+    const long long value = getInt(name);
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+        LOCSIM_FATAL("--", name, " is out of range, got ", value);
+    }
+    return static_cast<int>(value);
 }
 
 double

@@ -47,6 +47,11 @@ class OptionParser
 
     std::string getString(const std::string &name) const;
     long long getInt(const std::string &name) const;
+    /**
+     * getInt() narrowed to int: a value outside int's range is fatal
+     * rather than silently wrapped (--radix 4294967300 is not 4).
+     */
+    int getInt32(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getFlag(const std::string &name) const;
 

@@ -1,17 +1,11 @@
 /**
  * @file
- * SIMD level resolution: compile ceiling, CPU capability, env clamp.
+ * The compiled lane-vector level and its test override.
  */
 
 #include "util/simd.hh"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#ifndef LOCSIM_SIMD_MAX
-#define LOCSIM_SIMD_MAX 2
-#endif
 
 namespace locsim {
 namespace util {
@@ -19,69 +13,26 @@ namespace simd {
 
 namespace {
 
-Level
-cpuCeiling()
-{
 #if defined(__x86_64__)
-    // SSE2 is the x86-64 baseline; only AVX2 needs a runtime probe.
-    if (__builtin_cpu_supports("avx2"))
-        return Level::Avx2;
-    return Level::Sse2;
+constexpr Level kCompiled = Level::Sse2;
 #else
-    return Level::Off;
+constexpr Level kCompiled = Level::Off;
 #endif
-}
 
-Level
-envCeiling()
-{
-    const char *env = std::getenv("LOCSIM_SIMD");
-    if (env == nullptr)
-        return Level::Avx2;
-    if (std::strcmp(env, "off") == 0)
-        return Level::Off;
-    if (std::strcmp(env, "sse2") == 0)
-        return Level::Sse2;
-    // "avx2", "auto" and anything unrecognized leave the build's
-    // resolution alone: the variable can only clamp down.
-    return Level::Avx2;
-}
-
-Level
-minLevel(Level a, Level b)
-{
-    return static_cast<int>(a) < static_cast<int>(b) ? a : b;
-}
-
-Level
-resolveLevel()
-{
-    const auto compile_max = static_cast<Level>(LOCSIM_SIMD_MAX);
-    return minLevel(minLevel(compile_max, cpuCeiling()), envCeiling());
-}
-
-/** -1 = unresolved; otherwise the cached Level. */
-std::atomic<int> g_active{-1};
+std::atomic<Level> g_active{kCompiled};
 
 } // namespace
 
 Level
 activeLevel()
 {
-    int v = g_active.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = static_cast<int>(resolveLevel());
-        g_active.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<Level>(v);
+    return g_active.load(std::memory_order_relaxed);
 }
 
 void
 setActiveLevelForTest(Level level)
 {
-    const Level hw =
-        minLevel(static_cast<Level>(LOCSIM_SIMD_MAX), cpuCeiling());
-    g_active.store(static_cast<int>(minLevel(level, hw)),
+    g_active.store(level < kCompiled ? level : kCompiled,
                    std::memory_order_relaxed);
 }
 
@@ -93,8 +44,6 @@ levelName(Level level)
         return "off";
       case Level::Sse2:
         return "sse2";
-      case Level::Avx2:
-        return "avx2";
     }
     return "?";
 }

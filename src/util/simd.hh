@@ -1,22 +1,13 @@
 /**
  * @file
- * Runtime selection of the lane-vector kernel ISA level.
+ * The lane-vector kernel ISA level, fixed when the code is compiled.
  *
- * The hot-path kernels (net/kernels.hh) are compiled at every level
- * the build allows — the AVX2 bodies carry a gnu::target attribute,
- * so a single binary holds scalar, SSE2 and AVX2 variants — and the
- * level actually executed is resolved once per process as
- *
- *     min(compile-time ceiling, CPU capability, LOCSIM_SIMD env var)
- *
- * The compile-time ceiling comes from the LOCSIM_SIMD configure
- * option (auto/avx2 -> Avx2, sse2 -> Sse2, off -> Off; see the root
- * CMakeLists). The LOCSIM_SIMD environment variable can only clamp
- * the level down ("off", "sse2", "avx2"/"auto"), which lets CI A/B a
- * single build: run once with LOCSIM_SIMD=off and once without, and
- * byte-diff the outputs. Every kernel is bit-identical across levels
- * by construction, so the level is an execution detail — it never
- * enters stats, checkpoints, cache keys or stdout.
+ * The hot-path kernels (net/kernels.hh) run at SSE2 on x86-64, where
+ * SSE2 is the baseline ISA, and at the scalar reference level on
+ * every other target; no runtime probe or knob selects between them.
+ * Every kernel is bit-identical across levels by construction, so the
+ * level is an execution detail — it never enters stats, checkpoints,
+ * cache keys or stdout.
  */
 
 #ifndef LOCSIM_UTIL_SIMD_HH_
@@ -29,26 +20,21 @@ namespace simd {
 /** ISA levels, ordered so numeric comparison means capability. */
 enum class Level : int
 {
-    Off = 0,  //!< scalar fallback everywhere
+    Off = 0,  //!< scalar reference body
     Sse2 = 1, //!< 128-bit kernels (x86-64 baseline)
-    Avx2 = 2, //!< 256-bit kernels with masked stores
 };
 
-/**
- * The level kernels should execute at, resolved once on first call
- * (compile ceiling, CPU check, env clamp) and cached. Components that
- * dispatch per call may cache the value again at construction.
- */
+/** The level kernels execute at: the compiled level. */
 Level activeLevel();
 
 /**
- * Force the active level (clamped to what the build and CPU support).
- * Test hook for in-process scalar-vs-SIMD byte-identity checks; takes
- * effect for components constructed afterwards.
+ * Force the active level (clamped to the compiled level). Test hook
+ * for in-process scalar-vs-SIMD byte-identity checks; kernels read it
+ * on every call.
  */
 void setActiveLevelForTest(Level level);
 
-/** Human-readable level name ("off", "sse2", "avx2"). */
+/** Human-readable level name ("off", "sse2"). */
 const char *levelName(Level level);
 
 } // namespace simd

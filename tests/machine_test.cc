@@ -562,21 +562,21 @@ TEST(Sharded, SamplerSeriesBitIdentical)
 }
 
 /**
- * The scalar and lane-vector kernel paths are the same simulation:
- * with the kernel level forced off (the LOCSIM_SIMD=off build's
- * steady state) a machine produces byte-identical measurements and
- * checkpoint images to the ambient level (SSE2/AVX2 where the CPU has
- * it). The level is latched at construction, so each machine here is
- * built entirely under its forced level.
+ * The scalar and SSE2 bodies of the router latch kernel are the same
+ * simulation: with the level forced off, a machine produces
+ * byte-identical measurements and checkpoint images to the compiled
+ * level. Radix 4 fills whole groups of 8 routers; radix 5 (25 nodes)
+ * pads its last group, and at 2 shards its boundary at node 12 splits
+ * a group, so the peeled edge nodes run next to both bodies too.
  */
 TEST(Sharded, ScalarAndVectorKernelPathsBitIdentical)
 {
     const util::simd::Level ambient = util::simd::activeLevel();
-    auto runAt = [&](util::simd::Level level, int shards, int contexts,
-                     const workload::Mapping &mapping) {
+    auto runAt = [&](util::simd::Level level, int radix, int shards,
+                     int contexts, const workload::Mapping &mapping) {
         util::simd::setActiveLevelForTest(level);
         MachineConfig config;
-        config.radix = 4;
+        config.radix = radix;
         config.contexts = contexts;
         config.shards = shards;
         Machine machine(config, mapping);
@@ -588,18 +588,22 @@ TEST(Sharded, ScalarAndVectorKernelPathsBitIdentical)
         util::simd::setActiveLevelForTest(ambient);
         return bytes;
     };
-    const workload::Mapping mappings[] = {
-        workload::Mapping::random(16, 7),
-        workload::Mapping::identity(16),
-    };
-    for (int shards : {1, 2}) {
-        for (int contexts : {1, 2, 3}) {
-            const workload::Mapping &mapping = mappings[contexts % 2];
-            EXPECT_EQ(runAt(util::simd::Level::Off, shards, contexts,
-                            mapping),
-                      runAt(ambient, shards, contexts, mapping))
-                << contexts << " context(s) at " << shards
-                << " shard(s)";
+    for (int radix : {4, 5}) {
+        const int nodes = radix * radix;
+        const workload::Mapping mappings[] = {
+            workload::Mapping::random(nodes, 7),
+            workload::Mapping::identity(nodes),
+        };
+        for (int shards : {1, 2}) {
+            for (int contexts : {1, 2, 3}) {
+                const workload::Mapping &mapping = mappings[contexts % 2];
+                EXPECT_EQ(runAt(util::simd::Level::Off, radix, shards,
+                                contexts, mapping),
+                          runAt(ambient, radix, shards, contexts,
+                                mapping))
+                    << "radix " << radix << ", " << contexts
+                    << " context(s) at " << shards << " shard(s)";
+            }
         }
     }
 }

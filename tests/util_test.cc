@@ -354,6 +354,18 @@ TEST(OptionsDeathTest, RejectsBadInput)
                  "out of range");
     EXPECT_DEATH(parse({"prog", "--count=-99999999999999999999"}),
                  "out of range");
+    // In range for getInt, but not for int: getInt32 refuses to wrap.
+    auto int32 = [](const char *value) {
+        OptionParser opts("prog", "test");
+        opts.addInt("radix", "a radix", 8);
+        const char *argv[] = {"prog", "--radix", value};
+        opts.parse(3, argv);
+        return opts.getInt32("radix");
+    };
+    EXPECT_EQ(int32("-2147483648"), -2147483647 - 1);
+    EXPECT_DEATH(int32("4294967300"),
+                 "--radix is out of range, got 4294967300");
+    EXPECT_DEATH(int32("-2147483649"), "out of range");
 }
 
 TEST(Options, UsageMentionsAllOptions)
