@@ -107,8 +107,7 @@ main(int argc, char **argv)
     }
     const util::ObservabilityOptions obs_opts =
         util::applyObservabilityOptions(opts);
-    const auto cycles =
-        static_cast<sim::Tick>(opts.getInt("cycles"));
+    const sim::Tick cycles = opts.getUint64("cycles", 1);
     const auto start_time = std::chrono::steady_clock::now();
 
     // This harness runs one engine/network pair at a time, so a 1x1

@@ -63,12 +63,14 @@ main(int argc, char **argv)
     }
     const util::ObservabilityOptions obs =
         util::applyObservabilityOptions(opts);
+    const std::uint64_t seed = opts.getUint64("seed");
+    const std::uint64_t warmup = opts.getUint64("warmup");
+    const std::uint64_t window = opts.getUint64("window", 1);
     const auto start_time = std::chrono::steady_clock::now();
 
     net::TorusTopology topo(8, 2);
     const std::string which = opts.getString("mapping");
-    const auto family = workload::experimentMappings(
-        topo, static_cast<std::uint64_t>(opts.getInt("seed")));
+    const auto family = workload::experimentMappings(topo, seed);
     const workload::NamedMapping *chosen = nullptr;
     for (const auto &named : family) {
         if (named.name == which)
@@ -107,9 +109,7 @@ main(int argc, char **argv)
                 "mapping '%s' (d = %.2f)...\n",
                 config.contexts, chosen->name.c_str(),
                 chosen->avg_distance);
-    const machine::Measurement m = machine.run(
-        static_cast<std::uint64_t>(opts.getInt("warmup")),
-        static_cast<std::uint64_t>(opts.getInt("window")));
+    const machine::Measurement m = machine.run(warmup, window);
 
     std::printf("\nmeasured application parameters: T_r = %.1f, "
                 "g = %.2f, c = %.2f, B = %.0f, T_f(fit) = %.1f "
@@ -161,10 +161,6 @@ main(int argc, char **argv)
     if (!obs.run_report.empty()) {
         const int shards = machine.shards();
         machine_ptr.reset(); // publish the machine's counters
-        const auto warmup =
-            static_cast<std::uint64_t>(opts.getInt("warmup"));
-        const auto window =
-            static_cast<std::uint64_t>(opts.getInt("window"));
         obs::RunReport report("alewife_sim_demo");
         report.setArgv(argc, argv);
         report.addConfig("mapping", chosen->name);
@@ -172,7 +168,7 @@ main(int argc, char **argv)
                          static_cast<long long>(config.contexts));
         report.addConfig("warmup", static_cast<long long>(warmup));
         report.addConfig("window", static_cast<long long>(window));
-        report.addConfig("seed", opts.getInt("seed"));
+        report.addConfig("seed", static_cast<long long>(seed));
         report.addConfig("shards", static_cast<long long>(shards));
         report.addConfig("sample_period",
                          static_cast<long long>(config.sample_period));

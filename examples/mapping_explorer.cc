@@ -34,6 +34,7 @@ main(int argc, char **argv)
     opts.parse(argc, argv);
     const int contexts = opts.getInt32("contexts");
     const bool simulate = opts.getFlag("simulate");
+    const std::uint64_t window = opts.getUint64("window", 1);
 
     net::TorusTopology topo(8, 2);
     const auto family = workload::experimentMappings(topo);
@@ -66,9 +67,7 @@ main(int argc, char **argv)
             machine::MachineConfig mc;
             mc.contexts = contexts;
             machine::Machine machine(mc, named.mapping);
-            const auto m = machine.run(
-                3000,
-                static_cast<std::uint64_t>(opts.getInt("window")));
+            const auto m = machine.run(3000, window);
             row.sim_rate = m.txn_rate;
         }
         rows.push_back(row);

@@ -33,7 +33,7 @@ main(int argc, char **argv)
     opts.parse(argc, argv);
     const int radix = opts.getInt32("radix");
     const int dims = opts.getInt32("dims");
-    const auto cycles = static_cast<sim::Tick>(opts.getInt("cycles"));
+    const sim::Tick cycles = opts.getUint64("cycles", 1);
 
     std::printf("=== Open loop: offered load vs delivered latency "
                 "(%d-ary %d-cube) ===\n\n",

@@ -39,6 +39,8 @@ main(int argc, char **argv)
                 10000);
     opts.parse(argc, argv);
     const bool simulate = opts.getFlag("simulate");
+    const std::uint64_t iterations = opts.getUint64("iterations");
+    const std::uint64_t window = opts.getUint64("window", 1);
 
     net::TorusTopology topo(8, 2);
 
@@ -70,8 +72,7 @@ main(int argc, char **argv)
 
     for (const Entry &entry : entries) {
         workload::PlacementConfig pconfig;
-        pconfig.iterations =
-            static_cast<std::uint64_t>(opts.getInt("iterations"));
+        pconfig.iterations = iterations;
         pconfig.seed = 29;
         const workload::PlacementResult placed =
             workload::optimizePlacement(entry.graph, topo, pconfig);
@@ -97,10 +98,7 @@ main(int argc, char **argv)
             config.workload = machine::WorkloadKind::Graph;
             config.graph = graph_ptr;
             machine::Machine machine(config, mapping);
-            return machine
-                .run(3000, static_cast<std::uint64_t>(
-                               opts.getInt("window")))
-                .txn_rate;
+            return machine.run(3000, window).txn_rate;
         };
         const double random_rate =
             run(workload::Mapping::random(64, 41));

@@ -58,6 +58,7 @@ main(int argc, char **argv)
     opts.addInt("window", "measurement window, processor cycles",
                 20000);
     opts.parse(argc, argv);
+    const std::uint64_t window = opts.getUint64("window", 1);
 
     // Assemble the machine by hand: network + controllers
     // everywhere, the trace program on node 0, the synthetic
@@ -106,8 +107,6 @@ main(int argc, char **argv)
         engine.addClocked(processors.back().get(), 2);
     }
 
-    const auto window =
-        static_cast<std::uint64_t>(opts.getInt("window"));
     engine.run(window * 2);
 
     const coher::ControllerStats &cs = controllers[0]->stats();

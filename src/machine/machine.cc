@@ -1,6 +1,6 @@
 /**
  * @file
- * Machine implementation, including the sharded lockstep driver.
+ * Machine implementation.
  */
 
 #include "machine/machine.hh"
@@ -11,23 +11,19 @@
 #include <string>
 
 #include "obs/counters.hh"
-#include "sim/barrier.hh"
+#include "sim/lockstep.hh"
 #include "util/logging.hh"
 
 namespace locsim {
 namespace machine {
 
-namespace {
-
-/**
- * Resolve MachineConfig::shards against the machine size: explicit
- * values are validated (fatal on nonsense), 0 consults LOCSIM_SHARDS
- * (clamped to the node count so small test machines still run under
- * an env-forced shard count), default 1.
- */
 int
-resolveShards(const MachineConfig &config, sim::NodeId nodes)
+Machine::resolveShardCount(const MachineConfig &config,
+                           sim::NodeId nodes)
 {
+    // Explicit values are validated; 0 consults LOCSIM_SHARDS,
+    // clamped to the node count so small test machines still run
+    // under an env-forced shard count.
     const int node_count = static_cast<int>(nodes);
     if (config.shards != 0) {
         if (config.shards < 1)
@@ -47,15 +43,6 @@ resolveShards(const MachineConfig &config, sim::NodeId nodes)
     return 1;
 }
 
-} // namespace
-
-int
-Machine::resolveShardCount(const MachineConfig &config,
-                           sim::NodeId nodes)
-{
-    return resolveShards(config, nodes);
-}
-
 Machine::Machine(const MachineConfig &config,
                  const workload::Mapping &mapping)
     : config_(config), mapping_(mapping)
@@ -70,7 +57,7 @@ Machine::Machine(const MachineConfig &config,
     for (int d = 0; d < config.dims; ++d)
         nodes *= static_cast<sim::NodeId>(config.radix);
 
-    shards_ = resolveShards(config, nodes);
+    shards_ = resolveShardCount(config, nodes);
     std::vector<sim::Engine *> shard_engines;
     for (int s = 0; s < shards_; ++s) {
         engines_.push_back(std::make_unique<sim::Engine>());
@@ -178,10 +165,7 @@ Machine::Machine(const MachineConfig &config,
     // network, then controller/processor in node order.
     for (int s = 0; s < shards_; ++s) {
         sim::Engine &shard_engine = *engines_[s];
-        if (shards_ == 1)
-            shard_engine.addClocked(network_.get(), 1);
-        else
-            shard_engine.addClocked(network_->shardClocked(s), 1);
+        shard_engine.addClocked(network_->shardClocked(s), 1);
 
         for (sim::NodeId node = plan.first(s); node < plan.last(s);
              ++node) {
@@ -273,14 +257,6 @@ Machine::Machine(const MachineConfig &config,
             });
         if (tracer_ != nullptr)
             sampler_->attachTracer(tracer_.get());
-        if (shards_ == 1) {
-            engines_.front()->addClocked(sampler_.get(),
-                                         config.sample_period);
-        }
-        // With several shards the driver ticks the sampler itself at
-        // the serial point of each window (it probes whole-fabric
-        // state); next_sample_due_ starts at 0 like the sampler's own
-        // schedule.
     }
 }
 
@@ -383,62 +359,22 @@ Machine::run(std::uint64_t warmup, std::uint64_t window)
 void
 Machine::runTicks(sim::Tick ticks)
 {
-    if (shards_ == 1) {
-        engines_.front()->run(ticks);
-        return;
-    }
     if (ticks == 0)
         return;
-    runSharded(ticks);
-}
-
-bool
-Machine::serialDue(sim::Tick now) const
-{
-    return sampler_ != nullptr && now == next_sample_due_;
-}
-
-void
-Machine::serialTick(sim::Tick now)
-{
-    LOCSIM_ASSERT(serialDue(now), "sampler tick when not due");
-    sampler_->tick(next_sample_due_);
-    next_sample_due_ += sampler_->period();
-}
-
-void
-Machine::serialSkip(sim::Tick target)
-{
-    if (sampler_ == nullptr || next_sample_due_ >= target)
-        return;
-    // Credit samples skipped by a quiescence jump, with the same
-    // arithmetic Engine::jumpIdleTo applies to registered components.
-    const sim::Tick period = sampler_->period();
-    const sim::Tick skipped =
-        (target - next_sample_due_ + period - 1) / period;
-    sampler_->skipIdle(skipped);
-    next_sample_due_ += skipped * period;
-}
-
-void
-Machine::runSharded(sim::Tick ticks)
-{
-    const int shards = shards_;
     const sim::Tick start = engines_.front()->now();
 
     std::vector<sim::Tick> &skipped_before = shard_skipped_scratch_;
-    skipped_before.resize(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s)
-        skipped_before[static_cast<std::size_t>(s)] =
-            engines_[static_cast<std::size_t>(s)]->skippedTicks();
+    skipped_before.resize(engines_.size());
+    for (std::size_t s = 0; s < engines_.size(); ++s)
+        skipped_before[s] = engines_[s]->skippedTicks();
 
-    sim::runLockstep(engines_, *shard_pool_, ticks,
-                     config_.reference_stepping, this,
+    // The sampler runs at the lockstep serial point: it probes
+    // whole-fabric state, after every component of the tick.
+    sim::runLockstep(engines_, shard_pool_.get(), ticks, sampler_.get(),
                      config_.profiler);
 
-    for (int s = 0; s < shards; ++s)
-        engines_[static_cast<std::size_t>(s)]->emitRunSpan(
-            start, skipped_before[static_cast<std::size_t>(s)]);
+    for (std::size_t s = 0; s < engines_.size(); ++s)
+        engines_[s]->emitRunSpan(start, skipped_before[s]);
 }
 
 void

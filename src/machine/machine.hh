@@ -26,7 +26,6 @@
 #include "proc/processor.hh"
 #include "runner/runner.hh"
 #include "sim/engine.hh"
-#include "sim/lockstep.hh"
 #include "util/serialize.hh"
 #include "workload/comm_graph.hh"
 #include "workload/graph_app.hh"
@@ -83,14 +82,16 @@ struct MachineConfig
      * Intra-simulation parallelism: partition the torus into this many
      * contiguous spatial shards, each driven by its own engine on its
      * own thread, synchronized conservatively every network cycle
-     * (latched channels provide one cycle of lookahead — see
-     * docs/SHARDING.md). Results — statistics, sampled series, and
-     * checkpoints — are bit-identical for every shard count.
+     * (wake bits published at rotation provide one cycle of
+     * lookahead — see docs/SHARDING.md). Results — statistics, sampled
+     * series, and checkpoints — are bit-identical for every shard
+     * count.
      *
      * 0 (the default) resolves to the LOCSIM_SHARDS environment
-     * variable when set (clamped to the node count), else 1
-     * (sequential, the unchanged single-engine path). Explicit values
-     * must be in [1, node count]; anything else is fatal.
+     * variable when set (clamped to the node count), else 1. One
+     * shard is the same lockstep driver with a single lane, run
+     * inline on the calling thread with no pool or barrier. Explicit
+     * values must be in [1, node count]; anything else is fatal.
      */
     int shards = 0;
 
@@ -111,9 +112,10 @@ struct MachineConfig
 
     /**
      * Metrics sampler period in network cycles; 0 (default) disables
-     * the sampler. When set, a low-rate Clocked probe snapshots
-     * channel utilization (rho), injection rate (r_m), observed
-     * message latency (T_m), buffered flits, and allocation stalls.
+     * the sampler. When set, a probe run at the lockstep serial point
+     * snapshots channel utilization (rho), injection rate (r_m),
+     * observed message latency (T_m), buffered flits, and allocation
+     * stalls.
      */
     sim::Tick sample_period = 0;
 
@@ -196,7 +198,7 @@ Measurement loadMeasurement(util::Deserializer &d);
 std::uint32_t checkpointFormatVersion();
 
 /** The assembled machine. */
-class Machine : private sim::LockstepSerial
+class Machine
 {
   public:
     /**
@@ -209,7 +211,8 @@ class Machine : private sim::LockstepSerial
 
     /**
      * The shard count @p config resolves to on a machine of @p nodes
-     * nodes (explicit value, LOCSIM_SHARDS, or 1; fatal on nonsense).
+     * nodes (explicit value, LOCSIM_SHARDS clamped to @p nodes, or 1;
+     * fatal on nonsense).
      */
     static int resolveShardCount(const MachineConfig &config,
                                  sim::NodeId nodes);
@@ -275,10 +278,10 @@ class Machine : private sim::LockstepSerial
     const MachineConfig &config() const { return config_; }
 
     /**
-     * Shard 0's engine (the only engine when shards() == 1). On a
-     * sharded machine it reports the shared timeline (now(), skipped
-     * ticks), but must not be run() directly — drive the machine via
-     * advance()/measure() so every shard moves together.
+     * Shard 0's engine (the only engine when shards() == 1). It
+     * reports the shared timeline (now(), skipped ticks), but must
+     * not be run() directly — drive the machine via advance()/
+     * measure(), so every shard moves together and the sampler runs.
      */
     sim::Engine &engine() { return *engines_.front(); }
 
@@ -317,24 +320,11 @@ class Machine : private sim::LockstepSerial
   private:
     void resetStats();
 
-    /** Advance all shards @p ticks network cycles (engine ticks). */
-    void runTicks(sim::Tick ticks);
-
-    /** The conservative lockstep driver (shards() > 1 only). */
-    void runSharded(sim::Tick ticks);
-
     /**
-     * @name Serial-point sampler stepping (sim::LockstepSerial)
-     * With several shards the sampler is ticked at the serial point
-     * of the lockstep window rather than by an engine; these apply
-     * the same due/credit arithmetic Engine uses for Clocked
-     * components, against next_sample_due_.
+     * Advance all shards @p ticks network cycles (engine ticks)
+     * through sim::runLockstep, the one driver at every shard count.
      */
-    ///@{
-    bool serialDue(sim::Tick now) const override;
-    void serialTick(sim::Tick now) override;
-    void serialSkip(sim::Tick target) override;
-    ///@}
+    void runTicks(sim::Tick ticks);
 
     MachineConfig config_;
     workload::Mapping mapping_;
@@ -346,10 +336,11 @@ class Machine : private sim::LockstepSerial
     std::vector<std::unique_ptr<proc::ThreadProgram>> programs_;
     std::vector<std::unique_ptr<proc::Processor>> processors_;
 
-    /** Long-lived workers for the shard lanes (K > 1 only). */
+    /** Long-lived workers for lanes 1..K-1 (null when K == 1: lane
+     *  0 runs on the caller). */
     std::unique_ptr<runner::ThreadPool> shard_pool_;
 
-    /** Per-shard skipped-tick snapshot reused across runSharded()
+    /** Per-shard skipped-tick snapshot reused across runTicks()
      *  calls so the hot path stays allocation-free. */
     std::vector<sim::Tick> shard_skipped_scratch_;
 
@@ -357,13 +348,6 @@ class Machine : private sim::LockstepSerial
     std::vector<std::shared_ptr<obs::Tracer>> shard_tracers_;
     std::shared_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::MetricsSampler> sampler_;
-    /**
-     * When K > 1 the sampler is driven by the lockstep driver rather
-     * than an engine (it probes whole-fabric state, so it must run at
-     * the serial point of a window); this mirrors its next due tick
-     * with the same arithmetic Engine uses.
-     */
-    sim::Tick next_sample_due_ = 0;
 };
 
 } // namespace machine

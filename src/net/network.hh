@@ -3,12 +3,13 @@
  * The torus network fabric: routers, links, per-node injection and
  * ejection interfaces, and network-level statistics.
  *
- * Sequential machines register the Network as a single Clocked
- * component ticking at the network clock (period 1). Sharded machines
- * partition the nodes into contiguous spatial shards, each driven by
- * its own engine: every router and endpoint belongs to exactly one
- * shard, and the per-shard adapter returned by
- * shardClocked() ticks just that shard's slice of the fabric. Clients
+ * A bare fabric (open-loop benches, unit tests) registers the Network
+ * as a single Clocked component ticking at the network clock (period
+ * 1). A Machine partitions the nodes into contiguous spatial shards
+ * (one or more), each driven by its own engine: every router and
+ * endpoint belongs to exactly one shard, and the per-shard adapter
+ * returned by shardClocked() ticks just that shard's slice of the
+ * fabric. Clients
  * (coherence controllers, traffic generators) interact only through
  * send()/receive() on a node's interface; the fabric handles
  * flitization, wormhole transport, and reassembly.
@@ -204,10 +205,10 @@ struct TransitCounts
  * The full fabric for one machine.
  *
  * Construction wires every router and, on sharded fabrics, registers
- * each shard's WakeOutbox with its shard engine. For a sequential
- * machine the caller registers the Network itself as a Clocked
- * component with period 1; a sharded machine registers shardClocked(s)
- * with each shard engine instead.
+ * each shard's WakeOutbox with its shard engine. A bare fabric's
+ * caller registers the Network itself as a Clocked component with
+ * period 1; a Machine registers shardClocked(s) with each shard
+ * engine instead, at every shard count.
  */
 class Network : public sim::Clocked
 {

@@ -42,12 +42,12 @@ namespace obs {
 
 /** The fixed set of instrumented host-side phases. */
 enum class Phase : int {
-    EngineDispatch = 0, //!< engine phase A: events + clocked scan
+    EngineDispatch = 0, //!< engine phase A: due clocked components
     RouterScan,         //!< network tickShard (latch/eject/inject/route)
     RouterKernel,       //!< lane-vector latch/busy kernel inside tickShard
-    LinkRotation,       //!< engine phase B: dirty-channel rotation
+    LinkRotation,       //!< engine phase B: wake-outbox rotation
     Coherence,          //!< cache-controller protocol processing
-    BarrierWait,        //!< lockstep barrier arrivals
+    BarrierWait,        //!< lockstep barrier arrivals (K > 1 only)
     Quiescence,         //!< fast-forward jumps over idle stretches
     CheckpointSave,     //!< Machine::saveCheckpoint
     CheckpointRestore,  //!< Machine::restoreCheckpoint

@@ -98,29 +98,24 @@ MetricsSampler::sample(sim::Tick when)
 }
 
 void
-MetricsSampler::tick(sim::Tick now)
+MetricsSampler::serialTick(sim::Tick now)
 {
-    LOCSIM_ASSERT(now == next_sample_,
-                  "sampler ticked off its own schedule: tick ", now,
-                  " expected ", next_sample_,
-                  " (register with period()==", period_,
-                  " and offset 0)");
+    LOCSIM_ASSERT(serialDue(now), "sampler ticked off its schedule: tick ",
+                  now, " expected ", next_sample_);
     sample(now);
     next_sample_ = now + period_;
 }
 
 void
-MetricsSampler::skipIdle(sim::Tick ticks)
+MetricsSampler::serialSkip(sim::Tick target)
 {
-    // The engine skipped `ticks` of our sample points while the whole
-    // machine was quiescent. Component state is frozen over the
-    // stretch, so sampling the probes now yields exactly the values a
-    // Reference-mode tick at each skipped point would have seen; only
-    // the timestamps need reconstructing.
-    for (sim::Tick i = 0; i < ticks; ++i) {
+    // The driver jumped over our sample points below `target` while
+    // the whole machine was quiescent. Component state is frozen over
+    // the stretch, so sampling the probes now yields exactly the
+    // values a Reference-mode tick at each skipped point would have
+    // seen; only the timestamps need reconstructing.
+    for (; next_sample_ < target; next_sample_ += period_)
         sample(next_sample_);
-        next_sample_ += period_;
-    }
 }
 
 const std::string &

@@ -2,8 +2,8 @@
  * @file
  * Periodic metrics sampling.
  *
- * A MetricsSampler is a low-rate sim::Clocked component that snapshots
- * a set of registered probes every `period` ticks into time-series,
+ * A MetricsSampler snapshots a set of registered probes every `period`
+ * ticks into time-series,
  * for plotting model-vs-simulation divergence over time (channel
  * utilization rho, injection rate r_m, observed T_m, VC occupancy).
  *
@@ -19,8 +19,10 @@
  * time-weighted mean) and a stats::Histogram of sampled values, so
  * summaries are available without post-processing the series.
  *
- * The sampler never keeps the engine awake: busy() is false, and
- * skipIdle() synthesizes the samples a quiescent stretch would have
+ * The lockstep driver runs it at the serial point of every tick
+ * (sim::LockstepSerial), against its own schedule: sample points at
+ * 0, period, 2*period, ... The sampler never keeps the machine awake:
+ * serialSkip() synthesizes the samples a quiescent stretch would have
  * produced (every probe reads component state, which by definition
  * cannot change while all components are idle, so the synthesized
  * samples are exactly what Reference-mode stepping records at the
@@ -39,7 +41,7 @@
 #include <vector>
 
 #include "obs/trace.hh"
-#include "sim/engine.hh"
+#include "sim/lockstep.hh"
 #include "sim/types.hh"
 #include "stats/stats.hh"
 
@@ -47,14 +49,14 @@ namespace locsim {
 namespace obs {
 
 /** Periodic snapshotting of registered metric probes. */
-class MetricsSampler : public sim::Clocked
+class MetricsSampler final : public sim::LockstepSerial
 {
   public:
     using Probe = std::function<double()>;
 
     /**
-     * @param period sample cadence in engine ticks (>= 1). Register
-     *        with the engine at exactly this period and offset 0.
+     * @param period sample cadence in engine ticks (>= 1); the first
+     *        sample point is tick 0.
      * @param hist_range upper bound of each probe's value histogram
      *        ([0, hist_range) in 64 buckets).
      */
@@ -80,9 +82,18 @@ class MetricsSampler : public sim::Clocked
      */
     void attachTracer(Tracer *tracer);
 
-    void tick(sim::Tick now) override;
-    bool busy() const override { return false; }
-    void skipIdle(sim::Tick ticks) override;
+    /** @name Serial-point stepping (sim::LockstepSerial) */
+    ///@{
+    /** True when @p now is the next sample point. */
+    bool serialDue(sim::Tick now) const override
+    {
+        return now == next_sample_;
+    }
+    /** Sample at the due point @p now. */
+    void serialTick(sim::Tick now) override;
+    /** Synthesize every sample point below @p target. */
+    void serialSkip(sim::Tick target) override;
+    ///@}
 
     sim::Tick period() const { return period_; }
 
@@ -147,7 +158,7 @@ class MetricsSampler : public sim::Clocked
 
     sim::Tick period_;
     double hist_range_;
-    /** Mirror of the engine's next_due for this component. */
+    /** The next sample point: the sampler's one schedule. */
     sim::Tick next_sample_ = 0;
     std::vector<ProbeEntry> probes_;
     std::vector<sim::Tick> times_;

@@ -74,23 +74,19 @@ Engine::finishTick()
     ++now_;
 }
 
-bool
-Engine::allIdle() const
+Tick
+Engine::idleTarget(Tick end) const
 {
+    if (mode_ == StepMode::Reference)
+        return now_;
+    Tick target = end;
     for (const auto &entry : clocked_) {
         if (entry.component->busy())
-            return false;
+            return now_;
+        target = std::min(target, entry.component->nextWake());
     }
-    return true;
-}
-
-Tick
-Engine::nextEventTick() const
-{
-    Tick next = kTickNever;
-    for (const auto &entry : clocked_)
-        next = std::min(next, entry.component->nextWake());
-    return next;
+    // A wake due now (or overdue) means stepping normally.
+    return std::max(target, now_);
 }
 
 void
@@ -114,27 +110,6 @@ Engine::jumpIdleTo(Tick target)
                           "fast_forward", obs::Category::Engine);
     }
     now_ = target;
-}
-
-void
-Engine::tryFastForward(Tick end)
-{
-    if (!allIdle())
-        return;
-
-    // Everyone is idle: nothing can happen until a component's timed
-    // work falls due (or the run window closes).
-    Tick target = end;
-    const Tick next_event = nextEventTick();
-    if (next_event != kTickNever) {
-        if (next_event <= now_)
-            return; // due immediately; step normally
-        target = std::min(end, next_event);
-    }
-    if (target <= now_)
-        return;
-
-    jumpIdleTo(target);
 }
 
 void
@@ -174,8 +149,9 @@ Engine::run(Tick ticks)
     const Tick skipped_before = skipped_ticks_;
     const Tick end = now_ + ticks;
     while (now_ < end) {
-        if (mode_ == StepMode::Activity) {
-            tryFastForward(end);
+        const Tick target = idleTarget(end);
+        if (target > now_) {
+            jumpIdleTo(target);
             if (now_ >= end)
                 break;
         }
@@ -195,8 +171,9 @@ Engine::runUntil(const std::function<bool()> &done, Tick max_ticks)
             traceRun(start, skipped_before);
             return true;
         }
-        if (mode_ == StepMode::Activity) {
-            tryFastForward(end);
+        const Tick target = idleTarget(end);
+        if (target > now_) {
+            jumpIdleTo(target);
             if (now_ >= end)
                 break;
         }

@@ -21,6 +21,7 @@
  *    fast-forwards time to the earliest Clocked::nextWake() (or the
  *    end of the run), crediting skipped cycles via Clocked::skipIdle()
  *    so time-based statistics (e.g. processor idle cycles) stay exact.
+ *    idleTarget() is that rule, shared with the lockstep driver.
  *
  * StepMode::Reference disables both optimizations (modulo scan, never
  * skip) and is kept as the oracle for the equivalence tests: both
@@ -158,17 +159,17 @@ class Engine
     Tick skippedTicks() const { return skipped_ticks_; }
 
     /**
-     * @name Lockstep stepping (sharded driver interface)
+     * @name Lockstep stepping (machine driver interface)
      *
-     * The sharded machine driver advances K engines over one shared
-     * timeline by splitting a tick into its two phases: beginTick()
-     * ticks the due clocked components at now(); finishTick() rotates
-     * the registered latches and advances now(). The split is safe to
-     * run concurrently across engines because latching makes
-     * intra-cycle tick order irrelevant, and rotation only touches
-     * latches owned by (registered with) this engine.
-     * run() is exactly a loop of beginTick()+finishTick() with
-     * tryFastForward() between iterations.
+     * The lockstep driver (sim::runLockstep) advances one engine per
+     * shard over one shared timeline by splitting a tick into its two
+     * phases: beginTick() ticks the due clocked components at now();
+     * finishTick() rotates the registered latches and advances now().
+     * The split is safe to run concurrently across engines because
+     * latching makes intra-cycle tick order irrelevant, and rotation
+     * only touches latches owned by (registered with) this engine.
+     * run() is exactly a loop of beginTick()+finishTick() with an
+     * idleTarget() jump between iterations.
      */
     ///@{
     /** Phase A: tick the due clocked components. */
@@ -178,28 +179,24 @@ class Engine
     void finishTick();
 
     /**
-     * True when nothing can happen before the next component wakeup:
-     * every component reports idle.
+     * The quiescence rule: the tick time may jump to because nothing
+     * can happen before it, capped at @p end (> now()). Returns now()
+     * — step, do not jump — in Reference mode, while any component
+     * reports busy(), or when a component's nextWake() is due now;
+     * otherwise min(@p end, earliest nextWake()).
      */
-    bool allIdle() const;
-
-    /**
-     * Earliest Clocked::nextWake() over the registered components
-     * (kTickNever when none has timed work). Only meaningful once
-     * allIdle() holds.
-     */
-    Tick nextEventTick() const;
+    Tick idleTarget(Tick end) const;
 
     /**
      * Jump now() to @p target (> now()), crediting skipped component
-     * ticks via skipIdle(). Caller must have established allIdle().
+     * ticks via skipIdle(). @p target must not exceed idleTarget().
      */
     void jumpIdleTo(Tick target);
 
     /**
      * Emit the "run" trace span run() would have produced for the
-     * window [@p start, now()). The sharded driver bypasses run(), so
-     * it closes each shard's window explicitly.
+     * window [@p start, now()). The lockstep driver bypasses run(),
+     * so it closes each shard's window explicitly.
      */
     void
     emitRunSpan(Tick start, Tick skipped_before)
@@ -247,12 +244,6 @@ class Engine
 
     /** Trace one completed run window (no-op without a tracer). */
     void traceRun(Tick start, Tick skipped_before);
-
-    /**
-     * If every component is idle, jump now_ to the next component
-     * wakeup (capped at @p end), crediting skipped component ticks.
-     */
-    void tryFastForward(Tick end);
 
     struct ClockedEntry
     {

@@ -1,20 +1,23 @@
 /**
  * @file
- * The conservative lockstep driver over a set of engines sharing one
- * timeline: the shard engines of one sharded machine.
+ * The conservative lockstep driver: the one loop that advances a
+ * machine, over its shard engines sharing one timeline (a single
+ * engine when the machine has one shard).
  *
- * Each engine is advanced by one lane thread; a spin barrier
- * synchronizes three times per step: after lane 0 publishes the
- * decision (step / quiescence-skip / done), after phase A (component
- * ticks) completes fabric-wide, and after rotation
- * completes fabric-wide. Latched channels give one network cycle of
+ * Each engine is advanced by one lane thread; with several lanes a
+ * spin barrier synchronizes three times per step: after lane 0
+ * publishes the decision (step / quiescence-skip / done), after phase
+ * A (component ticks) completes fabric-wide, and after rotation
+ * completes fabric-wide. Direct deposit into consumer rings, with
+ * wake bits published at rotation, gives one network cycle of
  * conservative lookahead, which is what makes phase A safe to run
- * concurrently across engines (see docs/SHARDING.md).
+ * concurrently across engines (see docs/SHARDING.md). A single lane
+ * runs inline on the caller and never touches the barrier.
  *
  * Serial work that must observe whole-fabric state mid-tick (the
  * metrics sampler) hooks in through LockstepSerial: lane 0 invokes it
- * between the phase-A barrier and its own rotation, the same point in
- * the cycle where an engine-registered sampler fires sequentially.
+ * between the phase-A barrier and its own rotation, after every
+ * component of the tick has run.
  */
 
 #ifndef LOCSIM_SIM_LOCKSTEP_HH_
@@ -35,10 +38,10 @@ namespace sim {
 
 /**
  * Serial-point hook for runLockstep(). All three methods run on lane
- * 0 only, while every other lane is either parked at a barrier
- * (serialDue) or rotating channels the hook must not read
- * (serialTick), so implementations may touch whole-fabric state but
- * must not touch channels.
+ * 0 only, while every other lane is parked at a barrier (serialDue),
+ * rotating its wake outbox (serialTick) or crediting idle ticks
+ * (serialSkip), so implementations may read whole-fabric state but
+ * must not touch latches.
  */
 class LockstepSerial
 {
@@ -49,7 +52,10 @@ class LockstepSerial
     /** Perform the serial work due at @p now (between the phases). */
     virtual void serialTick(Tick now) = 0;
 
-    /** Credit serial work elided by a quiescence jump to @p target. */
+    /**
+     * Perform the serial work a quiescence jump to @p target elides:
+     * everything due below @p target.
+     */
     virtual void serialSkip(Tick target) = 0;
 
   protected:
@@ -59,26 +65,25 @@ class LockstepSerial
 /**
  * Advance @p engines together by @p ticks shared-timeline ticks.
  *
- * Mirrors Engine::run()'s loop on the shared timeline: try a
- * quiescence jump (activity mode, every engine idle, next wakeups
- * strictly in the future), else step one tick in barrier-separated
- * phases. Emission of per-engine "run" trace spans is left to the
- * caller (snapshot skippedTicks() before, emitRunSpan() after).
+ * Mirrors Engine::run()'s loop on the shared timeline: jump to the
+ * minimum Engine::idleTarget() over the engines when it lies past
+ * now(), else step one tick in barrier-separated phases. Emission of
+ * per-engine "run" trace spans is left to the caller (snapshot
+ * skippedTicks() before, emitRunSpan() after).
  *
  * @param pool runner::ThreadPool (templated to keep sim independent
- *        of runner); must have at least engines.size()-1 workers.
- * @param reference step every tick (the Reference-mode oracle).
+ *        of runner) with at least engines.size()-1 workers; unused,
+ *        and may be null, for a single engine, whose lane runs inline.
  * @param serial optional serial-point hook; may be null.
- * @param profiler optional phase profiler; when set, each lane
- *        records Phase::BarrierWait on its shard's slot around every
- *        barrier arrival — the per-shard barrier-wait share is the
- *        run manifest's imbalance signal.
+ * @param profiler optional phase profiler; when set and there are
+ *        several lanes, each lane records Phase::BarrierWait on its
+ *        shard's slot around every barrier arrival — the per-shard
+ *        barrier-wait share is the run manifest's imbalance signal.
  */
 template <typename Pool>
 void
 runLockstep(const std::vector<std::unique_ptr<Engine>> &engines,
-            Pool &pool,
-            Tick ticks, bool reference, LockstepSerial *serial,
+            Pool *pool, Tick ticks, LockstepSerial *serial,
             obs::Profiler *profiler = nullptr)
 {
     const int shards = static_cast<int>(engines.size());
@@ -109,25 +114,13 @@ runLockstep(const std::vector<std::unique_ptr<Engine>> &engines,
             return;
         }
         ctl.sample = serial != nullptr && serial->serialDue(now);
-        ctl.op = Control::Op::Step;
-        if (reference)
-            return;
-        for (const auto &engine : engines) {
-            if (!engine->allIdle())
-                return;
-        }
         Tick target = end;
         for (const auto &engine : engines) {
-            const Tick next_event = engine->nextEventTick();
-            if (next_event == kTickNever)
-                continue;
-            if (next_event <= now)
-                return;
-            target = std::min(target, next_event);
+            target = std::min(target, engine->idleTarget(end));
+            if (target == now)
+                break;
         }
-        if (target <= now)
-            return;
-        ctl.op = Control::Op::Skip;
+        ctl.op = target > now ? Control::Op::Skip : Control::Op::Step;
         ctl.target = target;
     };
 
@@ -135,47 +128,45 @@ runLockstep(const std::vector<std::unique_ptr<Engine>> &engines,
         Engine &engine = *engines[static_cast<std::size_t>(s)];
         obs::PhaseSlot *slot =
             profiler != nullptr ? &profiler->slot(s, 0) : nullptr;
+        auto arrive = [&] {
+            if (shards == 1)
+                return;
+            obs::ScopedPhase wait(slot, obs::Phase::BarrierWait);
+            barrier.arrive();
+        };
         for (;;) {
             if (s == 0)
                 decide();
-            {
-                obs::ScopedPhase wait(slot, obs::Phase::BarrierWait);
-                barrier.arrive(); // decision published
-            }
+            arrive(); // decision published
             if (ctl.op == Control::Op::Done)
                 break;
             if (ctl.op == Control::Op::Skip) {
-                engine.jumpIdleTo(ctl.target);
+                // Synthesized samples first, so their trace counters
+                // precede the engine's fast_forward span.
                 if (s == 0 && serial != nullptr)
                     serial->serialSkip(ctl.target);
-                obs::ScopedPhase wait(slot, obs::Phase::BarrierWait);
-                barrier.arrive(); // all shards at ctl.target
+                engine.jumpIdleTo(ctl.target);
+                arrive(); // all shards at ctl.target
                 continue;
             }
             engine.beginTick();
-            {
-                obs::ScopedPhase wait(slot, obs::Phase::BarrierWait);
-                barrier.arrive(); // phase A complete fabric-wide
-            }
+            arrive(); // phase A complete fabric-wide
             if (s == 0 && ctl.sample) {
                 // Serial work between the phases: every component has
-                // run this tick, no channel has rotated yet — the same
-                // point in the cycle where an engine-registered
-                // sampler fires sequentially (it is always the last
-                // Clocked added). Concurrent finishTick() on other
-                // lanes only rotates channels, which the hook may not
-                // read.
+                // run this tick, no latch has rotated yet. Concurrent
+                // finishTick() on other lanes only delivers wake bits,
+                // which the hook may not read.
                 serial->serialTick(ctl.now);
             }
             engine.finishTick();
-            {
-                obs::ScopedPhase wait(slot, obs::Phase::BarrierWait);
-                barrier.arrive(); // rotation complete fabric-wide
-            }
+            arrive(); // rotation complete fabric-wide
         }
     };
 
-    pool.parallelRegion(shards, lane);
+    if (shards == 1)
+        lane(0);
+    else
+        pool->parallelRegion(shards, lane);
 }
 
 } // namespace sim

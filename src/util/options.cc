@@ -160,6 +160,15 @@ OptionParser::getInt32(const std::string &name) const
     return static_cast<int>(value);
 }
 
+std::uint64_t
+OptionParser::getUint64(const std::string &name, std::uint64_t min) const
+{
+    const long long value = getInt(name);
+    if (value < 0 || static_cast<std::uint64_t>(value) < min)
+        LOCSIM_FATAL("--", name, " must be >= ", min, ", got ", value);
+    return static_cast<std::uint64_t>(value);
+}
+
 double
 OptionParser::getDouble(const std::string &name) const
 {

@@ -8,6 +8,7 @@
 #ifndef LOCSIM_UTIL_OPTIONS_HH_
 #define LOCSIM_UTIL_OPTIONS_HH_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -52,6 +53,13 @@ class OptionParser
      * rather than silently wrapped (--radix 4294967300 is not 4).
      */
     int getInt32(const std::string &name) const;
+    /**
+     * getInt() as an unsigned 64-bit count (cycles, seeds, budgets):
+     * a negative value or one below @p min is fatal rather than
+     * wrapped (--cycles -1 is not 2^64-1).
+     */
+    std::uint64_t getUint64(const std::string &name,
+                            std::uint64_t min = 0) const;
     double getDouble(const std::string &name) const;
     bool getFlag(const std::string &name) const;
 

@@ -528,37 +528,63 @@ TEST(Sharded, ThreeDimensionalMachineBitIdentical)
 }
 
 /**
- * The metrics sampler's series must match sample-for-sample: at
- * several shards the lockstep driver ticks the sampler itself (and
- * credits quiescence skips), and both the timestamps and every probe
- * value must equal the sequential engine-driven schedule exactly.
+ * The metrics sampler's series must match sample-for-sample at every
+ * shard count. The oracle is a one-shard Reference-stepping run: it
+ * never jumps, so every sample comes from serialTick(), and the
+ * activity-mode runs' synthesized serialSkip() samples are checked
+ * against it — timestamps and every probe value exactly. The second
+ * machine has a 600-cycle memory latency, so it goes quiescent and
+ * its activity runs jump over sample points.
  */
 TEST(Sharded, SamplerSeriesBitIdentical)
 {
-    auto run = [](int shards) {
-        MachineConfig config;
-        config.shards = shards;
-        config.sample_period = 256;
-        Machine machine(config, workload::Mapping::random(64, 37));
-        machine.run(1500, 4000);
-        const obs::MetricsSampler &sampler = *machine.sampler();
-        std::ostringstream out;
-        for (const sim::Tick t : sampler.times())
-            out << t << "\n";
-        for (std::size_t p = 0; p < sampler.probeCount(); ++p) {
-            out << sampler.probeName(p) << "\n";
-            util::Serializer s;
-            for (const double v : sampler.series(p))
-                s.putDouble(v);
-            for (const std::uint8_t byte : s.buffer())
-                out << static_cast<int>(byte) << " ";
-            out << "\n";
-        }
-        return out.str();
+    MachineConfig busy;
+    busy.sample_period = 256;
+    MachineConfig sleepy;
+    sleepy.radix = 4;
+    sleepy.protocol.mem_latency = 600;
+    sleepy.sample_period = 37;
+    struct Case
+    {
+        MachineConfig base;
+        workload::Mapping mapping;
+        bool jumps;
     };
-    const std::string sequential = run(1);
-    for (int shards : {2, 4})
-        EXPECT_EQ(sequential, run(shards)) << shards << " shards";
+    const Case cases[] = {
+        {busy, workload::Mapping::random(64, 37), false},
+        {sleepy, workload::Mapping::identity(16), true},
+    };
+    for (const auto &[base, mapping, jumps] : cases) {
+        sim::Tick skipped = 0;
+        auto run = [&](int shards, bool reference = false) {
+            MachineConfig config = base;
+            config.shards = shards;
+            config.reference_stepping = reference;
+            Machine machine(config, mapping);
+            machine.run(1500, 4000);
+            skipped = machine.engine().skippedTicks();
+            const obs::MetricsSampler &sampler = *machine.sampler();
+            std::ostringstream out;
+            for (const sim::Tick t : sampler.times())
+                out << t << "\n";
+            for (std::size_t p = 0; p < sampler.probeCount(); ++p) {
+                out << sampler.probeName(p) << "\n";
+                util::Serializer s;
+                for (const double v : sampler.series(p))
+                    s.putDouble(v);
+                for (const std::uint8_t byte : s.buffer())
+                    out << static_cast<int>(byte) << " ";
+                out << "\n";
+            }
+            return out.str();
+        };
+        const std::string oracle = run(1, true);
+        for (int shards : {1, 2, 4})
+            EXPECT_EQ(oracle, run(shards)) << shards << " shards";
+        if (jumps) {
+            EXPECT_GT(skipped, 0u) << "the sleepy machine must jump";
+        }
+    }
 }
 
 /**

@@ -123,10 +123,13 @@ TEST(Sampler, GaugeRateAndMeanKinds)
     cumulative = 5.0;
     sum = 30.0;
     count = 2.0;
-    sampler.tick(0);
+    EXPECT_TRUE(sampler.serialDue(0));
+    sampler.serialTick(0);
+    EXPECT_FALSE(sampler.serialDue(5));
     gauge = 4.0;
     cumulative = 10.0;
-    sampler.tick(10);
+    EXPECT_TRUE(sampler.serialDue(10));
+    sampler.serialTick(10);
 
     EXPECT_EQ(sampler.times().size(), 2u);
     EXPECT_DOUBLE_EQ(sampler.series(0)[1], 4.0);
@@ -135,6 +138,53 @@ TEST(Sampler, GaugeRateAndMeanKinds)
     // Mean window 0: (30 - 0) / (2 - 0); window 1 empty -> 0.
     EXPECT_DOUBLE_EQ(sampler.series(2)[0], 15.0);
     EXPECT_DOUBLE_EQ(sampler.series(2)[1], 0.0);
+}
+
+/**
+ * A quiescence jump synthesizes exactly the samples stepping would
+ * have taken: serialSkip(target) over frozen probes yields the same
+ * times and series as ticking every due point below target.
+ */
+TEST(Sampler, SkipMatchesSteppingToTarget)
+{
+    double gauge = 1.0, cumulative = 0.0, sum = 0.0, count = 0.0;
+    auto build = [&](MetricsSampler &sampler) {
+        sampler.addGauge("g", [&] { return gauge; });
+        sampler.addRate("r", [&] { return cumulative; }, 0.5);
+        sampler.addMean(
+            "m", [&] { return sum; }, [&] { return count; });
+    };
+    MetricsSampler stepped(10), skipped(10);
+    build(stepped);
+    build(skipped);
+
+    // One live sample with moving probes, then a frozen stretch.
+    gauge = 7.0;
+    cumulative = 40.0;
+    sum = 12.0;
+    count = 3.0;
+    stepped.serialTick(0);
+    skipped.serialTick(0);
+    gauge = 2.0;
+    cumulative = 60.0;
+    constexpr sim::Tick kTarget = 55;
+    for (sim::Tick t = 1; t < kTarget; ++t) {
+        if (stepped.serialDue(t))
+            stepped.serialTick(t);
+    }
+    skipped.serialSkip(kTarget);
+
+    EXPECT_EQ(skipped.times(),
+              (std::vector<sim::Tick>{0, 10, 20, 30, 40, 50}));
+    EXPECT_EQ(skipped.times(), stepped.times());
+    for (std::size_t p = 0; p < stepped.probeCount(); ++p) {
+        SCOPED_TRACE(stepped.probeName(p));
+        EXPECT_EQ(skipped.series(p), stepped.series(p));
+    }
+    // Both resume on the same schedule.
+    EXPECT_FALSE(skipped.serialDue(kTarget));
+    EXPECT_TRUE(skipped.serialDue(60));
+    EXPECT_TRUE(stepped.serialDue(60));
 }
 
 machine::MachineConfig

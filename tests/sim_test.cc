@@ -133,13 +133,37 @@ TEST(Engine, FastForwardStopsAtEarliestNextWake)
     Sleeper late(40), early(25);
     engine.addClocked(&late, 1);
     engine.addClocked(&early, 1);
-    EXPECT_EQ(engine.nextEventTick(), 25u);
+    EXPECT_EQ(engine.idleTarget(100), 25u);
+    EXPECT_EQ(engine.idleTarget(20), 20u); // capped at the window end
     engine.run(100);
     // Skips land on each wakeup in turn, then run out the window.
     EXPECT_EQ(early.ticks, (std::vector<Tick>{25, 40}));
     EXPECT_EQ(late.ticks, (std::vector<Tick>{25, 40}));
-    EXPECT_EQ(engine.nextEventTick(), kTickNever);
+    EXPECT_EQ(engine.idleTarget(kTickNever), kTickNever);
     EXPECT_EQ(engine.skippedTicks(), 98u);
+}
+
+/** The quiescence rule steps (returns now()) unless a jump is safe. */
+TEST(Engine, IdleTargetStepsWhenBusyDueOrReference)
+{
+    Engine engine;
+    Sleeper due_now(0), later(30);
+    engine.addClocked(&later, 1);
+    EXPECT_EQ(engine.idleTarget(100), 30u);
+    engine.addClocked(&due_now, 1);
+    EXPECT_EQ(engine.idleTarget(100), 0u); // a wake due now
+    engine.run(1);
+    EXPECT_EQ(engine.idleTarget(100), 30u);
+    engine.setStepMode(Engine::StepMode::Reference);
+    EXPECT_EQ(engine.idleTarget(100), 1u); // Reference never jumps
+    engine.setStepMode(Engine::StepMode::Activity);
+
+    struct AlwaysBusy : Clocked
+    {
+        void tick(Tick) override {}
+    } busy; // Clocked's default busy() is true
+    engine.addClocked(&busy, 1);
+    EXPECT_EQ(engine.idleTarget(100), 1u);
 }
 
 /**

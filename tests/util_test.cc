@@ -366,6 +366,21 @@ TEST(OptionsDeathTest, RejectsBadInput)
     EXPECT_DEATH(int32("4294967300"),
                  "--radix is out of range, got 4294967300");
     EXPECT_DEATH(int32("-2147483649"), "out of range");
+    // Unsigned counts: negative values and values below the floor are
+    // fatal instead of wrapping to huge budgets.
+    auto uint64 = [](const char *value, std::uint64_t min) {
+        OptionParser opts("prog", "test");
+        opts.addInt("cycles", "a budget", 10);
+        const char *argv[] = {"prog", "--cycles", value};
+        opts.parse(3, argv);
+        return opts.getUint64("cycles", min);
+    };
+    EXPECT_EQ(uint64("0", 0), 0u);
+    EXPECT_EQ(uint64("9223372036854775807", 1),
+              9223372036854775807ull);
+    EXPECT_DEATH(uint64("-1", 0), "--cycles must be >= 0, got -1");
+    EXPECT_DEATH(uint64("-5", 1), "--cycles must be >= 1, got -5");
+    EXPECT_DEATH(uint64("0", 1), "--cycles must be >= 1, got 0");
 }
 
 TEST(Options, UsageMentionsAllOptions)
