@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 
 #include "sim/types.hh"
 #include "util/serialize.hh"
@@ -21,6 +22,16 @@ namespace net {
 
 /** Monotonically assigned message identifier. */
 using MessageId = std::uint64_t;
+
+/** A message id holds its source node from this bit up
+ *  (Network::send). */
+inline constexpr int kMessageIdSrcShift = 40;
+
+/**
+ * Largest fabric: the 24 source bits of a message id and a flit's
+ * 24-bit dst field both need node ids below this bound.
+ */
+inline constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 24;
 
 /**
  * Coarse message class for latency attribution. The fabric treats all
@@ -74,28 +85,26 @@ struct Message
  * follow the wormhole path their head opened. The vc field names the
  * virtual channel assigned on the link the flit is currently
  * traversing (rewritten at every hop).
- */
-/**
- * Packed to 24 bytes (flags and VC share one byte, the sequence
- * number is 16-bit): flits are copied and buffered on every link
- * traversal, so the struct size directly scales the fabric's
- * cache footprint. The checkpoint wire format is unchanged
- * (saveFlit/loadFlit widen back to the original field types).
+ *
+ * Packed to 16 bytes: every link traversal writes a flit into the
+ * consumer's ring, so the struct size directly scales the fabric's
+ * cache footprint. Three facts make the narrow layout lossless:
+ *  - the source node is always msg >> kMessageIdSrcShift (see
+ *    Network::send), so it is not stored (src());
+ *  - node ids are below kMaxNodes (the Network constructor asserts
+ *    it), so dst fits 24 bits;
+ *  - a head flit's sequence number is always 0, and only heads carry
+ *    the attribution counters and dateline state, so one 16-bit field
+ *    holds the sequence number of a body flit and the link count of a
+ *    head.
+ * The checkpoint wire format keeps the original field set
+ * (saveFlit/loadFlit widen back, and loadFlit rejects records this
+ * layout cannot hold).
  */
 struct Flit
 {
     MessageId msg = 0;
-    sim::NodeId src = sim::kNodeNone;
-    sim::NodeId dst = sim::kNodeNone;
-    /** Flit index within the message (length asserted <= 65535). */
-    std::uint16_t seq = 0;
-    /**
-     * Head-flit counters for latency attribution: network links
-     * traversed and router cycles spent waiting for an output VC.
-     * Carried on the head only (body flits follow the opened path).
-     */
-    std::uint16_t hops = 0;
-    std::uint16_t stalls = 0;
+    std::uint32_t dst : 24 = 0;
     bool head : 1 = false;
     bool tail : 1 = false;
     /**
@@ -105,8 +114,28 @@ struct Flit
      * scheme for deadlock-free wormhole tori).
      */
     bool crossed_dateline : 1 = false;
-    std::uint8_t vc : 5 = 0;  //!< VC on the current link
+    std::uint8_t vc : 3 = 0;  //!< VC on the current link
+    /**
+     * Body flit: index within the message (length asserted <= 65535).
+     * Head flit: network links traversed (latency attribution,
+     * saturating).
+     */
+    std::uint16_t seq_or_hops = 0;
+    /** Head flit: router cycles spent waiting for an output VC. */
+    std::uint16_t stalls = 0;
+
+    sim::NodeId
+    src() const
+    {
+        return static_cast<sim::NodeId>(msg >> kMessageIdSrcShift);
+    }
+    std::uint16_t seq() const { return head ? 0 : seq_or_hops; }
+    std::uint16_t hops() const { return head ? seq_or_hops : 0; }
+
+    bool operator==(const Flit &) const = default;
 };
+
+static_assert(sizeof(Flit) == 16, "a ring slot is 16 bytes");
 
 // Checkpoint serialization for the wire-level value types. Free
 // functions (not members) so the structs stay plain aggregates.
@@ -139,35 +168,66 @@ loadMessage(util::Deserializer &d)
     return m;
 }
 
+/**
+ * A flit's checkpoint record keeps the original 24-byte layout's
+ * field set: src, and seq/hops/stalls/dateline on every flit.
+ */
 inline void
 saveFlit(util::Serializer &s, const Flit &f)
 {
     s.put(f.msg);
-    s.put(f.src);
-    s.put(f.dst);
-    s.put(static_cast<std::uint32_t>(f.seq));
+    s.put(f.src());
+    s.put(static_cast<sim::NodeId>(f.dst));
+    s.put(static_cast<std::uint32_t>(f.seq()));
     s.put(static_cast<bool>(f.head));
     s.put(static_cast<bool>(f.tail));
     s.put(static_cast<std::uint8_t>(f.vc));
     s.put(static_cast<bool>(f.crossed_dateline));
-    s.put(f.hops);
+    s.put(f.hops());
     s.put(f.stalls);
 }
 
+/** Inverse of saveFlit; throws on a record the packed layout cannot
+ *  hold (none that the fabric writes). */
 inline Flit
 loadFlit(util::Deserializer &d)
 {
     Flit f;
     f.msg = d.get<MessageId>();
-    f.src = d.get<sim::NodeId>();
-    f.dst = d.get<sim::NodeId>();
-    f.seq = static_cast<std::uint16_t>(d.get<std::uint32_t>());
+    const auto src = d.get<sim::NodeId>();
+    const auto dst = d.get<sim::NodeId>();
+    const auto seq = d.get<std::uint32_t>();
     f.head = d.getBool();
     f.tail = d.getBool();
-    f.vc = d.get<std::uint8_t>() & 0x1fu;
-    f.crossed_dateline = d.getBool();
-    f.hops = d.get<std::uint16_t>();
-    f.stalls = d.get<std::uint16_t>();
+    const auto vc = d.get<std::uint8_t>();
+    const bool crossed = d.getBool();
+    const auto hops = d.get<std::uint16_t>();
+    const auto stalls = d.get<std::uint16_t>();
+    if (src != f.src())
+        throw std::runtime_error("loadFlit: source disagrees with the "
+                                 "message id");
+    if (dst >= kMaxNodes)
+        throw std::runtime_error("loadFlit: destination out of range");
+    if (vc >= 8)
+        throw std::runtime_error("loadFlit: VC out of range");
+    if (seq > UINT16_MAX)
+        throw std::runtime_error("loadFlit: sequence number out of "
+                                 "range");
+    f.dst = dst;
+    f.vc = vc;
+    if (f.head) {
+        if (seq != 0)
+            throw std::runtime_error("loadFlit: head flit with a "
+                                     "nonzero sequence number");
+        f.seq_or_hops = hops;
+        f.stalls = stalls;
+        f.crossed_dateline = crossed;
+    } else {
+        if (hops != 0 || stalls != 0 || crossed)
+            throw std::runtime_error("loadFlit: body flit with head "
+                                     "state");
+        f.seq_or_hops = static_cast<std::uint16_t>(seq);
+    }
     return f;
 }
 

@@ -61,6 +61,10 @@ Network::Network(const NetworkConfig &config,
       plan_(plan), engines_(engines)
 {
     const sim::NodeId n = topo_.nodeCount();
+    // Checked before any per-node slab is sized.
+    LOCSIM_ASSERT(n <= kMaxNodes, "fabric of ", n,
+                  " nodes exceeds the 2^24 that message ids and flit "
+                  "destinations can name");
     const int K = plan_.shards;
     LOCSIM_ASSERT(static_cast<int>(engines_.size()) == K,
                   "shard plan needs one engine per shard");
@@ -111,8 +115,8 @@ Network::Network(const NetworkConfig &config,
     const std::size_t vc_cap = Router::vcRingCapacity(config_.router);
     input_units_.resize(static_cast<std::size_t>(n) *
                         static_cast<std::size_t>(units));
-    output_ports_.resize(static_cast<std::size_t>(n) *
-                         static_cast<std::size_t>(ports_));
+    output_vcs_.resize(static_cast<std::size_t>(n) *
+                       static_cast<std::size_t>(units));
     vc_slab_.resize(static_cast<std::size_t>(n) *
                     static_cast<std::size_t>(units) * vc_cap);
     // The ejection output has buffer_depth credits, like any output,
@@ -129,11 +133,13 @@ Network::Network(const NetworkConfig &config,
     credit_wake_staged_.assign(padded_nodes, 0u);
     credit_wake_.assign(padded_nodes, 0u);
     buffered_slab_.assign(padded_nodes, 0u);
+    eject_staged_.assign(n, 0u);
+    source_pending_.assign(n, 0u);
 
     for (sim::NodeId node = 0; node < n; ++node) {
         Router::RouterSlices slices;
         slices.inputs = input_units_.data() + unitIndex(node, 0, 0);
-        slices.outputs = output_ports_.data() + portIndex(node, 0);
+        slices.outputs = output_vcs_.data() + unitIndex(node, 0, 0);
         slices.vc_slots = vc_slab_.data() + unitIndex(node, 0, 0) * vc_cap;
         slices.flit_wake_staged = flit_wake_staged_.data() + node;
         slices.flit_wake = flit_wake_.data() + node;
@@ -201,7 +207,7 @@ Network::Network(const NetworkConfig &config,
         links_.push_back({node, local_port_, node, -1});
         Router::Downstream eject;
         eject.units = &ep.eject;
-        eject.wake = &ep.eject_staged;
+        eject.wake = &eject_staged_[node];
         routers_[node]->connectOutput(local_port_, eject);
         Router::Upstream inject;
         inject.word = &ep.inject_banked;
@@ -279,7 +285,8 @@ Network::send(Message msg)
     // Ids are per-source sequences with the source node in the high
     // bits: assignment touches only source-shard state and yields the
     // same id for the same message at any shard count.
-    msg.id = (static_cast<MessageId>(msg.src) << 40) | ++ep.next_seq;
+    msg.id = (static_cast<MessageId>(msg.src) << kMessageIdSrcShift) |
+             ++ep.next_seq;
     msg.submit_tick = engines_[static_cast<std::size_t>(s)]->now();
 
     // Pool slots are recycled without destruction; reset every field.
@@ -291,6 +298,7 @@ Network::send(Message msg)
     shard.records.insert(msg.id, h);
 
     ep.source_queue.push_back(msg);
+    source_pending_[msg.src] = 1u;
     ++shard.stats.messages_sent;
     shard.stats.flits.add(static_cast<double>(msg.flits));
     ++shard.in_flight;
@@ -344,9 +352,9 @@ void
 Network::tickInjection(sim::NodeId node, sim::Tick now)
 {
     NodeEndpoint &ep = endpoints_[node];
-
-    if (ep.source_queue.empty())
-        return;
+    LOCSIM_ASSERT(!ep.source_queue.empty(),
+                  "injection visited an empty source queue at node ",
+                  node);
 
     // Collect returned injection credits. Credits bank up while the
     // node has nothing to send, so collecting them lazily (only when
@@ -404,9 +412,9 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
     ++ep.inject_cursor;
     flit = Flit{};
     flit.msg = msg.id;
-    flit.src = msg.src;
     flit.dst = msg.dst;
-    flit.seq = static_cast<std::uint16_t>(ep.flits_sent);
+    // A head's seq is 0, which doubles as its zero link count.
+    flit.seq_or_hops = static_cast<std::uint16_t>(ep.flits_sent);
     flit.head = ep.flits_sent == 0;
     flit.tail = ep.flits_sent + 1 == msg.flits;
     flit.vc = 0;
@@ -418,6 +426,8 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
     if (ep.flits_sent == msg.flits) {
         ep.source_queue.pop_front();
         ep.flits_sent = 0;
+        if (ep.source_queue.empty())
+            source_pending_[node] = 0u;
     }
 }
 
@@ -426,15 +436,16 @@ Network::tickEjection(sim::NodeId node, sim::Tick now)
 {
     NodeEndpoint &ep = endpoints_[node];
 
-    // Latch last cycle's deposit (at most one: one flit per output
-    // port per cycle), then drain one flit per network cycle (an
-    // 8-bit channel delivers one flit per cycle, Section 3.1).
-    if (ep.eject_staged != 0) {
-        ep.eject_staged = 0;
-        ++ep.eject.tail;
-    }
-    if (ep.eject.bufEmpty())
-        return;
+    // Latch last cycle's deposit (tickShard visits only nodes with
+    // one staged; at most one, since an output port forwards one flit
+    // per cycle) and drain it: one flit per network cycle, as an
+    // 8-bit channel delivers (Section 3.1). The ring was empty before
+    // the latch, so it is empty again after the pop.
+    eject_staged_[node] = 0u;
+    ++ep.eject.tail;
+    LOCSIM_ASSERT(ep.eject.bufSize() == 1,
+                  "ejection ring held a flit across cycles at node ",
+                  node);
     const Flit flit = ep.eject.bufFront();
     ep.eject.bufPop();
     // Return the slot's credit to the router's ejection output; the
@@ -451,10 +462,10 @@ Network::tickEjection(sim::NodeId node, sim::Tick now)
     LOCSIM_ASSERT(ep.arrived_msg == flit.msg,
                   "interleaved ejection at node ", node, ": msg ",
                   flit.msg, " while reassembling ", ep.arrived_msg);
-    LOCSIM_ASSERT(flit.seq == ep.arrived_count,
+    LOCSIM_ASSERT(flit.seq() == ep.arrived_count,
                   "flit reordering within a wormhole message: msg ",
                   flit.msg, " expected seq ", ep.arrived_count,
-                  " got ", flit.seq);
+                  " got ", flit.seq());
     ++ep.arrived_count;
 
     const int s = shardOf(node);
@@ -466,7 +477,7 @@ Network::tickEjection(sim::NodeId node, sim::Tick now)
         RecordHandle *hp = shard.records.find(flit.msg);
         LOCSIM_ASSERT(hp != nullptr, "head for unknown message");
         MessageRecord &hrec = shard.record_pool.get(*hp);
-        hrec.head_hops = flit.hops;
+        hrec.head_hops = flit.hops();
         hrec.head_stalls = flit.stalls;
     }
 
@@ -624,10 +635,18 @@ Network::tickShard(int s, sim::Tick now)
     }
     if (plan_.shards > 1)
         drainRecordMail(s, now);
-    for (sim::NodeId node = lo; node < hi; ++node)
-        tickEjection(node, now);
-    for (sim::NodeId node = lo; node < hi; ++node)
-        tickInjection(node, now);
+    // Endpoints are visited only when their activity word says they
+    // have work; an unvisited endpoint's tick would return at once.
+    // All ejections precede all injections, as a full sweep orders
+    // their trace events.
+    for (sim::NodeId node = lo; node < hi; ++node) {
+        if (eject_staged_[node] != 0)
+            tickEjection(node, now);
+    }
+    for (sim::NodeId node = lo; node < hi; ++node) {
+        if (source_pending_[node] != 0)
+            tickInjection(node, now);
+    }
     // Dispatch straight off the busy bytes in ascending node order.
     // An idle router's tick is a no-op (no buffered flits, no latched
     // arrivals, and its arbitration state is derived from `now`), so
@@ -790,21 +809,20 @@ Network::lanesOf(const LinkEnds &link) const
     // Endpoint links carry VC 0 only: one lane. A router consumer
     // has one ring per VC, filled through the producer's per-VC
     // cursors.
-    if (link.consumer_port < 0) {
-        return {&endpoints_[link.consumer].eject,
-                output_ports_[portIndex(link.producer,
-                                        link.producer_port)]
-                    .cursor.data(),
-                1};
-    }
+    const Router::OutputVc *outputs =
+        link.producer_port < 0
+            ? nullptr
+            : &output_vcs_[unitIndex(link.producer, link.producer_port,
+                                     0)];
+    if (link.consumer_port < 0)
+        return {&endpoints_[link.consumer].eject, outputs, nullptr, 1};
     const Router::InputVc *rings =
         &input_units_[unitIndex(link.consumer, link.consumer_port, 0)];
-    if (link.producer_port < 0)
-        return {rings, &endpoints_[link.producer].inject_cursor, 1};
-    return {rings,
-            output_ports_[portIndex(link.producer, link.producer_port)]
-                .cursor.data(),
-            config_.router.vcs};
+    if (link.producer_port < 0) {
+        return {rings, nullptr, &endpoints_[link.producer].inject_cursor,
+                1};
+    }
+    return {rings, outputs, nullptr, config_.router.vcs};
 }
 
 std::uint32_t
@@ -826,7 +844,7 @@ Network::inTransit() const
         const LinkLanes lanes = lanesOf(link);
         std::uint64_t flits = 0;
         for (int i = 0; i < lanes.count; ++i)
-            flits += lanes.cursors[i] - lanes.rings[i].tail;
+            flits += lanes.cursor(i) - lanes.rings[i].tail;
         if (link.producer_port < 0) {
             counts.inject += flits;
             continue;
@@ -852,14 +870,15 @@ Network::memoryBytes() const
     std::size_t bytes = sizeof(*this) + arena_.bytesAllocated() +
                         input_units_.capacity() *
                             sizeof(Router::InputVc) +
-                        output_ports_.capacity() *
-                            sizeof(Router::OutputPort) +
+                        output_vcs_.capacity() *
+                            sizeof(Router::OutputVc) +
                         (vc_slab_.capacity() + eject_slab_.capacity()) *
                             sizeof(Flit) +
                         links_.capacity() * sizeof(LinkEnds);
     bytes += (flit_wake_staged_.capacity() + flit_wake_.capacity() +
               credit_wake_staged_.capacity() + credit_wake_.capacity() +
-              buffered_slab_.capacity()) *
+              buffered_slab_.capacity() + eject_staged_.capacity() +
+              source_pending_.capacity()) *
              sizeof(std::uint32_t);
     for (const auto &scratch : busy_scratch_)
         bytes += scratch.capacity();
@@ -957,14 +976,14 @@ Network::saveState(util::Serializer &s) const
         std::uint32_t produced = 0;
         for (int i = 0; i < lanes.count; ++i) {
             consumed += lanes.rings[i].tail;
-            produced += lanes.cursors[i];
+            produced += lanes.cursor(i);
         }
         s.put<std::uint64_t>(consumed);
         s.put<std::uint64_t>(produced);
         s.put<std::uint64_t>(produced);
         for (int i = 0; i < lanes.count; ++i) {
             const Router::InputVc &ring = lanes.rings[i];
-            for (std::uint32_t c = ring.tail; c != lanes.cursors[i]; ++c)
+            for (std::uint32_t c = ring.tail; c != lanes.cursor(i); ++c)
                 saveFlit(s, ring.slots[c & ring.mask]);
         }
     }
@@ -1047,12 +1066,17 @@ Network::restoreLink(const LinkEnds &link, const LinkImage &image)
     // the read-side view carries.
     const LinkLanes lanes = lanesOf(link);
     auto *rings = const_cast<Router::InputVc *>(lanes.rings);
-    auto *cursors = const_cast<std::uint32_t *>(lanes.cursors);
+    auto cursor = [&](int lane) -> std::uint32_t & {
+        return lanes.outputs != nullptr
+                   ? const_cast<Router::OutputVc &>(lanes.outputs[lane])
+                         .cursor
+                   : *const_cast<std::uint32_t *>(lanes.inject_cursor);
+    };
     if (link.consumer_port < 0)
         rings[0].head = rings[0].tail = image.head;
     std::uint32_t consumed = 0;
     for (int i = 0; i < lanes.count; ++i) {
-        cursors[i] = rings[i].tail;
+        cursor(i) = rings[i].tail;
         consumed += rings[i].tail;
     }
     if (consumed != image.head) {
@@ -1075,9 +1099,9 @@ Network::restoreLink(const LinkEnds &link, const LinkImage &image)
                 "ring");
         }
         ring.slots[ring.tail & ring.mask] = image.flit;
-        ++cursors[lane];
+        ++cursor(lane);
         if (link.consumer_port < 0) {
-            endpoints_[link.consumer].eject_staged = 1u;
+            eject_staged_[link.consumer] = 1u;
         } else {
             Router &consumer = *routers_[link.consumer];
             consumer.stageFlitBits(
@@ -1141,7 +1165,8 @@ Network::loadState(util::Deserializer &d)
     for (Router *router : routers_)
         router->loadState(d);
 
-    for (NodeEndpoint &ep : endpoints_) {
+    for (sim::NodeId node = 0; node < endpoints_.size(); ++node) {
+        NodeEndpoint &ep = endpoints_[node];
         ep.source_queue.clear();
         auto count = d.get<std::uint64_t>();
         for (std::uint64_t i = 0; i < count; ++i)
@@ -1166,7 +1191,8 @@ Network::loadState(util::Deserializer &d)
             ep.arrived_count = d.get<std::uint32_t>();
         }
         ep.inject_banked = 0;
-        ep.eject_staged = 0;
+        source_pending_[node] = ep.source_queue.empty() ? 0u : 1u;
+        eject_staged_[node] = 0u; // restaged by the ejection links
     }
     for (std::size_t i = 0; i < links_.size(); ++i)
         restoreLink(links_[i], images[i]);

@@ -17,7 +17,7 @@
  * Data layout: links carry no storage of their own. A producer
  * deposits each flit into the consumer's input-VC ring (or the node's
  * ejection ring) and stages a wake bit; credits travel as staged bits
- * (see router.hh). All router input-VC / output-port state lives in
+ * (see router.hh). All router input-VC / output-VC state lives in
  * Network-owned slabs sliced per router, and message accounting
  * records live in per-shard generation-checked pools indexed by a flat
  * hash map. The steady-state loop therefore walks contiguous arrays
@@ -391,10 +391,12 @@ class Network : public sim::Clocked
         /** Message-id sequence for this source endpoint. */
         std::uint64_t next_seq = 0;
         // Ejection side.
-        /** The ring the router deposits into (routing fields unused). */
+        /**
+         * The ring the router deposits into (routing fields unused).
+         * The router's deposit sets the node's eject_staged_ word;
+         * it latches as tail++ next cycle.
+         */
         Router::InputVc eject;
-        /** Set by the router's deposit; latched as tail++ next cycle. */
-        std::uint32_t eject_staged = 0;
         util::RingQueue<Message> delivered;
         /**
          * Reassembly cursor. Ejection drains a single FIFO whose
@@ -463,14 +465,24 @@ class Network : public sim::Clocked
     /**
      * A link's lanes: per VC, the consumer ring and the producer's
      * write cursor into it (one lane for the endpoint links, which
-     * carry VC 0 only). Flits in transit on lane i are the ring slots
-     * [rings[i].tail, cursors[i]).
+     * carry VC 0 only). A router producer's cursors live in its
+     * output-VC records; the injection producer's is the endpoint's
+     * inject_cursor. Flits in transit on lane i are the ring slots
+     * [rings[i].tail, cursor(i)).
      */
     struct LinkLanes
     {
         const Router::InputVc *rings;
-        const std::uint32_t *cursors;
+        const Router::OutputVc *outputs; //!< null: injection link
+        const std::uint32_t *inject_cursor;
         int count;
+
+        std::uint32_t
+        cursor(int lane) const
+        {
+            return outputs != nullptr ? outputs[lane].cursor
+                                      : *inject_cursor;
+        }
     };
 
     /** One link's flit and credit records as read from a checkpoint. */
@@ -495,14 +507,6 @@ class Network : public sim::Clocked
                 static_cast<std::size_t>(port)) *
                    static_cast<std::size_t>(config_.router.vcs) +
                static_cast<std::size_t>(vc);
-    }
-
-    std::size_t
-    portIndex(sim::NodeId node, int port) const
-    {
-        return static_cast<std::size_t>(node) *
-                   static_cast<std::size_t>(ports_) +
-               static_cast<std::size_t>(port);
     }
 
     void tickInjection(sim::NodeId node, sim::Tick now);
@@ -546,7 +550,7 @@ class Network : public sim::Clocked
      * routers hold raw pointers into them.
      */
     std::vector<Router::InputVc> input_units_;
-    std::vector<Router::OutputPort> output_ports_;
+    std::vector<Router::OutputVc> output_vcs_;
     std::vector<Flit> vc_slab_;
     /** Per-node ejection rings (same capacity as an input VC). */
     std::vector<Flit> eject_slab_;
@@ -565,6 +569,19 @@ class Network : public sim::Clocked
     std::vector<std::uint32_t> credit_wake_staged_;
     std::vector<std::uint32_t> credit_wake_;
     std::vector<std::uint32_t> buffered_slab_;
+
+    /**
+     * Per-node endpoint activity words, so tickShard visits only the
+     * endpoints with work. eject_staged_[node] is the ejection ring's
+     * staged wake word (the router's ejection Downstream sets it);
+     * the ring is empty between cycles, so a staged bit is the only
+     * ejection work. source_pending_[node] is set while the node's
+     * source queue is non-empty (send() sets it, tickInjection clears
+     * it with the last pop). Only the owning shard writes either word.
+     * Both are derived state: never serialized, rebuilt by loadState.
+     */
+    std::vector<std::uint32_t> eject_staged_;
+    std::vector<std::uint32_t> source_pending_;
 
     /**
      * Per-shard list of nodes with cross-shard producers. tickShard

@@ -36,7 +36,7 @@ Router::Router(const TorusTopology &topo, sim::NodeId node,
                   "activity masks hold one bit per input unit");
     LOCSIM_ASSERT(ports <= kMaxPorts, "per-port arrays are fixed-size");
     LOCSIM_ASSERT(config_.vcs <= kMaxVcs,
-                  "per-port VC state uses fixed-size arrays");
+                  "flit VC fields are three bits wide");
     const std::size_t vc_cap = vcRingCapacity(config_);
     const int units = unitCount();
     for (int unit = 0; unit < units; ++unit) {
@@ -44,13 +44,9 @@ Router::Router(const TorusTopology &topo, sim::NodeId node,
         inputs_[u] = InputVc{};
         inputs_[u].slots = slices.vc_slots + u * vc_cap;
         inputs_[u].mask = static_cast<std::uint32_t>(vc_cap - 1);
+        outputs_[u] = OutputVc{};
         unit_port_[u] = static_cast<std::int8_t>(unit / config_.vcs);
         unit_vc_[u] = static_cast<std::int8_t>(unit % config_.vcs);
-    }
-    for (int p = 0; p < ports; ++p) {
-        const auto i = static_cast<std::size_t>(p);
-        outputs_[i] = OutputPort{};
-        outputs_[i].owner.fill(-1);
     }
 }
 
@@ -58,12 +54,11 @@ void
 Router::connectOutput(int port, const Downstream &down)
 {
     LOCSIM_ASSERT(port >= 0 && port < portCount(), "bad port index");
-    const auto p = static_cast<std::size_t>(port);
-    downstream_[p] = down;
+    downstream_[static_cast<std::size_t>(port)] = down;
     // The consumer exposes buffer_depth slots per VC; start with full
     // credit.
     for (int v = 0; v < config_.vcs; ++v)
-        outputs_[p].credits[static_cast<std::size_t>(v)] =
+        outputs_[static_cast<std::size_t>(unitBit(port, v))].credits =
             static_cast<std::int16_t>(config_.buffer_depth);
 }
 
@@ -71,22 +66,21 @@ void
 Router::receiveCredits()
 {
     // Each latched bit is exactly one credit for one (port, VC): at
-    // most one flit leaves the downstream input port per cycle.
+    // most one flit leaves the downstream input port per cycle. Bits
+    // and output-VC records share the unit index.
     std::uint32_t units = std::exchange(*credit_wake_, 0u);
     while (units != 0) {
         const int unit = std::countr_zero(units);
         units &= units - 1;
         const int port = unit_port_[static_cast<std::size_t>(unit)];
-        const auto vc =
-            static_cast<std::size_t>(unit_vc_[static_cast<std::size_t>(unit)]);
-        OutputPort &out = outputs_[static_cast<std::size_t>(port)];
-        LOCSIM_ASSERT(out.credits[vc] < config_.buffer_depth,
+        OutputVc &out = outputs_[static_cast<std::size_t>(unit)];
+        LOCSIM_ASSERT(out.credits < config_.buffer_depth,
                       "credit overflow on node ", node_, " port ",
                       port);
-        ++out.credits[vc];
+        ++out.credits;
         // Credits for an owned VC may unblock this port (credits for
         // a released VC need no re-arm: a later claim arms it).
-        if (out.owner[vc] != -1)
+        if (out.owner != -1)
             ready_ports_ |= 1u << port;
     }
 }
@@ -201,10 +195,10 @@ Router::routeAndAllocate(sim::Tick now)
         // Try to claim the output VC (wormhole allocation). On
         // failure the cached route is kept and the claim retried
         // next cycle.
-        OutputPort &out =
-            outputs_[static_cast<std::size_t>(ivc.out_port)];
         std::int8_t &owner =
-            out.owner[static_cast<std::size_t>(ivc.out_vc)];
+            outputs_[static_cast<std::size_t>(
+                         unitBit(ivc.out_port, ivc.out_vc))]
+                .owner;
         if (owner == -1) {
             owner = static_cast<std::int8_t>(unit);
             owned_ports_ |= 1u << ivc.out_port;
@@ -253,21 +247,24 @@ Router::switchTraversal(sim::Tick now)
     while (scan != 0) {
         const int port = std::countr_zero(scan);
         scan &= scan - 1;
-        OutputPort &out = outputs_[static_cast<std::size_t>(port)];
         const Downstream &down =
             downstream_[static_cast<std::size_t>(port)];
         if (down.units == nullptr)
             continue;
+        OutputVc *outs =
+            outputs_ + static_cast<std::size_t>(unitBit(port, 0));
         bool forwarded = false;
         // Blocked only by the one-flit-per-input-port rule this cycle;
         // could forward next cycle without any new event, so the port
         // must stay armed.
         bool retry = false;
         // One flit per output port per cycle: round-robin over VCs.
-        int vc = out.next_vc;
+        std::int8_t &next_vc = next_vc_[static_cast<std::size_t>(port)];
+        int vc = next_vc;
         for (int i = 0; i < config_.vcs;
              ++i, vc = vc + 1 == config_.vcs ? 0 : vc + 1) {
-            const int owner = out.owner[static_cast<std::size_t>(vc)];
+            OutputVc &out = outs[vc];
+            const int owner = out.owner;
             if (owner == -1)
                 continue;
             const int in_port =
@@ -277,21 +274,20 @@ Router::switchTraversal(sim::Tick now)
                 retry = true;
                 continue;
             }
-            InputVc &ivc = inputVc(in_port, in_vc);
+            InputVc &ivc = inputs_[static_cast<std::size_t>(owner)];
             if (ivc.bufEmpty())
                 continue; // re-armed by receiveFlits
-            if (out.credits[static_cast<std::size_t>(vc)] <= 0)
+            if (out.credits <= 0)
                 continue; // re-armed by receiveCredits
 
             // Deposit the flit straight into the consumer's ring at
-            // this port's write cursor and rewrite link-level fields
+            // the lane's write cursor and rewrite link-level fields
             // in place: the hop's only flit copy. The slot lies past
             // the consumer's tail, so the consumer never reads it
             // before its latch next cycle.
             const int lane = vc & down.vc_mask;
             InputVc &dst = down.units[lane];
-            std::uint32_t &cursor =
-                out.cursor[static_cast<std::size_t>(lane)];
+            std::uint32_t &cursor = outs[lane].cursor;
             LOCSIM_ASSERT(
                 cursor - std::atomic_ref<std::uint32_t>(dst.head).load(
                              std::memory_order_relaxed) <=
@@ -334,19 +330,19 @@ Router::switchTraversal(sim::Tick now)
             if (flit.head && to_neighbor) {
                 flit.crossed_dateline = (ivc.out_vc == 1);
                 // One more physical link traversed (attribution).
-                if (flit.hops != UINT16_MAX)
-                    ++flit.hops;
+                if (flit.seq_or_hops != UINT16_MAX)
+                    ++flit.seq_or_hops;
             }
             flit.vc = static_cast<std::uint8_t>(vc);
 
-            --out.credits[static_cast<std::size_t>(vc)];
+            --out.credits;
             output_flits_[static_cast<std::size_t>(port)].inc();
             if (tracer_ != nullptr) {
                 tracer_->instant(
                     trace_track_, now, "flit", obs::Category::Net,
                     std::move(obs::Args()
                                   .add("msg", flit.msg)
-                                  .add("seq", flit.seq)
+                                  .add("seq", flit.seq())
                                   .add("port", port)
                                   .add("vc", vc))
                         .str());
@@ -359,7 +355,7 @@ Router::switchTraversal(sim::Tick now)
             }
 
             if (flit.tail) {
-                out.owner[static_cast<std::size_t>(vc)] = -1;
+                out.owner = -1;
                 ivc.routed = false;
                 ivc.route_valid = false;
                 ivc.out_port = -1;
@@ -370,7 +366,7 @@ Router::switchTraversal(sim::Tick now)
                     alloc_pending_ |= 1u << owner;
                 bool any_owner = false;
                 for (int v = 0; v < config_.vcs; ++v) {
-                    if (out.owner[static_cast<std::size_t>(v)] != -1) {
+                    if (outs[v].owner != -1) {
                         any_owner = true;
                         break;
                     }
@@ -378,7 +374,7 @@ Router::switchTraversal(sim::Tick now)
                 if (!any_owner)
                     owned_ports_ &= ~(1u << port);
             }
-            out.next_vc = static_cast<std::int8_t>(
+            next_vc = static_cast<std::int8_t>(
                 vc + 1 == config_.vcs ? 0 : vc + 1);
             forwarded = true;
             break;

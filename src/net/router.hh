@@ -27,10 +27,10 @@
  * next cycle, so a deposit is invisible for exactly one cycle and the
  * order in which routers tick within a cycle is immaterial (see
  * DESIGN.md, "The deposit protocol"). The router's input-VC and
- * output-port state lives in Network-owned slabs (one contiguous array
+ * output-VC state lives in Network-owned slabs (one contiguous array
  * per kind across all routers), handed to each router as a
- * RouterSlices view; the router object itself is wiring, masks and
- * statistics.
+ * RouterSlices view; the router object itself is wiring, masks,
+ * round-robin pointers and statistics.
  */
 
 #ifndef LOCSIM_NET_ROUTER_HH_
@@ -134,7 +134,7 @@ class Router
   public:
     /** The activity masks hold one bit per input unit (port * vc). */
     static constexpr int kMaxPorts = 16;
-    /** Per-port VC state uses fixed-size arrays. */
+    /** VC indices fit Flit::vc's three bits. */
     static constexpr int kMaxVcs = 8;
 
     /**
@@ -186,22 +186,25 @@ class Router
         std::int8_t out_vc = -1;
     };
 
-    /** Packed like InputVc. Checkpoint streams still carry the
-     *  original int-width fields. */
-    struct OutputPort
+    /**
+     * One output VC, packed to 8 bytes and indexed like the input
+     * units (port * vcs + vc), so a credit bit's index addresses its
+     * record directly and a flit move touches one record. Checkpoint
+     * streams still carry the original int-width fields.
+     */
+    struct OutputVc
     {
-        /** Encoded owner input (port * vcs + vc), or -1 if free. */
-        std::array<std::int8_t, kMaxVcs> owner{};
-        /** Credits available per output VC. */
-        std::array<std::int16_t, kMaxVcs> credits{};
-        /** Round-robin pointer over output VCs. */
-        std::int8_t next_vc = 0;
         /**
-         * Write cursor per downstream ring: flits ever deposited
-         * through this port on each VC (monotonic, masked by the
-         * consumer ring). Owned by this router alone.
+         * Write cursor into the downstream ring this VC deposits into:
+         * flits ever deposited (monotonic, masked by the consumer
+         * ring). Owned by this router alone. The ejection output
+         * deposits every VC into one ring, through VC 0's cursor.
          */
-        std::array<std::uint32_t, kMaxVcs> cursor{};
+        std::uint32_t cursor = 0;
+        /** Credits available on this output VC. */
+        std::int16_t credits = 0;
+        /** Encoded owner input (port * vcs + vc), or -1 if free. */
+        std::int8_t owner = -1;
     };
 
     /**
@@ -236,8 +239,8 @@ class Router
 
     /**
      * This router's views into the Network-owned state slabs:
-     * @p inputs has unitCount() entries, @p outputs portCount()
-     * entries, and @p vc_slots unitCount() * vcRingCapacity() flits.
+     * @p inputs and @p outputs have unitCount() entries each, and
+     * @p vc_slots unitCount() * vcRingCapacity() flits.
      * The wake/occupancy words live in per-node uint32 slabs (one
      * word per router per slab) so the start-of-cycle latch and busy
      * scan stream contiguous arrays — and vectorize (see
@@ -247,7 +250,7 @@ class Router
     struct RouterSlices
     {
         InputVc *inputs = nullptr;
-        OutputPort *outputs = nullptr;
+        OutputVc *outputs = nullptr;
         Flit *vc_slots = nullptr;
         std::uint32_t *flit_wake_staged = nullptr;
         std::uint32_t *flit_wake = nullptr;
@@ -450,13 +453,13 @@ class Router
         const int ports = portCount();
         s.put<std::uint64_t>(static_cast<std::uint64_t>(ports));
         for (int p = 0; p < ports; ++p) {
-            const OutputPort &op = outputs_[static_cast<std::size_t>(p)];
             for (int vc = 0; vc < config_.vcs; ++vc) {
-                const auto v = static_cast<std::size_t>(vc);
-                s.put(static_cast<int>(op.owner[v]));
-                s.put(static_cast<int>(op.credits[v]));
+                const OutputVc &ovc =
+                    outputs_[static_cast<std::size_t>(unitBit(p, vc))];
+                s.put(static_cast<int>(ovc.owner));
+                s.put(static_cast<int>(ovc.credits));
             }
-            s.put(static_cast<int>(op.next_vc));
+            s.put(static_cast<int>(next_vc_[static_cast<std::size_t>(p)]));
         }
         // The slab word is 32-bit in memory; the stream keeps its
         // original 64-bit field.
@@ -505,14 +508,14 @@ class Router
                 "Router::loadState: output port count mismatch");
         }
         for (int p = 0; p < ports; ++p) {
-            OutputPort &op = outputs_[static_cast<std::size_t>(p)];
             for (int vc = 0; vc < config_.vcs; ++vc) {
-                const auto v = static_cast<std::size_t>(vc);
-                op.owner[v] = static_cast<std::int8_t>(d.get<int>());
-                op.credits[v] =
-                    static_cast<std::int16_t>(d.get<int>());
+                OutputVc &ovc =
+                    outputs_[static_cast<std::size_t>(unitBit(p, vc))];
+                ovc.owner = static_cast<std::int8_t>(d.get<int>());
+                ovc.credits = static_cast<std::int16_t>(d.get<int>());
             }
-            op.next_vc = static_cast<std::int8_t>(d.get<int>());
+            next_vc_[static_cast<std::size_t>(p)] =
+                static_cast<std::int8_t>(d.get<int>());
         }
         *buffered_ =
             static_cast<std::uint32_t>(d.get<std::uint64_t>());
@@ -606,19 +609,14 @@ class Router
     /** Compute route for the head flit of (port, vc). */
     void computeRoute(int port, InputVc &ivc);
 
-    InputVc &
-    inputVc(int port, int vc)
-    {
-        return inputs_[static_cast<std::size_t>(
-            port * config_.vcs + vc)];
-    }
-
     const TorusTopology &topo_;
     sim::NodeId node_;
     RouterConfig config_;
 
-    InputVc *inputs_ = nullptr;     // [port][vc] flattened slab slice
-    OutputPort *outputs_ = nullptr; // [port] slab slice
+    InputVc *inputs_ = nullptr;   // [port][vc] flattened slab slice
+    OutputVc *outputs_ = nullptr; // [port][vc] flattened slab slice
+    /** Round-robin pointer over each output port's VCs. */
+    std::array<std::int8_t, kMaxPorts> next_vc_{};
 
     /**
      * Per-port wiring. portCount() is bounded by kMaxPorts (the
@@ -703,6 +701,9 @@ class Router
     obs::Tracer *tracer_ = nullptr;
     int trace_track_ = 0;
 };
+
+static_assert(sizeof(Router::OutputVc) == 8,
+              "a flit move touches one 8-byte output-VC record");
 
 } // namespace net
 } // namespace locsim

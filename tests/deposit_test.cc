@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/network.hh"
@@ -155,6 +156,76 @@ TEST(Deposit, CrossShardLinkDeliversAfterOneCycle)
 }
 
 /**
+ * A checkpoint taken while a flit sits in an ejection ring's transit
+ * slot and a source queue still holds an unoffered message restores
+ * at another shard count and continues exactly as the uninterrupted
+ * run. The endpoint activity words that gate ejection and injection
+ * are not serialized, so this holds only if loadState rebuilds them.
+ */
+TEST(Deposit, RestoreWithEndpointWorkInFlightContinuesIdentically)
+{
+    NetworkConfig config;
+    config.radix = 4;
+    sim::Engine engine;
+    engine.setStepMode(sim::Engine::StepMode::Reference);
+    Network oracle(engine, config);
+    engine.addClocked(&oracle, 1);
+
+    // Four-flit messages from two sources, across the 2-shard cut
+    // (rows 0-1 | 2-3) and within a shard; node 0's queue outlasts
+    // the first ejections.
+    std::vector<MessageId> ids;
+    for (const auto &[src, dst] :
+         {std::pair<sim::NodeId, sim::NodeId>{0, 10}, {0, 5}, {0, 10},
+          {0, 5}, {0, 10}, {0, 5}, {15, 1}, {15, 1}}) {
+        Message msg = oneFlit(src, dst);
+        msg.flits = 4;
+        ids.push_back(oracle.send(msg));
+    }
+    auto queued = [&] {
+        for (const MessageId id : ids) {
+            const MessageRecord *rec = oracle.record(id);
+            if (rec != nullptr && rec->inject_start == sim::kTickNever)
+                return true;
+        }
+        return false;
+    };
+    bool found = false;
+    for (int t = 0; t < 40 && !found; ++t) {
+        engine.run(1);
+        found = oracle.inTransit().eject > 0 && queued();
+    }
+    ASSERT_TRUE(found) << "no save point with both kinds of work";
+    util::Serializer image;
+    oracle.saveState(image);
+
+    sim::Engine e0, e1;
+    const std::vector<sim::Engine *> engines{&e0, &e1};
+    Network restored(config, engines, ShardPlan::contiguous(16, 2));
+    for (int s = 0; s < 2; ++s) {
+        sim::Engine &shard = *engines[static_cast<std::size_t>(s)];
+        shard.setStepMode(sim::Engine::StepMode::Reference);
+        shard.addClocked(restored.shardClocked(s), 1);
+        shard.restoreTime(engine.now(), 0);
+    }
+    util::Deserializer d(image.buffer());
+    restored.loadState(d);
+    EXPECT_EQ(transit(restored), transit(oracle));
+
+    for (int t = 0; t < 120; ++t) {
+        engine.run(1);
+        stepLockstep(engines);
+        ASSERT_EQ(transit(restored), transit(oracle))
+            << "after " << t << " cycles";
+    }
+    EXPECT_EQ(oracle.stats().messages_delivered, ids.size());
+    util::Serializer a, b;
+    oracle.saveState(a);
+    restored.saveState(b);
+    EXPECT_EQ(b.buffer(), a.buffer());
+}
+
+/**
  * Two routers of a 4-node ring wired by hand: router 0's +x output
  * deposits into router 1's -x input, whose credits return to router 0.
  * Router 1 latches its arrivals but never ticks, so nothing drains its
@@ -170,7 +241,7 @@ class TwoRouters
         for (int r = 0; r < 2; ++r) {
             Slab &slab = slabs_[r];
             slab.inputs.resize(kUnits);
-            slab.outputs.resize(kPorts);
+            slab.outputs.resize(kUnits);
             slab.slots.resize(kUnits * cap);
             Router::RouterSlices slices;
             slices.inputs = slab.inputs.data();
@@ -216,7 +287,6 @@ class TwoRouters
         Flit &flit = ring.slots[inject_cursor_++ & ring.mask];
         flit = Flit{};
         flit.msg = inject_cursor_;
-        flit.src = 0;
         flit.dst = 1;
         flit.head = true;
         flit.tail = true;
@@ -246,9 +316,10 @@ class TwoRouters
     std::uint32_t
     deposited() const
     {
-        const Router::OutputPort &out = slabs_[0].outputs[
-            static_cast<std::size_t>(Router::portFor(0, +1))];
-        return out.cursor[0];
+        const Router::OutputVc &out =
+            slabs_[0].outputs[static_cast<std::size_t>(
+                routers_[0]->unitBit(Router::portFor(0, +1), 0))];
+        return out.cursor;
     }
 
   private:
@@ -258,7 +329,7 @@ class TwoRouters
     struct Slab
     {
         std::vector<Router::InputVc> inputs;
-        std::vector<Router::OutputPort> outputs;
+        std::vector<Router::OutputVc> outputs;
         std::vector<Flit> slots;
         std::uint32_t words[5] = {};
     };

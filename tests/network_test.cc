@@ -7,13 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "net/network.hh"
 #include "net/traffic.hh"
 #include "sim/engine.hh"
 #include "util/random.hh"
+#include "util/serialize.hh"
 
 namespace locsim {
 namespace net {
@@ -125,6 +129,148 @@ TEST(Network, SelfMessagesAreRejected)
     msg.dst = 3;
     msg.flits = 4;
     EXPECT_DEATH(f.network->send(msg), "local transactions");
+}
+
+TEST(NetworkDeathTest, NodeCountBeyondMessageIdBitsDies)
+{
+    // 4097^2 nodes is just past 2^24: node 2^24 would get node 0's
+    // message ids, and its id would not fit a flit's dst field.
+    EXPECT_DEATH(
+        {
+            sim::Engine engine;
+            NetworkConfig config;
+            config.radix = 4097;
+            config.dims = 2;
+            Network network(engine, config);
+        },
+        "exceeds the 2\\^24");
+}
+
+/**
+ * A checkpoint flit record in the stream's field order and widths
+ * (the 24-byte flit layout's fields), so tests can write records the
+ * packed Flit cannot hold. Defaults are a valid body flit.
+ */
+struct FlitRecord
+{
+    std::uint64_t msg = (std::uint64_t{5} << 40) | 7;
+    std::uint32_t src = 5;
+    std::uint32_t dst = 9;
+    std::uint32_t seq = 11;
+    bool head = false;
+    bool tail = true;
+    std::uint8_t vc = 0;
+    bool crossed_dateline = false;
+    std::uint16_t hops = 0;
+    std::uint16_t stalls = 0;
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        util::Serializer s;
+        s.put(msg);
+        s.put(src);
+        s.put(dst);
+        s.put(seq);
+        s.put(head);
+        s.put(tail);
+        s.put(vc);
+        s.put(crossed_dateline);
+        s.put(hops);
+        s.put(stalls);
+        return s.buffer();
+    }
+};
+
+/** A head flit of message 7 from node 5 with every head field set. */
+Flit
+headFlit()
+{
+    Flit f;
+    f.msg = (std::uint64_t{5} << 40) | 7;
+    f.dst = 9;
+    f.head = true;
+    f.vc = 1;
+    f.crossed_dateline = true;
+    f.seq_or_hops = 3;
+    f.stalls = 2;
+    return f;
+}
+
+/** Body flit 11 (the tail) of the same message. */
+Flit
+bodyFlit()
+{
+    Flit f;
+    f.msg = (std::uint64_t{5} << 40) | 7;
+    f.dst = 9;
+    f.tail = true;
+    f.seq_or_hops = 11;
+    return f;
+}
+
+std::vector<std::uint8_t>
+saved(const Flit &f)
+{
+    util::Serializer s;
+    saveFlit(s, f);
+    return s.buffer();
+}
+
+Flit
+loaded(const std::vector<std::uint8_t> &bytes)
+{
+    util::Deserializer d(bytes);
+    return loadFlit(d);
+}
+
+TEST(FlitStream, SaveWritesTheOriginalRecordLayout)
+{
+    // msg u64, src u32, dst u32, seq u32, head, tail, vc, dateline
+    // (one byte each), hops u16, stalls u16; little-endian.
+    const std::vector<std::uint8_t> head = {
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, // msg
+        0x05, 0x00, 0x00, 0x00,                         // src
+        0x09, 0x00, 0x00, 0x00,                         // dst
+        0x00, 0x00, 0x00, 0x00,                         // seq
+        0x01, 0x00, 0x01, 0x01,     // head, tail, vc, dateline
+        0x03, 0x00, 0x02, 0x00,     // hops, stalls
+    };
+    const std::vector<std::uint8_t> body = {
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, // msg
+        0x05, 0x00, 0x00, 0x00,                         // src
+        0x09, 0x00, 0x00, 0x00,                         // dst
+        0x0b, 0x00, 0x00, 0x00,                         // seq
+        0x00, 0x01, 0x00, 0x00,     // head, tail, vc, dateline
+        0x00, 0x00, 0x00, 0x00,     // hops, stalls
+    };
+    EXPECT_EQ(saved(headFlit()), head);
+    EXPECT_EQ(saved(bodyFlit()), body);
+    EXPECT_EQ(FlitRecord{}.bytes(), body);
+}
+
+TEST(FlitStream, LoadInvertsSave)
+{
+    EXPECT_EQ(loaded(saved(headFlit())), headFlit());
+    EXPECT_EQ(loaded(saved(bodyFlit())), bodyFlit());
+}
+
+TEST(FlitStream, LoadRejectsRecordsThePackedFlitCannotHold)
+{
+    std::vector<FlitRecord> bad(8);
+    bad[0].src = 6; // not msg >> 40
+    bad[1].head = true; // a head is always flit 0
+    bad[2].hops = 1; // body flits carry no head state
+    bad[3].stalls = 1;
+    bad[4].crossed_dateline = true;
+    bad[5].vc = 8; // three VC bits
+    bad[6].dst = 1u << 24; // 24 dst bits
+    bad[7].seq = 65536; // 16 sequence bits
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_THROW(loaded(bad[i].bytes()), std::runtime_error)
+            << "record " << i;
+    }
+    EXPECT_EQ(loaded(FlitRecord{}.bytes()), bodyFlit());
 }
 
 TEST(Network, AllPairsDeliverExactly)
