@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -137,13 +138,16 @@ struct HarnessOptions
     }
 };
 
-/** Parse the common flags; exits on --help. */
+/**
+ * Register the common flags on @p opts, which may already hold the
+ * harness's own flags, parse argv, and read the common flags back;
+ * exits on --help. The caller reads its own flags from @p opts, so
+ * every flag appears in --help.
+ */
 inline HarnessOptions
-parseHarnessOptions(int argc, const char *const *argv,
-                    const std::string &name,
-                    const std::string &summary)
+parseHarnessOptions(util::OptionParser &opts, int argc,
+                    const char *const *argv, const std::string &name)
 {
-    util::OptionParser opts(name, summary);
     opts.addString("csv", "write machine-readable results here", "");
     opts.addFlag("quick", "run shorter simulation windows");
     opts.addInt("warmup", "warmup length in processor cycles", 6000);
@@ -268,24 +272,32 @@ parseHarnessOptions(int argc, const char *const *argv,
             std::make_shared<locsim::cache::PrefixPlanner>(
                 *out.sim_cache, prefix_options);
     }
+    // Resolve --shards / LOCSIM_SHARDS here, on the main thread, so a
+    // malformed variable is fatal before any simulation. The result
+    // is not clamped to any one machine's node count; it sizes the
+    // --run-report profiler's slot grid, and Profiler::slot clamps,
+    // so an off guess only coarsens attribution.
+    machine::MachineConfig shard_config;
+    shard_config.shards = out.shards;
+    const int shard_guess = machine::Machine::resolveShardCount(
+        shard_config,
+        static_cast<sim::NodeId>(std::numeric_limits<int>::max()));
     if (!out.obs.run_report.empty()) {
-        // Slot-grid guess: explicit --shards, else LOCSIM_SHARDS,
-        // else 1. Profiler::slot clamps, so an off guess degrades to
-        // coarser attribution, never out-of-bounds.
-        int shard_guess = out.shards;
-        if (shard_guess <= 0) {
-            if (const char *env = std::getenv("LOCSIM_SHARDS")) {
-                const int parsed = std::atoi(env);
-                if (parsed >= 1)
-                    shard_guess = parsed;
-            }
-        }
-        out.profiler = std::make_shared<obs::Profiler>(
-            shard_guess > 0 ? shard_guess : 1, 1);
+        out.profiler = std::make_shared<obs::Profiler>(shard_guess, 1);
         if (out.sim_cache != nullptr)
             out.sim_cache->setProfileSlot(&out.profiler->hostSlot());
     }
     return out;
+}
+
+/** Parse the common flags only; exits on --help. */
+inline HarnessOptions
+parseHarnessOptions(int argc, const char *const *argv,
+                    const std::string &name,
+                    const std::string &summary)
+{
+    util::OptionParser opts(name, summary);
+    return parseHarnessOptions(opts, argc, argv, name);
 }
 
 /**

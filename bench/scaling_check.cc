@@ -15,7 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -72,31 +72,16 @@ parseRadixList(const std::string &arg)
 int
 main(int argc, char **argv)
 {
-    // Peel --radix-list before the common parser (the micro_perf
-    // custom-flag convention); the manifest still records the full
-    // command line below.
-    std::vector<int> radixes = {8, 10, 12, 16, 48};
-    std::vector<const char *> filtered;
-    for (int i = 0; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--radix-list=", 13) == 0) {
-            radixes = parseRadixList(arg + 13);
-            continue;
-        }
-        if (std::strcmp(arg, "--radix-list") == 0) {
-            if (i + 1 >= argc)
-                LOCSIM_FATAL("--radix-list needs a value");
-            radixes = parseRadixList(argv[++i]);
-            continue;
-        }
-        filtered.push_back(arg);
-    }
-
-    bench::HarnessOptions options = bench::parseHarnessOptions(
-        static_cast<int>(filtered.size()), filtered.data(),
+    util::OptionParser opts(
         "scaling_check",
         "measured vs predicted locality gain as machines scale");
-    options.argv.assign(argv, argv + argc);
+    opts.addString("radix-list",
+                   "comma-separated torus radixes to sweep",
+                   "8,10,12,16,48");
+    bench::HarnessOptions options =
+        bench::parseHarnessOptions(opts, argc, argv, "scaling_check");
+    const std::vector<int> radixes =
+        parseRadixList(opts.getString("radix-list"));
     if (!options.quick)
         options.window = 12000; // larger machines cost more per cycle
 

@@ -86,7 +86,7 @@ main(int argc, char **argv)
                            : workload::loadTraceFile(trace_path);
     workload::TraceProgram trace_program(trace_ops);
 
-    std::vector<std::unique_ptr<workload::TorusNeighborProgram>>
+    std::vector<std::unique_ptr<workload::NeighborProgram>>
         background;
     std::vector<std::unique_ptr<proc::Processor>> processors;
     proc::ProcessorConfig proc_config;
@@ -96,7 +96,7 @@ main(int argc, char **argv)
             program = &trace_program;
         } else {
             background.push_back(
-                std::make_unique<workload::TorusNeighborProgram>(
+                std::make_unique<workload::NeighborProgram>(
                     topo, mapping, 0, node,
                     workload::TorusAppConfig{}));
             program = background.back().get();

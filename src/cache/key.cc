@@ -82,7 +82,9 @@ putBehavioralConfig(util::Serializer &s,
     // Workload.
     s.put(config.workload);
     s.put(config.app.compute_cycles);
-    s.put(config.app.verify);
+    // The slot of the deleted TorusAppConfig::verify flag (coherence
+    // checking is now always on); kept so existing keys stay valid.
+    s.put(true);
     s.put(config.app.prefetch_depth);
     s.put(config.uniform_app.compute_cycles);
     s.put(config.uniform_app.loads_per_store);

@@ -72,7 +72,7 @@ inline constexpr std::size_t kMachineConfigFields = 17;
 inline constexpr std::size_t kProcessorConfigFields = 2;
 inline constexpr std::size_t kProtocolConfigFields = 8;
 inline constexpr std::size_t kRouterConfigFields = 2;
-inline constexpr std::size_t kTorusAppConfigFields = 3;
+inline constexpr std::size_t kTorusAppConfigFields = 2;
 inline constexpr std::size_t kUniformAppConfigFields = 3;
 ///@}
 

@@ -306,24 +306,13 @@ CacheController::tick(sim::Tick now)
 void
 CacheController::handleProcessorRequest(const MemRequest &req)
 {
-    (req.is_store ? stats_.stores : stats_.loads).inc();
-
-    const CacheLookup hit = cache_.lookup(req.addr);
-    const bool load_hit =
-        !req.is_store && hit.state != CacheState::Invalid;
-    const bool store_hit =
-        req.is_store && hit.state == CacheState::Modified;
-    if (load_hit || store_hit) {
-        stats_.hits.inc();
-        if (store_hit)
-            cache_.writeData(req.addr, req.store_value);
-        MemResponse resp;
-        resp.context = req.context;
-        resp.load_value = hit.data;
-        resp.was_transaction = false;
-        queueCompletion(resp, config_.hit_latency, req.wants_reply);
+    // A queued hit (typically a request requeued after its line's
+    // miss completed) is served like the fast path, at hit latency.
+    if (const std::optional<MemResponse> resp = tryFastPath(req)) {
+        queueCompletion(*resp, config_.hit_latency, req.wants_reply);
         return;
     }
+    (req.is_store ? stats_.stores : stats_.loads).inc();
 
     const Addr line = lineOf(req.addr);
     if (MshrHandle *hp = mshrs_.find(line)) {

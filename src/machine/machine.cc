@@ -6,13 +6,13 @@
 #include "machine/machine.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 
 #include "obs/counters.hh"
 #include "sim/lockstep.hh"
 #include "util/logging.hh"
+#include "util/options.hh"
 
 namespace locsim {
 namespace machine {
@@ -35,12 +35,8 @@ Machine::resolveShardCount(const MachineConfig &config,
                          "); each shard needs at least one node");
         return config.shards;
     }
-    if (const char *env = std::getenv("LOCSIM_SHARDS")) {
-        const int parsed = std::atoi(env);
-        if (parsed >= 1)
-            return std::min(parsed, node_count);
-    }
-    return 1;
+    return std::min(util::envPositiveInt("LOCSIM_SHARDS", 1),
+                    node_count);
 }
 
 Machine::Machine(const MachineConfig &config,
@@ -111,7 +107,7 @@ Machine::Machine(const MachineConfig &config,
             switch (config.workload) {
               case WorkloadKind::TorusNeighbor:
                 programs_[slot] =
-                    std::make_unique<workload::TorusNeighborProgram>(
+                    std::make_unique<workload::NeighborProgram>(
                         topo, mapping_, instance, thread, config.app);
                 break;
               case WorkloadKind::UniformRandom:
@@ -124,7 +120,7 @@ Machine::Machine(const MachineConfig &config,
                 LOCSIM_ASSERT(config.graph != nullptr,
                               "Graph workload needs a CommGraph");
                 programs_[slot] =
-                    std::make_unique<workload::GraphNeighborProgram>(
+                    std::make_unique<workload::NeighborProgram>(
                         *config.graph, mapping_, instance, thread,
                         config.app);
                 break;
@@ -302,20 +298,6 @@ Machine::controller(sim::NodeId node)
     return *controllers_[node];
 }
 
-const workload::TorusNeighborProgram &
-Machine::program(sim::NodeId node, int context) const
-{
-    const auto *program =
-        dynamic_cast<const workload::TorusNeighborProgram *>(
-            programs_[node * static_cast<sim::NodeId>(
-                                 config_.contexts) +
-                      static_cast<sim::NodeId>(context)]
-                .get());
-    LOCSIM_ASSERT(program != nullptr,
-                  "program() requires the torus-neighbour workload");
-    return *program;
-}
-
 void
 Machine::resetStats()
 {
@@ -464,17 +446,8 @@ Machine::measure(std::uint64_t window)
 
     std::uint64_t iterations = 0, violations = 0;
     for (const auto &program : programs_) {
-        if (const auto *torus =
-                dynamic_cast<const workload::TorusNeighborProgram *>(
-                    program.get())) {
-            iterations += torus->iterations();
-            violations += torus->violations();
-        } else if (const auto *graph_app = dynamic_cast<
-                       const workload::GraphNeighborProgram *>(
-                       program.get())) {
-            iterations += graph_app->iterations();
-            violations += graph_app->violations();
-        }
+        iterations += program->iterations();
+        violations += program->violations();
     }
     m.iterations = iterations;
     m.violations = violations;

@@ -28,7 +28,6 @@
 #include "sim/engine.hh"
 #include "util/serialize.hh"
 #include "workload/comm_graph.hh"
-#include "workload/graph_app.hh"
 #include "workload/mapping.hh"
 #include "workload/torus_app.hh"
 #include "workload/uniform_app.hh"
@@ -309,13 +308,6 @@ class Machine
 
     /** The metrics sampler, or null when sample_period is 0. */
     obs::MetricsSampler *sampler() { return sampler_.get(); }
-
-    /**
-     * The torus-neighbour program of (node, context).
-     * @pre config().workload == WorkloadKind::TorusNeighbor.
-     */
-    const workload::TorusNeighborProgram &
-    program(sim::NodeId node, int context) const;
 
   private:
     void resetStats();

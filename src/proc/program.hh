@@ -75,6 +75,19 @@ class ThreadProgram
     virtual void loadState(util::Deserializer &d) { (void)d; }
 
     /**
+     * Completed iterations of the thread's loop, summed into
+     * Measurement::iterations. Programs without a loop report 0.
+     */
+    virtual std::uint64_t iterations() const { return 0; }
+
+    /**
+     * Coherence-order violations the thread observed (must stay
+     * zero), summed into Measurement::violations. Programs that do
+     * not check report 0.
+     */
+    virtual std::uint64_t violations() const { return 0; }
+
+    /**
      * Resident bytes of program state (footprint accounting).
      * Programs with heap-owned members add their capacities.
      */

@@ -6,8 +6,9 @@
 #include "runner/runner.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "util/options.hh"
 
 namespace locsim {
 namespace runner {
@@ -17,13 +18,9 @@ defaultThreads()
 {
     // LOCSIM_THREADS caps parallelism machine-wide (useful on shared
     // build boxes and in CI); otherwise use every hardware thread.
-    if (const char *env = std::getenv("LOCSIM_THREADS")) {
-        const int parsed = std::atoi(env);
-        if (parsed >= 1)
-            return parsed;
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
+    return util::envPositiveInt("LOCSIM_THREADS",
+                                hw == 0 ? 1 : static_cast<int>(hw));
 }
 
 ThreadPool::ThreadPool(int threads)

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 
 #include "util/logging.hh"
 
@@ -178,69 +177,6 @@ void
 TimeWeighted::reset()
 {
     *this = TimeWeighted();
-}
-
-void
-StatRegistry::add(const std::string &name, const Counter &counter)
-{
-    entries_.push_back({name, Entry::Kind::Counter, &counter});
-}
-
-void
-StatRegistry::add(const std::string &name, const Accumulator &acc)
-{
-    entries_.push_back({name + ".mean", Entry::Kind::AccMean, &acc});
-    entries_.push_back({name + ".count", Entry::Kind::AccCount, &acc});
-}
-
-void
-StatRegistry::addValue(const std::string &name, const double &value)
-{
-    entries_.push_back({name, Entry::Kind::Value, &value});
-}
-
-void
-StatRegistry::addValue(const std::string &name, double &&value)
-{
-    owned_values_.push_back(value);
-    entries_.push_back({name, Entry::Kind::Value,
-                        &owned_values_.back()});
-}
-
-std::vector<StatValue>
-StatRegistry::dump() const
-{
-    std::vector<StatValue> out;
-    out.reserve(entries_.size());
-    for (const auto &entry : entries_) {
-        double value = 0.0;
-        switch (entry.kind) {
-          case Entry::Kind::Counter:
-            value = static_cast<double>(
-                static_cast<const Counter *>(entry.source)->value());
-            break;
-          case Entry::Kind::AccMean:
-            value =
-                static_cast<const Accumulator *>(entry.source)->mean();
-            break;
-          case Entry::Kind::AccCount:
-            value = static_cast<double>(
-                static_cast<const Accumulator *>(entry.source)->count());
-            break;
-          case Entry::Kind::Value:
-            value = *static_cast<const double *>(entry.source);
-            break;
-        }
-        out.push_back({entry.name, value});
-    }
-    return out;
-}
-
-void
-StatRegistry::print(std::ostream &os) const
-{
-    for (const auto &stat : dump())
-        os << stat.name << " = " << stat.value << '\n';
 }
 
 } // namespace stats

@@ -3,21 +3,17 @@
  * Statistics primitives for the simulator and the measurement harness:
  * counters, streaming mean/variance accumulators, fixed-bucket
  * histograms, and time-weighted averages (for utilization-style
- * quantities). A StatRegistry groups named statistics for dumping.
+ * quantities).
  *
  * All statistics are deliberately simple value types; simulated
- * components own their stats directly and optionally register them for
- * reporting.
+ * components own their stats directly.
  */
 
 #ifndef LOCSIM_STATS_STATS_HH_
 #define LOCSIM_STATS_STATS_HH_
 
 #include <cstdint>
-#include <deque>
-#include <iosfwd>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "util/serialize.hh"
@@ -214,61 +210,6 @@ class TimeWeighted
     std::uint64_t elapsed_ = 0;
     double weighted_sum_ = 0.0;
     bool started_ = false;
-};
-
-/** One named entry in a StatRegistry dump. */
-struct StatValue
-{
-    std::string name;
-    double value;
-};
-
-/**
- * A flat registry of named statistic readouts.
- *
- * Components register closures that produce current values; dump()
- * snapshots all of them. Registration order is preserved.
- */
-class StatRegistry
-{
-  public:
-    /** Register a counter by reference (must outlive the registry). */
-    void add(const std::string &name, const Counter &counter);
-
-    /** Register an accumulator's mean and count. */
-    void add(const std::string &name, const Accumulator &acc);
-
-    /**
-     * Register an arbitrary double source by reference (must outlive
-     * the registry).
-     */
-    void addValue(const std::string &name, const double &value);
-
-    /**
-     * Register a fixed value. The temporary is captured into storage
-     * owned by the registry; without this overload a call with an
-     * rvalue (`addValue("x", compute())`) would bind the const
-     * reference to a dead temporary and dump garbage.
-     */
-    void addValue(const std::string &name, double &&value);
-
-    /** Snapshot all registered statistics. */
-    std::vector<StatValue> dump() const;
-
-    /** Pretty-print a snapshot. */
-    void print(std::ostream &os) const;
-
-  private:
-    struct Entry
-    {
-        std::string name;
-        enum class Kind { Counter, AccMean, AccCount, Value } kind;
-        const void *source;
-    };
-
-    std::vector<Entry> entries_;
-    /** Stable storage for captured rvalues (deque: no reallocation). */
-    std::deque<double> owned_values_;
 };
 
 } // namespace stats

@@ -274,5 +274,22 @@ applyObservabilityOptions(const OptionParser &parser)
     return obs;
 }
 
+int
+envPositiveInt(const char *name, int fallback)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr || *env == '\0')
+        return fallback;
+    char *end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(env, &end, 10);
+    if (*end != '\0' || errno == ERANGE || parsed < 1 ||
+        parsed > std::numeric_limits<int>::max()) {
+        LOCSIM_FATAL(name, " must be a positive integer, got '", env,
+                     "'");
+    }
+    return static_cast<int>(parsed);
+}
+
 } // namespace util
 } // namespace locsim

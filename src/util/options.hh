@@ -134,6 +134,15 @@ applyObservabilityOptions(const OptionParser &parser);
 void requireWritableParent(const std::string &path,
                            const std::string &flag);
 
+/**
+ * Read a positive-integer environment knob (LOCSIM_THREADS,
+ * LOCSIM_SHARDS). Unset or empty returns @p fallback; any other value
+ * that is not a positive int ("0", "2x", "abc") is fatal, so a typo
+ * fails before any simulation instead of silently meaning something
+ * else.
+ */
+int envPositiveInt(const char *name, int fallback);
+
 } // namespace util
 } // namespace locsim
 

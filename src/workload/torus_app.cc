@@ -1,6 +1,6 @@
 /**
  * @file
- * Synthetic application implementation.
+ * Neighbour-loop application implementation.
  */
 
 #include "workload/torus_app.hh"
@@ -22,33 +22,76 @@ stateWordAddr(const Mapping &mapping, std::uint32_t instance,
     return coher::makeAddr(home, line);
 }
 
-TorusNeighborProgram::TorusNeighborProgram(
-    const net::TorusTopology &topo, const Mapping &mapping,
+namespace {
+
+std::vector<std::uint32_t>
+torusNeighbors(const net::TorusTopology &topo, std::uint32_t thread)
+{
+    std::vector<std::uint32_t> neighbors;
+    for (int dim = 0; dim < topo.dims(); ++dim) {
+        for (int dir : {+1, -1}) {
+            const sim::NodeId nbr = topo.neighbor(thread, dim, dir);
+            if (nbr != sim::kNodeNone)
+                neighbors.push_back(nbr);
+        }
+    }
+    return neighbors;
+}
+
+std::vector<std::uint32_t>
+graphNeighbors(const CommGraph &graph, const Mapping &mapping,
+               std::uint32_t thread)
+{
+    LOCSIM_ASSERT(graph.vertexCount() == mapping.size(),
+                  "graph and mapping sizes must match");
+    std::vector<std::uint32_t> neighbors;
+    for (const CommGraph::Edge &edge : graph.neighbors(thread))
+        neighbors.push_back(edge.peer);
+    return neighbors;
+}
+
+} // namespace
+
+NeighborProgram::NeighborProgram(const net::TorusTopology &topo,
+                                 const Mapping &mapping,
+                                 std::uint32_t instance,
+                                 std::uint32_t thread,
+                                 const TorusAppConfig &config)
+    : NeighborProgram(torusNeighbors(topo, thread), mapping, instance,
+                      thread, config)
+{
+}
+
+NeighborProgram::NeighborProgram(const CommGraph &graph,
+                                 const Mapping &mapping,
+                                 std::uint32_t instance,
+                                 std::uint32_t thread,
+                                 const TorusAppConfig &config)
+    : NeighborProgram(graphNeighbors(graph, mapping, thread), mapping,
+                      instance, thread, config)
+{
+}
+
+NeighborProgram::NeighborProgram(
+    const std::vector<std::uint32_t> &neighbors, const Mapping &mapping,
     std::uint32_t instance, std::uint32_t thread,
     const TorusAppConfig &config)
     : config_(config), thread_(thread),
       own_addr_(stateWordAddr(mapping, instance, thread))
 {
-    for (int dim = 0; dim < topo.dims(); ++dim) {
-        for (int dir : {+1, -1}) {
-            const sim::NodeId nbr = topo.neighbor(thread, dim, dir);
-            if (nbr == sim::kNodeNone)
-                continue; // mesh edge: boundary threads read fewer
-            neighbor_addrs_.push_back(
-                stateWordAddr(mapping, instance, nbr));
-        }
-    }
+    LOCSIM_ASSERT(!neighbors.empty(),
+                  "thread ", thread, " has no neighbours");
+    for (std::uint32_t nbr : neighbors)
+        neighbor_addrs_.push_back(stateWordAddr(mapping, instance, nbr));
     last_seen_.assign(neighbor_addrs_.size(), 0);
 
     // Build the per-iteration op sequence: before load i, prefetch
     // neighbour i+1 (for the first prefetch_depth loads), then the
     // store of the thread's own word.
-    const auto neighbors =
-        static_cast<std::uint32_t>(neighbor_addrs_.size());
+    const auto count = static_cast<std::uint32_t>(neighbors.size());
     const std::uint32_t depth =
-        std::min<std::uint32_t>(config_.prefetch_depth,
-                                neighbors - 1);
-    for (std::uint32_t i = 0; i < neighbors; ++i) {
+        std::min<std::uint32_t>(config_.prefetch_depth, count - 1);
+    for (std::uint32_t i = 0; i < count; ++i) {
         if (i < depth) {
             sequence_.push_back(
                 {proc::Op::Kind::Prefetch, i + 1});
@@ -64,7 +107,7 @@ TorusNeighborProgram::TorusNeighborProgram(
 }
 
 proc::Op
-TorusNeighborProgram::makeOp() const
+NeighborProgram::makeOp() const
 {
     const Step &step = sequence_[pos_];
     proc::Op op;
@@ -90,16 +133,16 @@ TorusNeighborProgram::makeOp() const
 }
 
 proc::Op
-TorusNeighborProgram::start()
+NeighborProgram::start()
 {
     return makeOp();
 }
 
 proc::Op
-TorusNeighborProgram::next(std::uint64_t previous_result)
+NeighborProgram::next(std::uint64_t previous_result)
 {
     const Step &completed = sequence_[pos_];
-    if (completed.kind == proc::Op::Kind::Load && config_.verify) {
+    if (completed.kind == proc::Op::Kind::Load) {
         // A neighbour's counter must never regress: coherence must
         // serve a copy at least as fresh as any seen before.
         const std::uint64_t counter = previous_result >> 16;

@@ -4,16 +4,20 @@
  * thread keeps one state word in local memory and loops forever,
  * reading each torus-graph neighbour's state word, doing a trivial
  * computation, and writing a new value to its own word. Threads never
- * synchronize; all communication flows through cache coherence.
+ * synchronize; all communication flows through cache coherence. The
+ * same loop runs over any CommGraph (Section 1.1 defines locality by
+ * an application's communication graph): only the neighbour list
+ * changes.
  *
  * Multiple independent application instances run side by side, one
  * per hardware context, with exactly one thread of each instance on
  * every node; instances share nothing.
  *
  * The state words carry per-thread iteration counters, which lets the
- * program verify coherence end to end: a value read from a neighbour
- * must never be smaller than one read previously (a writer's counter
- * only grows, so any regression means a stale copy was served).
+ * program verify coherence end to end on every load: a value read
+ * from a neighbour must never be smaller than one read previously (a
+ * writer's counter only grows, so any regression means a stale copy
+ * was served).
  */
 
 #ifndef LOCSIM_WORKLOAD_TORUS_APP_HH_
@@ -25,6 +29,7 @@
 #include "coher/protocol.hh"
 #include "net/topology.hh"
 #include "proc/program.hh"
+#include "workload/comm_graph.hh"
 #include "workload/mapping.hh"
 
 namespace locsim {
@@ -48,8 +53,6 @@ struct TorusAppConfig
 {
     /** Useful work before each memory operation, processor cycles. */
     std::uint32_t compute_cycles = 8;
-    /** Verify read values against coherence invariants (tests). */
-    bool verify = true;
     /**
      * Software prefetching: before loading neighbour i, issue a
      * non-blocking prefetch for neighbour i+1 (for the first
@@ -64,29 +67,39 @@ struct TorusAppConfig
 };
 
 /** One thread of the synthetic application. */
-class TorusNeighborProgram : public proc::ThreadProgram
+class NeighborProgram : public proc::ThreadProgram
 {
   public:
     /**
+     * The paper's loop: neighbours are the torus neighbours in
+     * (dimension, +1, -1) order; a mesh's boundary threads skip the
+     * missing edges and read fewer words.
+     *
      * @param topo the application's communication graph (the same
      *        torus shape as the machine).
      * @param mapping thread placement (shared by all instances).
      * @param instance which independent application instance.
      * @param thread this thread's id in the graph.
      */
-    TorusNeighborProgram(const net::TorusTopology &topo,
-                         const Mapping &mapping, std::uint32_t instance,
-                         std::uint32_t thread,
-                         const TorusAppConfig &config);
+    NeighborProgram(const net::TorusTopology &topo,
+                    const Mapping &mapping, std::uint32_t instance,
+                    std::uint32_t thread, const TorusAppConfig &config);
+
+    /**
+     * The loop over any communication graph: neighbours are
+     * @p thread's peers in adjacency order. This is what a downstream
+     * user runs to evaluate placement for their own application's
+     * communication pattern.
+     */
+    NeighborProgram(const CommGraph &graph, const Mapping &mapping,
+                    std::uint32_t instance, std::uint32_t thread,
+                    const TorusAppConfig &config);
 
     proc::Op start() override;
     proc::Op next(std::uint64_t previous_result) override;
 
-    /** Completed iterations of the inner loop. */
-    std::uint64_t iterations() const { return iteration_; }
-
-    /** Coherence-order violations observed (must stay zero). */
-    std::uint64_t violations() const { return violations_; }
+    std::uint64_t iterations() const override { return iteration_; }
+    std::uint64_t violations() const override { return violations_; }
 
     void
     saveState(util::Serializer &s) const override
@@ -118,6 +131,10 @@ class TorusNeighborProgram : public proc::ThreadProgram
     }
 
   private:
+    NeighborProgram(const std::vector<std::uint32_t> &neighbors,
+                    const Mapping &mapping, std::uint32_t instance,
+                    std::uint32_t thread, const TorusAppConfig &config);
+
     proc::Op makeOp() const;
 
     TorusAppConfig config_;

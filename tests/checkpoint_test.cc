@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "machine/machine.hh"
 #include "util/serialize.hh"
 #include "util/sha256.hh"
+#include "workload/comm_graph.hh"
 #include "workload/mapping.hh"
 
 namespace locsim {
@@ -160,10 +162,9 @@ TEST(Checkpoint, PrefetchingWorkloadRoundTrips)
  * mid-transaction, so cross-shard flits are in flight and migrating
  * message records may be sitting in the parity mailboxes.
  */
-TEST(Checkpoint, ShardedImageRestoresAtAnyShardCount)
+void
+expectShardedImageRestoresAtAnyShardCount(MachineConfig config)
 {
-    MachineConfig config = smallConfig();
-    config.contexts = 2;
     config.shards = 1;
     const workload::Mapping mapping = identityMapping(config);
 
@@ -194,6 +195,20 @@ TEST(Checkpoint, ShardedImageRestoresAtAnyShardCount)
             << "restored at " << restore_shards << " shards";
         EXPECT_EQ(resumed.violations, 0u);
     }
+}
+
+TEST(Checkpoint, ShardedImageRestoresAtAnyShardCount)
+{
+    MachineConfig config = smallConfig();
+    config.contexts = 2;
+    expectShardedImageRestoresAtAnyShardCount(config);
+
+    // The neighbour loop over a non-torus communication graph.
+    MachineConfig graph = smallConfig();
+    graph.workload = WorkloadKind::Graph;
+    graph.graph = std::make_shared<workload::CommGraph>(
+        workload::CommGraph::randomPeers(16, 3, 5));
+    expectShardedImageRestoresAtAnyShardCount(graph);
 }
 
 TEST(Checkpoint, SaveLoadSaveIsByteStable)

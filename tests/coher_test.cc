@@ -466,6 +466,30 @@ TEST_F(ProtocolFixture, ConcurrentWritersSerialize)
     EXPECT_EQ(final, owner1 ? 100u : 200u);
 }
 
+TEST_F(ProtocolFixture, QueuedStoreHitEchoesItsOwnValue)
+{
+    // Two contexts of node 1 store to one line homed at node 0. The
+    // second store waits behind the first's GetX and is requeued after
+    // the grant, where it hits in Modified; its completion must echo
+    // its own stored value, as every other store path does.
+    build(2, 2);
+    const Addr addr = makeAddr(0, 8);
+    std::vector<MemResponse> done;
+    clients[1]->on_complete = [&](const MemResponse &resp) {
+        done.push_back(resp);
+    };
+    controllers[1]->request(MemRequest{true, addr, 100, 0});
+    controllers[1]->request(MemRequest{true, addr, 200, 1});
+    ASSERT_TRUE(engine.runUntil([&] { return done.size() == 2; },
+                                100000));
+    EXPECT_EQ(done[0].context, 0);
+    EXPECT_EQ(done[0].load_value, 100u);
+    EXPECT_EQ(done[1].context, 1);
+    EXPECT_EQ(done[1].load_value, 200u);
+    EXPECT_FALSE(done[1].was_transaction);
+    EXPECT_EQ(load(1, addr), 200u);
+}
+
 TEST_F(ProtocolFixture, CriticalPathCountsMatchFlows)
 {
     build(2, 2);

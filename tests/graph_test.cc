@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "machine/machine.hh"
 #include "net/topology.hh"
 #include "workload/comm_graph.hh"
-#include "workload/graph_app.hh"
 #include "workload/placement.hh"
+#include "workload/torus_app.hh"
 
 namespace locsim {
 namespace workload {
@@ -133,21 +136,32 @@ TEST(Placement, RandomPeersGraphBarelyImproves)
 
 TEST(GraphApp, MatchesTorusProgramOnTorusGraph)
 {
-    // Same op stream as TorusNeighborProgram when the graph is the
-    // torus (neighbor order may differ; compare as sets of addrs).
+    // The graph constructor on the torus graph reads the same words
+    // and stores the same word as the torus constructor (neighbour
+    // order may differ; compare loads as sets of addrs).
     net::TorusTopology topo(8, 2);
-    const CommGraph graph = CommGraph::torus(8, 2);
     const Mapping mapping = Mapping::identity(64);
-    GraphNeighborProgram program(graph, mapping, 0, 9, {});
+    NeighborProgram from_graph(CommGraph::torus(8, 2), mapping, 0, 9,
+                               {});
+    NeighborProgram from_torus(topo, mapping, 0, 9, {});
 
-    std::set<coher::Addr> loads;
-    proc::Op op = program.start();
-    while (op.kind == proc::Op::Kind::Load) {
-        loads.insert(op.addr);
-        op = program.next(0);
-    }
-    EXPECT_EQ(loads.size(), 4u);
-    EXPECT_EQ(coher::homeOf(op.addr), 9u); // the store is local
+    const auto iteration = [](NeighborProgram &program) {
+        std::set<coher::Addr> loads;
+        proc::Op op = program.start();
+        while (op.kind == proc::Op::Kind::Load) {
+            loads.insert(op.addr);
+            op = program.next(0);
+        }
+        EXPECT_EQ(op.kind, proc::Op::Kind::Store);
+        return std::make_pair(loads, op);
+    };
+    const auto [graph_loads, graph_store] = iteration(from_graph);
+    const auto [torus_loads, torus_store] = iteration(from_torus);
+    EXPECT_EQ(graph_loads.size(), 4u);
+    EXPECT_EQ(graph_loads, torus_loads);
+    EXPECT_EQ(coher::homeOf(graph_store.addr), 9u); // the store is local
+    EXPECT_EQ(graph_store.addr, torus_store.addr);
+    EXPECT_EQ(graph_store.store_value, torus_store.store_value);
 }
 
 TEST(GraphMachine, RunsRingWorkloadCoherently)
@@ -161,6 +175,28 @@ TEST(GraphMachine, RunsRingWorkloadCoherently)
     EXPECT_EQ(m.violations, 0u);
     EXPECT_GT(m.iterations, 100u);
     EXPECT_GT(m.transactions, 500u);
+}
+
+TEST(GraphMachine, HonoursPrefetchDepth)
+{
+    // The graph loop prefetches like the torus loop: on the torus
+    // graph, depth 2 must change the run and stay coherent.
+    auto run = [](std::uint32_t depth) {
+        machine::MachineConfig config;
+        config.workload = machine::WorkloadKind::Graph;
+        config.graph =
+            std::make_shared<workload::CommGraph>(CommGraph::torus(8, 2));
+        config.app.prefetch_depth = depth;
+        machine::Machine machine(config, Mapping::identity(64));
+        return machine.run(2000, 8000);
+    };
+    const auto base = run(0);
+    const auto prefetched = run(2);
+    EXPECT_EQ(base.violations, 0u);
+    EXPECT_EQ(prefetched.violations, 0u);
+    EXPECT_NE(prefetched.txn_rate, base.txn_rate);
+    EXPECT_NE(prefetched.iterations, base.iterations);
+    EXPECT_GT(prefetched.hit_rate, base.hit_rate);
 }
 
 TEST(GraphMachine, OptimizedPlacementOutperformsRandom)

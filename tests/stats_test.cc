@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "stats/stats.hh"
 #include "util/random.hh"
 
@@ -201,70 +199,6 @@ TEST(TimeWeighted, EmptyAverageIsZero)
     EXPECT_EQ(tw.average(), 0.0);
     tw.update(5, 2.0);
     EXPECT_EQ(tw.average(), 0.0); // no elapsed time yet
-}
-
-TEST(StatRegistry, DumpsRegisteredSources)
-{
-    StatRegistry reg;
-    Counter c;
-    Accumulator acc;
-    double gauge = 1.5;
-    reg.add("events", c);
-    reg.add("latency", acc);
-    reg.addValue("gauge", gauge);
-
-    c.inc(3);
-    acc.add(10.0);
-    acc.add(20.0);
-    gauge = 2.5;
-
-    const auto snapshot = reg.dump();
-    ASSERT_EQ(snapshot.size(), 4u);
-    EXPECT_EQ(snapshot[0].name, "events");
-    EXPECT_EQ(snapshot[0].value, 3.0);
-    EXPECT_EQ(snapshot[1].name, "latency.mean");
-    EXPECT_EQ(snapshot[1].value, 15.0);
-    EXPECT_EQ(snapshot[2].name, "latency.count");
-    EXPECT_EQ(snapshot[2].value, 2.0);
-    EXPECT_EQ(snapshot[3].name, "gauge");
-    EXPECT_EQ(snapshot[3].value, 2.5);
-
-    std::ostringstream oss;
-    reg.print(oss);
-    EXPECT_NE(oss.str().find("latency.mean = 15"), std::string::npos);
-}
-
-TEST(StatRegistry, RvalueAddValueCapturesTheValue)
-{
-    // Regression: addValue with a temporary used to register a const
-    // reference to the dead temporary; the dump then read freed stack
-    // memory. The rvalue overload must capture by value into
-    // registry-owned storage that stays stable as more entries arrive.
-    StatRegistry reg;
-    reg.addValue("first", 1.0 + 0.5);
-    for (int i = 0; i < 100; ++i)
-        reg.addValue("v" + std::to_string(i),
-                     static_cast<double>(i) * 2.0);
-
-    const auto snapshot = reg.dump();
-    ASSERT_EQ(snapshot.size(), 101u);
-    EXPECT_DOUBLE_EQ(snapshot[0].value, 1.5);
-    EXPECT_DOUBLE_EQ(snapshot[1].value, 0.0);
-    EXPECT_DOUBLE_EQ(snapshot[100].value, 198.0);
-}
-
-TEST(StatRegistry, RvalueAndReferenceEntriesCoexist)
-{
-    StatRegistry reg;
-    double live = 1.0;
-    reg.addValue("live", live);
-    reg.addValue("frozen", live * 10.0);
-    live = 7.0; // visible through the reference, not the captured copy
-
-    const auto snapshot = reg.dump();
-    ASSERT_EQ(snapshot.size(), 2u);
-    EXPECT_DOUBLE_EQ(snapshot[0].value, 7.0);
-    EXPECT_DOUBLE_EQ(snapshot[1].value, 10.0);
 }
 
 TEST(Histogram, QuantileOfEmptyHistogramIsLo)

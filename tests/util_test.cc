@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -381,6 +382,28 @@ TEST(OptionsDeathTest, RejectsBadInput)
     EXPECT_DEATH(uint64("-1", 0), "--cycles must be >= 0, got -1");
     EXPECT_DEATH(uint64("-5", 1), "--cycles must be >= 1, got -5");
     EXPECT_DEATH(uint64("0", 1), "--cycles must be >= 1, got 0");
+}
+
+TEST(OptionsDeathTest, EnvKnobIsStrict)
+{
+    // The one reader behind LOCSIM_SHARDS and LOCSIM_THREADS: unset or
+    // empty keeps the default; anything but a positive int is fatal.
+    const char *name = "LOCSIM_TEST_ENV_KNOB";
+    auto read = [name](const char *value) {
+        ::setenv(name, value, 1);
+        return envPositiveInt(name, 7);
+    };
+    ::unsetenv(name);
+    EXPECT_EQ(envPositiveInt(name, 7), 7);
+    EXPECT_EQ(read(""), 7);
+    EXPECT_EQ(read("3"), 3);
+    EXPECT_DEATH(read("2x"), "LOCSIM_TEST_ENV_KNOB must be a positive "
+                             "integer, got '2x'");
+    EXPECT_DEATH(read("abc"), "must be a positive integer");
+    EXPECT_DEATH(read("0"), "must be a positive integer");
+    EXPECT_DEATH(read("-2"), "must be a positive integer");
+    EXPECT_DEATH(read("4294967298"), "must be a positive integer");
+    ::unsetenv(name);
 }
 
 TEST(Options, UsageMentionsAllOptions)

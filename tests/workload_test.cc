@@ -136,7 +136,7 @@ TEST(TorusApp, OpSequenceIsLoadsThenStore)
     const Mapping mapping = Mapping::identity(64);
     TorusAppConfig config;
     config.compute_cycles = 8;
-    TorusNeighborProgram program(topo, mapping, 0, 9, config);
+    NeighborProgram program(topo, mapping, 0, 9, config);
 
     proc::Op op = program.start();
     for (int i = 0; i < 4; ++i) {
@@ -158,7 +158,7 @@ TEST(TorusApp, StoreValueEncodesIterationAndThread)
 {
     net::TorusTopology topo(8, 2);
     const Mapping mapping = Mapping::identity(64);
-    TorusNeighborProgram program(topo, mapping, 0, 42, {});
+    NeighborProgram program(topo, mapping, 0, 42, {});
     proc::Op op = program.start();
     while (op.kind != proc::Op::Kind::Store)
         op = program.next(0);
@@ -170,7 +170,7 @@ TEST(TorusApp, ViolationDetectorFiresOnRegression)
 {
     net::TorusTopology topo(8, 2);
     const Mapping mapping = Mapping::identity(64);
-    TorusNeighborProgram program(topo, mapping, 0, 0, {});
+    NeighborProgram program(topo, mapping, 0, 0, {});
     program.start();
     // First neighbour read returns counter 5, later counter 3:
     // a coherence regression the program must flag.
@@ -233,7 +233,7 @@ TEST(TorusApp, PrefetchSequenceInterleavesCorrectly)
     const Mapping mapping = Mapping::identity(64);
     TorusAppConfig config;
     config.prefetch_depth = 2;
-    TorusNeighborProgram program(topo, mapping, 0, 9, config);
+    NeighborProgram program(topo, mapping, 0, 9, config);
 
     // Expected per-iteration kinds: P L P L L L P S.
     const proc::Op::Kind expected[] = {
@@ -321,8 +321,7 @@ TEST(TorusApp, MeshBoundaryThreadsHaveFewerNeighbors)
     net::TorusTopology mesh(8, 2, false);
     const Mapping mapping = Mapping::identity(64);
     // Corner thread (0,0): two neighbours instead of four.
-    TorusNeighborProgram corner(mesh, mapping, 0,
-                                mesh.nodeAt({0, 0}), {});
+    NeighborProgram corner(mesh, mapping, 0, mesh.nodeAt({0, 0}), {});
     int loads = 0;
     proc::Op op = corner.start();
     while (op.kind == proc::Op::Kind::Load) {
