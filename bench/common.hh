@@ -82,8 +82,6 @@ struct HarnessOptions
     bool cache_stats = false;
     /** --no-prefix-cache: run warmups from clock 0 even when cached. */
     bool no_prefix_cache = false;
-    /** --prefix-rung-stride: intermediate prefix-image stride. */
-    std::uint64_t prefix_rung_stride = 0;
 
     /**
      * The prefix-checkpoint planner (see cache/prefix.hh), created iff
@@ -176,11 +174,6 @@ parseHarnessOptions(util::OptionParser &opts, int argc,
                  "disable prefix-checkpoint warmup reuse (on by "
                  "default when --cache-dir is set; results are "
                  "bit-identical either way)");
-    opts.addInt("prefix-rung-stride",
-                "additionally store prefix images every N processor "
-                "cycles below the warmup, so near-miss warmups share "
-                "a ladder (0 = warmup boundaries only)",
-                0);
     opts.addFlag("build-info",
                  "print build provenance (git SHA, compiler, flags) "
                  "and exit");
@@ -247,16 +240,6 @@ parseHarnessOptions(util::OptionParser &opts, int argc,
     out.no_cache = opts.getFlag("no-cache");
     out.cache_stats = opts.getFlag("cache-stats");
     out.no_prefix_cache = opts.getFlag("no-prefix-cache");
-    const int rung_stride = opts.getInt32("prefix-rung-stride");
-    if (opts.wasSet("prefix-rung-stride") && rung_stride <= 0) {
-        LOCSIM_FATAL(
-            "--prefix-rung-stride must be a positive cycle count, "
-            "got ",
-            rung_stride, " (omit the flag for warmup-boundary-only "
-            "prefix images)");
-    }
-    out.prefix_rung_stride =
-        static_cast<std::uint64_t>(rung_stride > 0 ? rung_stride : 0);
     if (!out.cache_dir.empty() && !out.no_cache) {
         try {
             out.sim_cache = std::make_shared<locsim::cache::SimCache>(
@@ -266,11 +249,9 @@ parseHarnessOptions(util::OptionParser &opts, int argc,
         }
     }
     if (out.sim_cache != nullptr && !out.no_prefix_cache) {
-        locsim::cache::PrefixOptions prefix_options;
-        prefix_options.rung_stride = out.prefix_rung_stride;
         out.prefix_planner =
             std::make_shared<locsim::cache::PrefixPlanner>(
-                *out.sim_cache, prefix_options);
+                *out.sim_cache);
     }
     // Resolve --shards / LOCSIM_SHARDS here, on the main thread, so a
     // malformed variable is fatal before any simulation. The result
@@ -478,9 +459,6 @@ maybeWriteRunReport(const HarnessOptions &options,
     report.addConfig("cache_enabled", options.sim_cache != nullptr);
     report.addConfig("prefix_cache_enabled",
                      options.prefix_planner != nullptr);
-    report.addConfig("prefix_rung_stride",
-                     static_cast<std::uint64_t>(
-                         options.prefix_rung_stride));
     for (const SimPoint &p : points) {
         report.addSimulation(p.mapping + ".p" +
                                  std::to_string(p.contexts),

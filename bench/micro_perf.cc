@@ -438,7 +438,7 @@ BM_PrefixSweep(benchmark::State &state, bool use_prefix)
             cache::SimCache store(dir.string());
             std::optional<cache::PrefixPlanner> planner;
             if (use_prefix)
-                planner.emplace(store, cache::PrefixOptions{});
+                planner.emplace(store);
             for (const std::uint64_t window : windows) {
                 const auto payload = store.getOrRun(
                     cache::simKey(config, mapping, kWarmup, window),

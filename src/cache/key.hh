@@ -32,8 +32,10 @@ namespace cache {
 /** Simulator behavior + payload layout version (see file comment).
  *  Version 2: message ids became per-source sequence numbers (the
  *  sharded-execution rework); byte-identical results, but a bumped
- *  version keeps pre-rework entries from being trusted untested. */
-inline constexpr std::uint32_t kCacheSchemaVersion = 2;
+ *  version keeps pre-rework entries from being trusted untested.
+ *  Version 3: a mesh's Measurement::utilization divides by its real
+ *  channel count, 2*n*(k-1)*k^(n-1), not the torus's 2*n*N. */
+inline constexpr std::uint32_t kCacheSchemaVersion = 3;
 
 /**
  * Prefix-entry schema version, folded into prefixKey alongside

@@ -23,13 +23,6 @@
  * runner::ThreadPool lanes ask; across processes, the atomic
  * temp+rename store makes concurrent producers race to write
  * identical bytes.
- *
- * Rungs: with a nonzero stride the producer also stores intermediate
- * images at every multiple of the stride below the warmup boundary,
- * and starts from the longest stored rung when producing a new
- * prefix. Sweep points whose warmups *near-miss* each other (6000 vs
- * 6400 with stride 2000) then share the 6000-cycle rung instead of
- * simulating from clock zero.
  */
 
 #ifndef LOCSIM_CACHE_PREFIX_HH_
@@ -47,16 +40,12 @@
 namespace locsim {
 namespace cache {
 
-/** Prefix-cache knobs (the harness's --prefix-* flags). */
+/**
+ * Kept empty so callers that still spell `PrefixOptions{}` compile;
+ * the planner has no knobs.
+ */
 struct PrefixOptions
 {
-    /**
-     * Rung stride in processor cycles; 0 (default) stores images at
-     * exact warmup boundaries only. With a positive stride, producers
-     * additionally store images at every multiple of the stride up to
-     * the warmup, and restore from the longest available rung.
-     */
-    std::uint64_t rung_stride = 0;
 };
 
 /** One sweep point, as the planner sees it. */
@@ -78,17 +67,19 @@ class PrefixPlanner
 {
   public:
     /** @param store backing cache (must outlive the planner). */
-    PrefixPlanner(SimCache &store, const PrefixOptions &options);
+    explicit PrefixPlanner(SimCache &store, PrefixOptions = {});
 
     /**
      * A machine positioned at @p warmup processor cycles, by the
      * cheapest correct route: restored from the stored prefix image
-     * when one exists, otherwise produced (itself restoring the
-     * longest stored rung below @p warmup, then advancing) and stored
-     * exactly once under singleflight. Corrupt stored images are
-     * dropped and recomputed. The returned machine is ready for
-     * measure(window); its measurements are bit-identical to
-     * Machine::run(warmup, window) on a fresh machine.
+     * when one exists, otherwise produced (a fresh machine advanced
+     * to @p warmup) and stored exactly once under singleflight. An
+     * image that fails to restore is dropped and the lookup retried
+     * once, which produces a good image (or shares one another
+     * thread produced); a second failure propagates. The returned
+     * machine is ready for measure(window); its measurements are
+     * bit-identical to Machine::run(warmup, window) on a fresh
+     * machine.
      */
     std::unique_ptr<machine::Machine>
     warmMachine(const machine::MachineConfig &config,
@@ -106,26 +97,8 @@ class PrefixPlanner
     std::vector<std::string>
     distinctPrefixes(const std::vector<PrefixPoint> &points) const;
 
-    /**
-     * The rung clocks below @p warmup, descending (largest first):
-     * multiples of the stride in (0, warmup). Empty when the stride
-     * is 0 or >= warmup.
-     */
-    std::vector<std::uint64_t> rungClocks(std::uint64_t warmup) const;
-
-    SimCache &store() const { return store_; }
-    const PrefixOptions &options() const { return options_; }
-
   private:
-    /** Build a machine and advance it to @p warmup, reusing and
-     *  materializing rungs along the way. */
-    std::unique_ptr<machine::Machine>
-    produce(const machine::MachineConfig &config,
-            const workload::Mapping &mapping,
-            std::uint64_t warmup) const;
-
     SimCache &store_;
-    PrefixOptions options_;
 };
 
 } // namespace cache

@@ -89,12 +89,6 @@ SimCache::lookup(const std::string &key) const
     return lookupEntry(key, Kind::Result);
 }
 
-std::optional<std::vector<std::uint8_t>>
-SimCache::lookupCheckpoint(const std::string &key) const
-{
-    return lookupEntry(key, Kind::Checkpoint);
-}
-
 void
 SimCache::remove(const std::string &key)
 {

@@ -115,9 +115,6 @@ class SimCache
         const std::string &key,
         const std::function<std::vector<std::uint8_t>()> &compute);
 
-    std::optional<std::vector<std::uint8_t>>
-    lookupCheckpoint(const std::string &key) const;
-
     void removeCheckpoint(const std::string &key);
     ///@}
 

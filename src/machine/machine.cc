@@ -220,7 +220,7 @@ Machine::Machine(const MachineConfig &config,
         net::Network *net = network_.get();
         const double node_count = static_cast<double>(nodes);
         const double channels =
-            node_count * 2.0 * static_cast<double>(config.dims);
+            static_cast<double>(net->neighborChannels());
         sampler_->addGauge("buffered_flits", [net] {
             return static_cast<double>(net->bufferedFlits());
         });
@@ -284,12 +284,6 @@ Machine::memoryBytes() const
     for (const auto &processor : processors_)
         bytes += processor->memoryBytes();
     return bytes;
-}
-
-double
-Machine::mappingDistance() const
-{
-    return mapping_.averageNeighborDistance(network_->topology());
 }
 
 coher::CacheController &

@@ -219,9 +219,6 @@ class Machine
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
 
-    /** Average communication distance implied by the mapping. */
-    double mappingDistance() const;
-
     /**
      * Resident bytes of the machine's major per-node containers
      * (caches, directories, transaction pools, queues, processors,

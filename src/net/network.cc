@@ -738,10 +738,9 @@ Network::channelUtilization() const
     // channels only.
     const std::uint64_t hops =
         totalNeighborFlitHops() - stats_flit_hops_base_;
-    const double channels = static_cast<double>(topo_.nodeCount()) *
-                            2.0 * static_cast<double>(config_.dims);
     return static_cast<double>(hops) /
-           (static_cast<double>(elapsed) * channels);
+           (static_cast<double>(elapsed) *
+            static_cast<double>(neighborChannels()));
 }
 
 const MessageRecord *
@@ -1242,13 +1241,6 @@ Network::loadState(util::Deserializer &d)
     shards_[0].stats.loadState(d);
     stats_start_ = d.get<sim::Tick>();
     stats_flit_hops_base_ = d.get<std::uint64_t>();
-}
-
-void
-Network::setTracer(obs::Tracer *tracer)
-{
-    for (int s = 0; s < plan_.shards; ++s)
-        setShardTracer(s, tracer);
 }
 
 void

@@ -298,10 +298,22 @@ class Network : public sim::Clocked
 
     /**
      * Average utilization of the neighbor (network) channels since the
-     * last stats reset: flit-hops / (cycles * channel count). This is
-     * the quantity the model calls rho.
+     * last stats reset: flit-hops / (cycles * neighborChannels()).
+     * This is the quantity the model calls rho.
      */
     double channelUtilization() const;
+
+    /**
+     * Number of neighbor (network) channels: every link but each
+     * node's injection and ejection link. 2*n*N on a torus;
+     * 2*n*(k-1)*k^(n-1) on a mesh, whose edge nodes lack outward links.
+     */
+    std::size_t
+    neighborChannels() const
+    {
+        return links_.size() - 2 * static_cast<std::size_t>(
+                                       topo_.nodeCount());
+    }
 
     /** Look up accounting for a message (test/diagnostic hook). */
     const MessageRecord *record(MessageId id) const;
@@ -328,19 +340,15 @@ class Network : public sim::Clocked
     std::size_t memoryBytes() const;
 
     /**
-     * Attach a tracer for every shard (nullptr to detach; not owned).
-     * Allocates one "net.<node>" track per node on first attach:
-     * message lifetimes run as async spans from send() to tail
-     * ejection, with "inject" instants when the head flit is first
-     * offered. Routers share the tracks for flit-level detail.
-     */
-    void setTracer(obs::Tracer *tracer);
-
-    /**
-     * Attach shard @p s's tracer (sharded machines give each shard an
-     * independent tracer so emission stays thread-local; the spans for
-     * a cross-shard message begin on the source shard's tracer and end
-     * on the destination's).
+     * Attach shard @p s's tracer (nullptr to detach; not owned).
+     * Allocates one "net.<node>" track per node of the shard on first
+     * attach: message lifetimes run as async spans from send() to
+     * tail ejection, with "inject" instants when the head flit is
+     * first offered. Routers share the tracks for flit-level detail.
+     * Sharded machines give each shard an independent tracer so
+     * emission stays thread-local; the spans for a cross-shard
+     * message begin on the source shard's tracer and end on the
+     * destination's.
      */
     void setShardTracer(int s, obs::Tracer *tracer);
 

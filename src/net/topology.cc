@@ -154,12 +154,6 @@ TorusTopology::averageRandomDistance() const
 }
 
 double
-TorusTopology::averageRandomDistancePerDim() const
-{
-    return averageRandomDistance() / static_cast<double>(dims_);
-}
-
-double
 randomMappingDistance(int radix, int dims)
 {
     LOCSIM_ASSERT(radix >= 2 && dims >= 1, "bad torus parameters");

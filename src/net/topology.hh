@@ -100,9 +100,6 @@ class TorusTopology
      */
     double averageRandomDistance() const;
 
-    /** Mean hops per dimension for random traffic, d / n (Eq 13). */
-    double averageRandomDistancePerDim() const;
-
   private:
     int radix_;
     int dims_;

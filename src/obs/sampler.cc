@@ -12,8 +12,7 @@
 namespace locsim {
 namespace obs {
 
-MetricsSampler::MetricsSampler(sim::Tick period, double hist_range)
-    : period_(period), hist_range_(hist_range)
+MetricsSampler::MetricsSampler(sim::Tick period) : period_(period)
 {
     LOCSIM_ASSERT(period >= 1, "sample period must be >= 1 tick");
 }
@@ -21,15 +20,13 @@ MetricsSampler::MetricsSampler(sim::Tick period, double hist_range)
 void
 MetricsSampler::addGauge(std::string name, Probe fn)
 {
-    probes_.emplace_back(std::move(name), Kind::Gauge, std::move(fn),
-                         hist_range_);
+    probes_.emplace_back(std::move(name), Kind::Gauge, std::move(fn));
 }
 
 void
 MetricsSampler::addRate(std::string name, Probe fn, double scale)
 {
-    ProbeEntry entry(std::move(name), Kind::Rate, std::move(fn),
-                     hist_range_);
+    ProbeEntry entry(std::move(name), Kind::Rate, std::move(fn));
     entry.scale = scale;
     entry.prev = entry.fn();
     probes_.push_back(std::move(entry));
@@ -38,8 +35,7 @@ MetricsSampler::addRate(std::string name, Probe fn, double scale)
 void
 MetricsSampler::addMean(std::string name, Probe sum_fn, Probe count_fn)
 {
-    ProbeEntry entry(std::move(name), Kind::Mean, std::move(sum_fn),
-                     hist_range_);
+    ProbeEntry entry(std::move(name), Kind::Mean, std::move(sum_fn));
     entry.count_fn = std::move(count_fn);
     entry.prev = entry.fn();
     entry.prev_count = entry.count_fn();
@@ -88,8 +84,6 @@ MetricsSampler::sample(sim::Tick when)
           }
         }
         probe.series.push_back(value);
-        probe.summary.update(when, value);
-        probe.hist.add(value);
         if (tracer_ != nullptr) {
             tracer_->counter(probe.counter_track, when,
                              probe.counter_name, value);
@@ -132,28 +126,12 @@ MetricsSampler::series(std::size_t i) const
     return probes_[i].series;
 }
 
-const stats::TimeWeighted &
-MetricsSampler::summary(std::size_t i) const
-{
-    LOCSIM_ASSERT(i < probes_.size(), "probe index out of range");
-    return probes_[i].summary;
-}
-
-const stats::Histogram &
-MetricsSampler::histogram(std::size_t i) const
-{
-    LOCSIM_ASSERT(i < probes_.size(), "probe index out of range");
-    return probes_[i].hist;
-}
-
 void
 MetricsSampler::clearSamples()
 {
     times_.clear();
     for (auto &probe : probes_) {
         probe.series.clear();
-        probe.summary.reset();
-        probe.hist.reset();
         if (probe.kind == Kind::Rate || probe.kind == Kind::Mean)
             probe.prev = probe.fn();
         if (probe.kind == Kind::Mean)

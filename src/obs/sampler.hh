@@ -15,10 +15,6 @@
  *           cumulative sources (e.g. windowed mean message latency) —
  *           0 when the window saw no samples.
  *
- * Each probe also feeds a stats::TimeWeighted summary (its run-long
- * time-weighted mean) and a stats::Histogram of sampled values, so
- * summaries are available without post-processing the series.
- *
  * The lockstep driver runs it at the serial point of every tick
  * (sim::LockstepSerial), against its own schedule: sample points at
  * 0, period, 2*period, ... The sampler never keeps the machine awake:
@@ -43,7 +39,6 @@
 #include "obs/trace.hh"
 #include "sim/lockstep.hh"
 #include "sim/types.hh"
-#include "stats/stats.hh"
 
 namespace locsim {
 namespace obs {
@@ -57,11 +52,8 @@ class MetricsSampler final : public sim::LockstepSerial
     /**
      * @param period sample cadence in engine ticks (>= 1); the first
      *        sample point is tick 0.
-     * @param hist_range upper bound of each probe's value histogram
-     *        ([0, hist_range) in 64 buckets).
      */
-    explicit MetricsSampler(sim::Tick period,
-                            double hist_range = 1024.0);
+    explicit MetricsSampler(sim::Tick period);
 
     /** Record @p fn() at every sample point. */
     void addGauge(std::string name, Probe fn);
@@ -106,12 +98,6 @@ class MetricsSampler final : public sim::LockstepSerial
     /** Series for probe @p i, one value per entry of times(). */
     const std::vector<double> &series(std::size_t i) const;
 
-    /** Run-long time-weighted mean of probe @p i's signal. */
-    const stats::TimeWeighted &summary(std::size_t i) const;
-
-    /** Distribution of probe @p i's sampled values. */
-    const stats::Histogram &histogram(std::size_t i) const;
-
     /**
      * Drop recorded samples and restart the rate/mean windows from
      * the sources' current values (e.g. after warmup). Sample cadence
@@ -130,10 +116,8 @@ class MetricsSampler final : public sim::LockstepSerial
 
     struct ProbeEntry
     {
-        ProbeEntry(std::string name, Kind kind, Probe fn,
-                   double hist_range)
-            : name(std::move(name)), kind(kind), fn(std::move(fn)),
-              hist(0.0, hist_range, 64)
+        ProbeEntry(std::string name, Kind kind, Probe fn)
+            : name(std::move(name)), kind(kind), fn(std::move(fn))
         {
         }
 
@@ -145,8 +129,6 @@ class MetricsSampler final : public sim::LockstepSerial
         double prev = 0.0;    //!< previous cumulative value
         double prev_count = 0.0;
         std::vector<double> series;
-        stats::TimeWeighted summary;
-        stats::Histogram hist;
         int counter_track = -1;
         /** Tracer-interned copy of `name` (counter event names must
             outlive this sampler; see Tracer::intern). */
@@ -157,7 +139,6 @@ class MetricsSampler final : public sim::LockstepSerial
     void sample(sim::Tick when);
 
     sim::Tick period_;
-    double hist_range_;
     /** The next sample point: the sampler's one schedule. */
     sim::Tick next_sample_ = 0;
     std::vector<ProbeEntry> probes_;

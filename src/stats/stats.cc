@@ -6,7 +6,6 @@
 #include "stats/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hh"
 
@@ -33,12 +32,6 @@ Accumulator::variance() const
     // Cancellation can leave a tiny negative residual for
     // near-constant streams; variance is non-negative by definition.
     return std::max(0.0, centered / static_cast<double>(count_ - 1));
-}
-
-double
-Accumulator::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 double
@@ -148,35 +141,6 @@ Histogram::merge(const Histogram &other)
     underflow_ += other.underflow_;
     overflow_ += other.overflow_;
     total_ += other.total_;
-}
-
-void
-TimeWeighted::update(std::uint64_t now, double value)
-{
-    if (started_) {
-        LOCSIM_ASSERT(now >= last_time_,
-                      "time-weighted update went backwards: ", now,
-                      " < ", last_time_);
-        const std::uint64_t dt = now - last_time_;
-        weighted_sum_ += value * static_cast<double>(dt);
-        elapsed_ += dt;
-    }
-    last_time_ = now;
-    started_ = true;
-}
-
-double
-TimeWeighted::average() const
-{
-    if (elapsed_ == 0)
-        return 0.0;
-    return weighted_sum_ / static_cast<double>(elapsed_);
-}
-
-void
-TimeWeighted::reset()
-{
-    *this = TimeWeighted();
 }
 
 } // namespace stats

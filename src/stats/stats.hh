@@ -1,9 +1,8 @@
 /**
  * @file
  * Statistics primitives for the simulator and the measurement harness:
- * counters, streaming mean/variance accumulators, fixed-bucket
- * histograms, and time-weighted averages (for utilization-style
- * quantities).
+ * counters, streaming mean/variance accumulators and fixed-bucket
+ * histograms.
  *
  * All statistics are deliberately simple value types; simulated
  * components own their stats directly.
@@ -74,9 +73,6 @@ class Accumulator
 
     /** Unbiased sample variance (0 with < 2 samples). */
     double variance() const;
-
-    /** Sample standard deviation. */
-    double stddev() const;
 
     double min() const;
     double max() const;
@@ -182,34 +178,6 @@ class Histogram
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;
     std::uint64_t total_ = 0;
-};
-
-/**
- * Time-weighted average of a piecewise-constant signal, e.g. channel
- * utilization or queue occupancy sampled against simulation time.
- */
-class TimeWeighted
-{
-  public:
-    /**
-     * Record that the signal held @p value from the previous update
-     * time up to @p now.
-     */
-    void update(std::uint64_t now, double value);
-
-    /** Time-weighted mean over the observed interval. */
-    double average() const;
-
-    /** Total observed time. */
-    std::uint64_t elapsed() const { return elapsed_; }
-
-    void reset();
-
-  private:
-    std::uint64_t last_time_ = 0;
-    std::uint64_t elapsed_ = 0;
-    double weighted_sum_ = 0.0;
-    bool started_ = false;
 };
 
 } // namespace stats

@@ -53,16 +53,6 @@ fitLine(std::span<const double> xs, std::span<const double> ys)
     return fit;
 }
 
-bool
-nearlyEqual(double a, double b, double rel_tol, double abs_tol)
-{
-    const double diff = std::fabs(a - b);
-    if (diff <= abs_tol)
-        return true;
-    const double scale = std::max(std::fabs(a), std::fabs(b));
-    return diff <= rel_tol * scale;
-}
-
 double
 bisect(const std::function<double(double)> &f, double lo, double hi,
        double tol, int max_iter)
@@ -119,17 +109,6 @@ solveQuadratic(double a, double b, double c, double roots[2])
     roots[0] = r0;
     roots[1] = r1;
     return 2;
-}
-
-double
-mean(std::span<const double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs)
-        s += x;
-    return s / static_cast<double>(xs.size());
 }
 
 } // namespace util

@@ -3,7 +3,7 @@
  * Small numerical helpers shared across the library: least-squares
  * line fitting (used to extract application message curves from
  * simulation measurements), root bracketing/bisection (used by the
- * combined-model solver), and a couple of comparison utilities.
+ * combined-model solver), and a stable quadratic solver.
  */
 
 #ifndef LOCSIM_UTIL_MATH_HH_
@@ -33,10 +33,6 @@ struct LineFit
  */
 LineFit fitLine(std::span<const double> xs, std::span<const double> ys);
 
-/** Approximate floating-point equality with relative + absolute slack. */
-bool nearlyEqual(double a, double b, double rel_tol = 1e-9,
-                 double abs_tol = 1e-12);
-
 /**
  * Find a root of f on [lo, hi] by bisection.
  *
@@ -52,9 +48,6 @@ double bisect(const std::function<double(double)> &f, double lo,
  * real roots (0, 1, or 2), storing them in ascending order.
  */
 int solveQuadratic(double a, double b, double c, double roots[2]);
-
-/** Arithmetic mean of a span; 0 for an empty span. */
-double mean(std::span<const double> xs);
 
 } // namespace util
 } // namespace locsim

@@ -8,8 +8,6 @@
 
 #include "util/random.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
 
 namespace locsim {
@@ -81,16 +79,6 @@ Rng::nextBounded(std::uint64_t bound)
     }
 }
 
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    LOCSIM_ASSERT(lo <= hi, "nextRange requires lo <= hi, got ", lo,
-                  " > ", hi);
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
 double
 Rng::nextDouble()
 {
@@ -102,36 +90,6 @@ bool
 Rng::nextBool(double p)
 {
     return nextDouble() < p;
-}
-
-std::uint64_t
-Rng::nextGeometric(double p)
-{
-    LOCSIM_ASSERT(p > 0.0 && p <= 1.0, "geometric p out of (0,1]: ", p);
-    if (p >= 1.0)
-        return 0;
-    double u = nextDouble();
-    // Avoid log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return static_cast<std::uint64_t>(
-        std::floor(std::log(u) / std::log1p(-p)));
-}
-
-double
-Rng::nextExponential(double mean)
-{
-    LOCSIM_ASSERT(mean > 0.0, "exponential mean must be positive");
-    double u = nextDouble();
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return -mean * std::log(u);
-}
-
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0xa02bdbf7bb3c0a7ull);
 }
 
 } // namespace util

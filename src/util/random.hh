@@ -47,23 +47,11 @@ class Rng
     /** Uniform integer in [0, bound), bound > 0, without modulo bias. */
     std::uint64_t nextBounded(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
-
     /** Uniform double in [0, 1). */
     double nextDouble();
 
     /** Bernoulli trial with success probability p. */
     bool nextBool(double p = 0.5);
-
-    /**
-     * Sample from a geometric distribution: number of failures before
-     * the first success with per-trial probability p (mean (1-p)/p).
-     */
-    std::uint64_t nextGeometric(double p);
-
-    /** Exponentially distributed double with the given mean. */
-    double nextExponential(double mean);
 
     /** Uniformly shuffle a vector in place (Fisher-Yates). */
     template <typename T>
@@ -75,13 +63,6 @@ class Rng
             std::swap(v[i - 1], v[j]);
         }
     }
-
-    /**
-     * Split off an independently seeded child generator. Useful for
-     * giving each simulated component its own stream derived from one
-     * top-level seed.
-     */
-    Rng split();
 
     /** Serialize the generator state (checkpoint support). */
     void

@@ -88,8 +88,8 @@ TEST(SimKey, IsDeterministic)
 TEST(SimKey, StableAcrossDataLayoutRefactors)
 {
     EXPECT_EQ(baseKey(),
-              "91155b522af60fa59e500a1d9a660832094b9b58"
-              "024bcb4823a7bd43b2b7d173");
+              "35804cd4d43305880290992ef1bab0085002e92c"
+              "3bd42068f672c8ca8e842b5e");
 }
 
 TEST(SimKey, ChangesWithEveryBehavioralField)

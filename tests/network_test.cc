@@ -549,6 +549,15 @@ TEST(Network, MeshDeliversAllPairs)
     EXPECT_EQ(drainAll(network), sent);
     EXPECT_NEAR(network.stats().hops.mean(),
                 network.topology().averageRandomDistance(), 1e-9);
+
+    // rho is per real channel: a 4x4 mesh has 2*n*(k-1)*k^(n-1) = 48
+    // neighbor channels, not the torus's 2*n*N = 64. Every flit of a
+    // message crosses one channel per hop.
+    EXPECT_EQ(network.neighborChannels(), 48u);
+    const double flit_hops = 12.0 * network.stats().hops.sum();
+    EXPECT_NEAR(network.channelUtilization(),
+                flit_hops / (static_cast<double>(engine.now()) * 48.0),
+                1e-12);
 }
 
 TEST(Network, MeshCornerToCornerZeroLoadLatency)

@@ -12,12 +12,13 @@
  *    here with instructions;
  *
  *  - PrefixPlanner: a prefix produced once serves every measurement
- *    window bit-identically, across shard counts, rung ladders, and
+ *    window bit-identically, across shard counts and a table of
  *    corrupt stored images;
  *
  *  - bench harness: --warmup/--window validation and --quick
- *    precedence, sampled runs bypassing the prefix cache, and the
- *    run manifest's deterministic core.
+ *    precedence, sampled runs bypassing the prefix cache, recovery
+ *    from corrupt result payloads, and the run manifest's
+ *    deterministic core.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -203,6 +205,56 @@ countEntries(const fs::path &dir, const std::string &suffix)
     return n;
 }
 
+std::vector<std::uint8_t>
+readBytes(const fs::path &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const fs::path &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char *>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+}
+
+/** One way a stored entry goes bad: the good bytes in, the bad out. */
+struct Corruption
+{
+    const char *name;
+    std::vector<std::uint8_t> (*apply)(std::vector<std::uint8_t>);
+};
+
+const Corruption kCorruptions[] = {
+    {"foreign bytes",
+     [](std::vector<std::uint8_t>) {
+         const std::string text = "these are not cache bytes";
+         return std::vector<std::uint8_t>(text.begin(), text.end());
+     }},
+    {"empty file",
+     [](std::vector<std::uint8_t>) {
+         return std::vector<std::uint8_t>{};
+     }},
+    {"cut to half",
+     [](std::vector<std::uint8_t> bytes) {
+         bytes.resize(bytes.size() / 2);
+         return bytes;
+     }},
+    {"one byte short",
+     [](std::vector<std::uint8_t> bytes) {
+         bytes.pop_back();
+         return bytes;
+     }},
+    {"one trailing byte",
+     [](std::vector<std::uint8_t> bytes) {
+         bytes.push_back(0);
+         return bytes;
+     }},
+};
+
 // ---------------------------------------------------------------------
 // prefixKey semantics.
 // ---------------------------------------------------------------------
@@ -289,28 +341,10 @@ TEST(PrefixKey, ChangesWithBehavioralFieldsAndClock)
 // PrefixPlanner.
 // ---------------------------------------------------------------------
 
-TEST(PrefixPlanner, RungClocksDescendBelowWarmup)
-{
-    SimCache store(freshDir("rung-clocks"));
-    {
-        PrefixPlanner planner(store, PrefixOptions{});
-        EXPECT_TRUE(planner.rungClocks(5000).empty());
-    }
-    PrefixPlanner planner(store, PrefixOptions{100});
-    EXPECT_EQ(planner.rungClocks(350),
-              (std::vector<std::uint64_t>{300, 200, 100}));
-    // An exact multiple is not its own rung.
-    EXPECT_EQ(planner.rungClocks(300),
-              (std::vector<std::uint64_t>{200, 100}));
-    EXPECT_TRUE(planner.rungClocks(100).empty());
-    EXPECT_TRUE(planner.rungClocks(1).empty());
-    fs::remove_all(store.dir());
-}
-
 TEST(PrefixPlanner, DistinctPrefixesCollapseDuplicates)
 {
     SimCache store(freshDir("distinct"));
-    PrefixPlanner planner(store, PrefixOptions{});
+    PrefixPlanner planner(store);
     const auto config_a = baseConfig();
     auto config_b = baseConfig();
     config_b.contexts = 4;
@@ -340,7 +374,7 @@ TEST(PrefixPlanner, OneWarmupServesEveryWindowBitIdentically)
 {
     const fs::path dir = freshDir("cross-window");
     SimCache store(dir);
-    PrefixPlanner planner(store, PrefixOptions{});
+    PrefixPlanner planner(store);
     const auto config = baseConfig();
     const auto mapping = baseMapping();
     constexpr std::uint64_t kWarmup = 600;
@@ -375,7 +409,7 @@ TEST(PrefixPlanner, RestoresAcrossShardCounts)
          {std::pair<int, int>{1, 2}, std::pair<int, int>{2, 1}}) {
         const fs::path dir = freshDir("cross-shard");
         SimCache store(dir);
-        PrefixPlanner planner(store, PrefixOptions{});
+        PrefixPlanner planner(store);
         const auto mapping = baseMapping();
         constexpr std::uint64_t kWarmup = 600;
 
@@ -401,76 +435,36 @@ TEST(PrefixPlanner, RestoresAcrossShardCounts)
     }
 }
 
+/**
+ * Every way a stored image goes bad is one more input: warmMachine
+ * drops the image, produces the prefix again, measures bit-identically
+ * to a fresh run, and leaves a good image on disk.
+ */
 TEST(PrefixPlanner, CorruptImageIsDroppedAndRecomputed)
 {
-    const fs::path dir = freshDir("corrupt");
-    SimCache store(dir);
-    PrefixPlanner planner(store, PrefixOptions{});
     const auto config = baseConfig();
     const auto mapping = baseMapping();
     constexpr std::uint64_t kWarmup = 600;
-
-    planner.warmMachine(config, mapping, kWarmup);
     const std::string key = prefixKey(config, mapping, kWarmup);
-    {
-        std::ofstream os(dir / (key + ".ckpt"),
-                         std::ios::binary | std::ios::trunc);
-        os << "these are not checkpoint bytes";
+    const auto oracle =
+        measurementBytes(oracleRun(config, mapping, kWarmup, 400));
+
+    for (const Corruption &corruption : kCorruptions) {
+        SCOPED_TRACE(corruption.name);
+        const fs::path dir = freshDir("corrupt");
+        SimCache store(dir);
+        PrefixPlanner planner(store);
+        planner.warmMachine(config, mapping, kWarmup);
+        const fs::path image = dir / (key + ".ckpt");
+        const auto good = readBytes(image);
+        writeBytes(image, corruption.apply(good));
+
+        const auto machine =
+            planner.warmMachine(config, mapping, kWarmup);
+        EXPECT_EQ(measurementBytes(machine->measure(400)), oracle);
+        EXPECT_EQ(readBytes(image), good);
+        fs::remove_all(dir);
     }
-
-    const auto machine = planner.warmMachine(config, mapping, kWarmup);
-    EXPECT_EQ(
-        measurementBytes(machine->measure(400)),
-        measurementBytes(oracleRun(config, mapping, kWarmup, 400)));
-
-    // The recompute left a good image behind.
-    auto repaired = store.lookupCheckpoint(key);
-    ASSERT_TRUE(repaired.has_value());
-    machine::Machine check(config, mapping);
-    EXPECT_NO_THROW(check.restoreCheckpoint(*repaired));
-    fs::remove_all(dir);
-}
-
-/**
- * Rung ladder: with a stride, producing a 500-cycle prefix also
- * stores 200- and 400-cycle rungs; a later 700-cycle warmup restores
- * the 400 rung (never re-simulating it), materializes 600, and still
- * measures bit-identically to a fresh run.
- */
-TEST(PrefixPlanner, RungLadderIsStoredAndReused)
-{
-    const fs::path dir = freshDir("rungs");
-    SimCache store(dir);
-    PrefixPlanner planner(store, PrefixOptions{200});
-    const auto config = baseConfig();
-    const auto mapping = baseMapping();
-
-    const auto first = planner.warmMachine(config, mapping, 500);
-    EXPECT_EQ(
-        measurementBytes(first->measure(300)),
-        measurementBytes(oracleRun(config, mapping, 500, 300)));
-    // Rungs 200 and 400 plus the 500 boundary image.
-    EXPECT_EQ(countEntries(dir, ".ckpt"), 3u);
-    EXPECT_TRUE(store
-                    .lookupCheckpoint(
-                        prefixKey(config, mapping, 200))
-                    .has_value());
-    EXPECT_TRUE(store
-                    .lookupCheckpoint(
-                        prefixKey(config, mapping, 400))
-                    .has_value());
-
-    const auto second = planner.warmMachine(config, mapping, 700);
-    EXPECT_EQ(
-        measurementBytes(second->measure(300)),
-        measurementBytes(oracleRun(config, mapping, 700, 300)));
-    // +600 rung and the 700 boundary image.
-    EXPECT_EQ(countEntries(dir, ".ckpt"), 5u);
-    EXPECT_TRUE(store
-                    .lookupCheckpoint(
-                        prefixKey(config, mapping, 600))
-                    .has_value());
-    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -488,8 +482,8 @@ cachedOptions(const fs::path &dir)
     options.window = 400;
     options.cache_dir = dir.string();
     options.sim_cache = std::make_shared<SimCache>(dir.string());
-    options.prefix_planner = std::make_shared<PrefixPlanner>(
-        *options.sim_cache, PrefixOptions{});
+    options.prefix_planner =
+        std::make_shared<PrefixPlanner>(*options.sim_cache);
     return options;
 }
 
@@ -659,6 +653,39 @@ TEST(Harness, PrefixHitsAppearInManifestCounters)
     fs::remove_all(report);
 }
 
+/**
+ * runCachedMeasurement's recovery path: a result payload that fails
+ * to load is dropped, recomputed (through the prefix image) and
+ * stored again, for every corruption in the table.
+ */
+TEST(Harness, CorruptResultPayloadIsRecomputed)
+{
+    const auto config = baseConfig();
+    const auto mapping = baseMapping();
+    for (const Corruption &corruption : kCorruptions) {
+        SCOPED_TRACE(corruption.name);
+        const fs::path dir = freshDir("corrupt-result");
+        const bench::HarnessOptions options = cachedOptions(dir);
+        const auto oracle = measurementBytes(
+            oracleRun(config, mapping, options.warmup, options.window));
+        ASSERT_EQ(measurementBytes(bench::runCachedMeasurement(
+                      options, config, mapping)),
+                  oracle);
+        const fs::path payload =
+            dir / (simKey(config, mapping, options.warmup,
+                          options.window) +
+                   ".simcache");
+        ASSERT_EQ(readBytes(payload), oracle);
+        writeBytes(payload, corruption.apply(oracle));
+
+        EXPECT_EQ(measurementBytes(bench::runCachedMeasurement(
+                      options, config, mapping)),
+                  oracle);
+        EXPECT_EQ(readBytes(payload), oracle);
+        fs::remove_all(dir);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Option validation (satellite: fatal --warmup/--window checks and
 // --quick precedence).
@@ -685,10 +712,6 @@ TEST(Options, ZeroOrNegativeCycleBudgetsAreFatalEarly)
                 ::testing::ExitedWithCode(1), "--window");
     EXPECT_EXIT(parseArgs({"--quick", "--window", "0"}),
                 ::testing::ExitedWithCode(1), "--window");
-    EXPECT_EXIT(parseArgs({"--prefix-rung-stride", "0"}),
-                ::testing::ExitedWithCode(1), "--prefix-rung-stride");
-    EXPECT_EXIT(parseArgs({"--prefix-rung-stride", "-5"}),
-                ::testing::ExitedWithCode(1), "--prefix-rung-stride");
     // Values outside int range are fatal, never narrowed: 4294967297
     // would otherwise wrap to 1.
     EXPECT_EXIT(parseArgs({"--warmup", "4294967297"}),
@@ -699,9 +722,6 @@ TEST(Options, ZeroOrNegativeCycleBudgetsAreFatalEarly)
                 ::testing::ExitedWithCode(1), "--threads is out of range");
     EXPECT_EXIT(parseArgs({"--shards", "4294967298"}),
                 ::testing::ExitedWithCode(1), "--shards is out of range");
-    EXPECT_EXIT(parseArgs({"--prefix-rung-stride", "4294967396"}),
-                ::testing::ExitedWithCode(1),
-                "--prefix-rung-stride is out of range");
 }
 
 TEST(Options, ExplicitBudgetsWinOverQuick)

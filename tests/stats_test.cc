@@ -182,25 +182,6 @@ TEST(Histogram, ResetClearsEverything)
     EXPECT_EQ(h.bucketCount(0), 0u);
 }
 
-TEST(TimeWeighted, PiecewiseConstantAverage)
-{
-    TimeWeighted tw;
-    tw.update(0, 0.0);   // establishes the start; value unused till next
-    tw.update(10, 1.0);  // value 1.0 held over [0, 10)
-    tw.update(30, 0.5);  // value 0.5 held over [10, 30)
-    // Average = (10*1.0 + 20*0.5) / 30 = 20/30.
-    EXPECT_NEAR(tw.average(), 20.0 / 30.0, 1e-12);
-    EXPECT_EQ(tw.elapsed(), 30u);
-}
-
-TEST(TimeWeighted, EmptyAverageIsZero)
-{
-    TimeWeighted tw;
-    EXPECT_EQ(tw.average(), 0.0);
-    tw.update(5, 2.0);
-    EXPECT_EQ(tw.average(), 0.0); // no elapsed time yet
-}
-
 TEST(Histogram, QuantileOfEmptyHistogramIsLo)
 {
     Histogram h(5.0, 10.0, 4);
@@ -251,25 +232,6 @@ TEST(Histogram, QuantileOutOfRangeDies)
     h.add(0.5);
     EXPECT_DEATH(h.quantile(-0.1), "quantile");
     EXPECT_DEATH(h.quantile(1.5), "quantile");
-}
-
-TEST(TimeWeighted, EqualTimestampsAddNoWeight)
-{
-    TimeWeighted tw;
-    tw.update(0, 0.0);
-    tw.update(10, 1.0);
-    tw.update(10, 99.0); // zero-length interval: no contribution
-    tw.update(20, 2.0);
-    // (10*1.0 + 0*99.0 + 10*2.0) / 20 = 1.5.
-    EXPECT_NEAR(tw.average(), 1.5, 1e-12);
-    EXPECT_EQ(tw.elapsed(), 20u);
-}
-
-TEST(TimeWeighted, OutOfOrderUpdateDies)
-{
-    TimeWeighted tw;
-    tw.update(10, 1.0);
-    EXPECT_DEATH(tw.update(5, 2.0), "backwards");
 }
 
 } // namespace

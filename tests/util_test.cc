@@ -70,21 +70,6 @@ TEST(Rng, BoundedCoversAllValues)
     EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(Rng, RangeInclusiveEndpoints)
-{
-    Rng rng(11);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 5000; ++i) {
-        const auto v = rng.nextRange(-2, 2);
-        EXPECT_GE(v, -2);
-        EXPECT_LE(v, 2);
-        saw_lo |= v == -2;
-        saw_hi |= v == 2;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, DoubleInUnitInterval)
 {
     Rng rng(5);
@@ -109,35 +94,6 @@ TEST(Rng, BernoulliFrequency)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(Rng, GeometricMeanMatches)
-{
-    Rng rng(23);
-    const double p = 0.25;
-    double sum = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.nextGeometric(p));
-    // Mean of failures-before-success geometric is (1-p)/p = 3.
-    EXPECT_NEAR(sum / n, 3.0, 0.15);
-}
-
-TEST(Rng, GeometricWithPOneIsZero)
-{
-    Rng rng(29);
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(rng.nextGeometric(1.0), 0u);
-}
-
-TEST(Rng, ExponentialMean)
-{
-    Rng rng(31);
-    double sum = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-        sum += rng.nextExponential(10.0);
-    EXPECT_NEAR(sum / n, 10.0, 0.5);
-}
-
 TEST(Rng, ShufflePreservesElements)
 {
     Rng rng(37);
@@ -146,13 +102,6 @@ TEST(Rng, ShufflePreservesElements)
     rng.shuffle(v);
     std::sort(v.begin(), v.end());
     EXPECT_EQ(v, sorted);
-}
-
-TEST(Rng, SplitProducesIndependentStream)
-{
-    Rng a(99);
-    Rng child = a.split();
-    EXPECT_NE(a.next(), child.next());
 }
 
 TEST(MathFitLine, RecoversExactLine)
@@ -180,15 +129,6 @@ TEST(MathFitLine, NoisyDataReasonableR2)
     EXPECT_NEAR(fit.slope, 2.0, 0.01);
     EXPECT_NEAR(fit.intercept, 5.0, 0.5);
     EXPECT_GT(fit.r2, 0.999);
-}
-
-TEST(MathNearlyEqual, Basics)
-{
-    EXPECT_TRUE(nearlyEqual(1.0, 1.0));
-    EXPECT_TRUE(nearlyEqual(1.0, 1.0 + 1e-12));
-    EXPECT_FALSE(nearlyEqual(1.0, 1.1));
-    EXPECT_TRUE(nearlyEqual(0.0, 0.0));
-    EXPECT_TRUE(nearlyEqual(1e8, 1e8 * (1 + 1e-10)));
 }
 
 TEST(MathBisect, FindsSqrtTwo)
@@ -234,13 +174,6 @@ TEST(MathQuadratic, NumericallyStableForSmallRoot)
     ASSERT_EQ(solveQuadratic(1.0, -(1e8 + 1e-8), 1.0, roots), 2);
     EXPECT_NEAR(roots[0], 1e-8, 1e-14);
     EXPECT_NEAR(roots[1], 1e8, 1.0);
-}
-
-TEST(MathMean, EmptyAndSimple)
-{
-    EXPECT_EQ(mean({}), 0.0);
-    std::vector<double> xs{1.0, 2.0, 3.0};
-    EXPECT_NEAR(mean(xs), 2.0, 1e-12);
 }
 
 TEST(TextTable, AlignsColumnsAndCountsRows)
