@@ -105,18 +105,34 @@ Cache::residentLines() const
     return count;
 }
 
+bool
+Cache::isDefault(const Line &line)
+{
+    return !line.valid && line.addr == 0 && line.data == 0 &&
+           line.state == CacheState::Invalid;
+}
+
 void
 Cache::saveState(util::Serializer &s) const
 {
     s.put<std::uint64_t>(sets_);
-    const Line untouched{};
-    for (std::uint32_t set = 0; set < sets_; ++set) {
-        const Line *found = lines_.find(set);
-        const Line &line = found ? *found : untouched;
-        s.put(line.valid);
-        s.put(line.addr);
-        s.put(line.state);
-        s.put(line.data);
+    std::uint32_t stored = 0;
+    lines_.forEach([&](std::uint32_t, const Line &line) {
+        stored += isDefault(line) ? 0 : 1;
+    });
+    s.put(stored);
+    // Probe sets in ascending order until every stored record is out:
+    // canonical order without collecting and sorting keys per node.
+    for (std::uint32_t set = 0; stored > 0; ++set) {
+        const Line *line = lines_.find(set);
+        if (!line || isDefault(*line))
+            continue;
+        s.put(set);
+        s.put(line->valid);
+        s.put(line->addr);
+        s.put(line->state);
+        s.put(line->data);
+        --stored;
     }
 }
 
@@ -126,19 +142,25 @@ Cache::loadState(util::Deserializer &d)
     const auto n = d.get<std::uint64_t>();
     if (n != sets_)
         throw std::runtime_error("Cache::loadState: geometry mismatch");
+    const auto stored = d.get<std::uint32_t>();
+    if (stored > sets_)
+        throw std::runtime_error("Cache::loadState: too many records");
     lines_.clear();
-    for (std::uint32_t set = 0; set < sets_; ++set) {
+    std::uint64_t next = 0; // lowest set index the next record may use
+    for (std::uint32_t i = 0; i < stored; ++i) {
+        const auto set = d.get<std::uint32_t>();
+        if (set < next || set >= sets_)
+            throw std::runtime_error(
+                "Cache::loadState: set index out of order or range");
+        next = std::uint64_t{set} + 1;
         Line line;
         line.valid = d.getBool();
         line.addr = d.get<Addr>();
         line.state = d.get<CacheState>();
         line.data = d.get<std::uint64_t>();
-        // Only touched sets materialize records; an all-default record
-        // is byte-identical to an absent one on the next save.
-        if (line.valid || line.addr != 0 || line.data != 0 ||
-            line.state != CacheState::Invalid) {
-            lines_.insert(set, line);
-        }
+        if (line.state > CacheState::Modified)
+            throw std::runtime_error("Cache::loadState: bad line state");
+        lines_.insert(set, line);
     }
 }
 

@@ -13,9 +13,9 @@
  * by set index instead of a dense 4096-set array (128KB per node at
  * the default geometry). A touched set's record is never dropped —
  * invalidation leaves the stale tag/data residue in place exactly as
- * the dense array did, which keeps checkpoint bytes identical
- * (saveState walks sets 0..N-1, emitting the default record for
- * never-touched sets).
+ * the dense array did. Checkpoints are sparse too: saveState emits
+ * only the records that differ from the default, in ascending set
+ * order, so an image carries cache state, not padding.
  */
 
 #ifndef LOCSIM_COHER_CACHE_HH_
@@ -101,12 +101,19 @@ class Cache
     std::size_t memoryBytes() const { return lines_.memoryBytes(); }
 
     /**
-     * Serialize all sets in index order (geometry comes from the
-     * config). Never-touched sets emit the default record, so the
-     * byte stream matches the historical dense-array layout.
+     * Serialize the set count (the geometry check), the number of
+     * stored records, then one {u32 set, bool valid, u64 addr, u8
+     * state, u64 data} entry per set whose record differs from the
+     * default, in strictly ascending set order.
      */
     void saveState(util::Serializer &s) const;
 
+    /**
+     * Restore a section written by saveState. Throws
+     * std::runtime_error on a geometry mismatch, a record count above
+     * the set count, a set index out of range or not above the
+     * previous one, a state beyond Modified, or truncated input.
+     */
     void loadState(util::Deserializer &d);
 
   private:
@@ -117,6 +124,9 @@ class Cache
         CacheState state = CacheState::Invalid;
         bool valid = false;
     };
+
+    /** True for the record of a never-touched set (all zero). */
+    static bool isDefault(const Line &line);
 
     std::uint32_t setIndex(Addr addr) const;
 

@@ -455,9 +455,11 @@ namespace {
  *  shard-independent images (per-node message sequence numbers in the
  *  network endpoint block, no transport block). Version 3: drop the
  *  skipped-ticks field — it is an execution-strategy diagnostic, and
- *  serializing it made otherwise-identical images differ. */
+ *  serializing it made otherwise-identical images differ. Version 4:
+ *  sparse cache sections (record count, then one entry per non-default
+ *  set) — the dense 4,096-record section was ~97% of every image. */
 constexpr std::uint32_t kCheckpointMagic = 0x4b43534c; // "LSCK"
-constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointVersion = 4;
 
 } // namespace
 

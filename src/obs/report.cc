@@ -65,7 +65,12 @@ jsonEscape(const std::string &in)
 std::string
 jsonString(const std::string &in)
 {
-    return "\"" + jsonEscape(in) + "\"";
+    // Appended rather than concatenated: GCC 12 at -O3 reports a
+    // false -Wrestrict inside `"\"" + ... + "\""`.
+    std::string out = "\"";
+    out += jsonEscape(in);
+    out += '"';
+    return out;
 }
 
 /** Render a double compactly; JSON has no inf/nan, clamp to 0. */

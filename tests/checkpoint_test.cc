@@ -226,12 +226,19 @@ TEST(Checkpoint, SaveLoadSaveIsByteStable)
     Machine second(config, mapping);
     second.restoreCheckpoint(image);
     EXPECT_EQ(second.saveCheckpoint(), image);
+
+    // The image carries state, not padding: a dense cache section
+    // alone would be ~73.7 KB per node.
+    EXPECT_LT(image.size(), std::size_t{mapping.size()} * 8 * 1024);
 }
 
 /**
  * LSCK bytes are pinned, not just self-consistent: 8x8 machines saved
- * mid-traffic must hash to digests recorded from the latched-link
- * fabric that direct deposit replaced. Across the save points, flits
+ * mid-traffic must hash to fixed digests. These are the version 4
+ * (sparse cache section) images; expanding their cache sections back
+ * to the dense version 3 layout reproduces, at 1 and 2 shards, the
+ * digests recorded from the latched-link fabric that direct deposit
+ * replaced. Across the save points, flits
  * are in transit on neighbor, injection, ejection and (at 2 shards)
  * cross-shard links, and credits are in flight — the states whose
  * records the deposit protocol re-derives from producer cursors and
@@ -247,11 +254,11 @@ TEST(Checkpoint, MidTrafficImagesMatchPinnedDigests)
     };
     const Point points[] = {
         {1201,
-         "cb87038cf3dd99a43a2c4775f27bfcff7b3d497e9155947dc18b99eef873c4ef"},
+         "8a5d7931c3ba7343efc0e79daa620889b04123a3b32e68c97f5a5488e04ee803"},
         {2502,
-         "c58099c712c9f97ee91c377ce3f74428ed1caef94e6feb022cd9c04b34814623"},
+         "be6fe6b9dcc904ef6382f3e177a97edf548c35290073ab931d926c6240f8ac30"},
         {3703,
-         "4c7207bbb4616c259145ef69d751b77263d7a49da85d3624d4b6c4f265f8c613"},
+         "a73f750f92b03151c0904b49ce95ce070f591533346e3dacdf91bb9b8661919a"},
     };
     MachineConfig config;
     config.contexts = 4;

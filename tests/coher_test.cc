@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,122 @@ TEST(CacheUnit, WriteDataRequiresModified)
     cache.fill(a, CacheState::Modified, 0);
     cache.writeData(a, 123);
     EXPECT_EQ(cache.lookup(a).data, 123u);
+}
+
+/** One cache-section entry as Cache::saveState writes it. */
+void
+putEntry(util::Serializer &s, std::uint32_t set, std::uint8_t state)
+{
+    s.put(set);
+    s.put(true);
+    s.put(makeAddr(1, set));
+    s.put(state);
+    s.put<std::uint64_t>(7);
+}
+
+/** Section header: the set count, then the stored-record count. */
+util::Serializer
+sectionHeader(std::uint64_t sets, std::uint32_t stored)
+{
+    util::Serializer s;
+    s.put(sets);
+    s.put(stored);
+    return s;
+}
+
+TEST(CacheUnit, CheckpointRejectsMalformedSection)
+{
+    constexpr std::uint32_t kSets = 4;
+    const auto shared = static_cast<std::uint8_t>(CacheState::Shared);
+
+    // The builders produce a section that loads when well formed.
+    util::Serializer good = sectionHeader(kSets, 2);
+    putEntry(good, 1, shared);
+    putEntry(good, 3, shared);
+    Cache loaded(kSets * kLineBytes);
+    util::Deserializer gd(good.buffer());
+    loaded.loadState(gd);
+    EXPECT_TRUE(gd.atEnd());
+    EXPECT_EQ(loaded.state(makeAddr(1, 3)), CacheState::Shared);
+
+    struct Case
+    {
+        const char *name;
+        std::vector<std::uint8_t> bytes;
+    };
+    std::vector<Case> cases;
+    {
+        cases.push_back({"geometry mismatch",
+                         sectionHeader(kSets * 2, 0).takeBuffer()});
+    }
+    {
+        cases.push_back({"record count > sets",
+                         sectionHeader(kSets, kSets + 1).takeBuffer()});
+    }
+    {
+        util::Serializer s = sectionHeader(kSets, 1);
+        putEntry(s, kSets, shared);
+        cases.push_back({"set index == sets", s.takeBuffer()});
+    }
+    {
+        util::Serializer s = sectionHeader(kSets, 2);
+        putEntry(s, 1, shared);
+        putEntry(s, 1, shared);
+        cases.push_back({"repeated index", s.takeBuffer()});
+    }
+    {
+        util::Serializer s = sectionHeader(kSets, 2);
+        putEntry(s, 2, shared);
+        putEntry(s, 1, shared);
+        cases.push_back({"descending indices", s.takeBuffer()});
+    }
+    {
+        util::Serializer s = sectionHeader(kSets, 1);
+        putEntry(s, 0, 3);
+        cases.push_back({"state byte 3", s.takeBuffer()});
+    }
+    {
+        util::Serializer s = sectionHeader(kSets, 1);
+        putEntry(s, 0, shared);
+        std::vector<std::uint8_t> bytes = s.takeBuffer();
+        bytes.pop_back();
+        cases.push_back({"entry cut short", bytes});
+    }
+    for (const Case &c : cases) {
+        Cache cache(kSets * kLineBytes);
+        util::Deserializer d(c.bytes);
+        EXPECT_THROW(cache.loadState(d), std::runtime_error) << c.name;
+    }
+}
+
+TEST(CacheUnit, CheckpointOmitsDefaultRecords)
+{
+    Cache cache(4 * kLineBytes);
+    // Line address 0 with data 0, invalidated: set 0 holds the
+    // all-default record again and is left out of the image.
+    cache.fill(makeAddr(0, 0), CacheState::Modified, 0);
+    cache.invalidate(makeAddr(0, 0));
+    util::Serializer empty;
+    cache.saveState(empty);
+    EXPECT_EQ(empty.buffer(), sectionHeader(4, 0).buffer());
+
+    // Invalidated residue with a nonzero address is state: kept.
+    cache.fill(makeAddr(2, 1), CacheState::Shared, 0);
+    cache.invalidate(makeAddr(2, 1));
+    util::Serializer first;
+    cache.saveState(first);
+    util::Deserializer d(first.buffer());
+    EXPECT_EQ(d.get<std::uint64_t>(), 4u);
+    EXPECT_EQ(d.get<std::uint32_t>(), 1u);
+    EXPECT_EQ(d.get<std::uint32_t>(), 1u); // the set index
+
+    Cache restored(4 * kLineBytes);
+    util::Deserializer rd(first.buffer());
+    restored.loadState(rd);
+    EXPECT_EQ(restored.state(makeAddr(2, 1)), CacheState::Invalid);
+    util::Serializer second;
+    restored.saveState(second);
+    EXPECT_EQ(second.buffer(), first.buffer());
 }
 
 TEST(DirectoryUnit, SharerManagement)
