@@ -80,13 +80,10 @@ struct HarnessOptions
     bool no_cache = false;
     /** --cache-stats: print hit/miss counters to stderr at exit. */
     bool cache_stats = false;
-    /** --no-prefix-cache: run warmups from clock 0 even when cached. */
-    bool no_prefix_cache = false;
-
     /**
      * The prefix-checkpoint planner (see cache/prefix.hh), created iff
-     * a cache is configured and --no-prefix-cache is absent. Shared
-     * for the same reason as sim_cache: one planner, one stats block.
+     * a cache is configured. Shared for the same reason as sim_cache:
+     * one planner, one stats block.
      */
     std::shared_ptr<locsim::cache::PrefixPlanner> prefix_planner;
 
@@ -170,10 +167,6 @@ parseHarnessOptions(util::OptionParser &opts, int argc,
     opts.addFlag("no-cache", "bypass the simulation cache");
     opts.addFlag("cache-stats",
                  "print cache hit/miss counters to stderr");
-    opts.addFlag("no-prefix-cache",
-                 "disable prefix-checkpoint warmup reuse (on by "
-                 "default when --cache-dir is set; results are "
-                 "bit-identical either way)");
     opts.addFlag("build-info",
                  "print build provenance (git SHA, compiler, flags) "
                  "and exit");
@@ -239,7 +232,6 @@ parseHarnessOptions(util::OptionParser &opts, int argc,
     }
     out.no_cache = opts.getFlag("no-cache");
     out.cache_stats = opts.getFlag("cache-stats");
-    out.no_prefix_cache = opts.getFlag("no-prefix-cache");
     if (!out.cache_dir.empty() && !out.no_cache) {
         try {
             out.sim_cache = std::make_shared<locsim::cache::SimCache>(
@@ -248,7 +240,7 @@ parseHarnessOptions(util::OptionParser &opts, int argc,
             LOCSIM_FATAL("--cache-dir rejected: ", e.what());
         }
     }
-    if (out.sim_cache != nullptr && !out.no_prefix_cache) {
+    if (out.sim_cache != nullptr) {
         out.prefix_planner =
             std::make_shared<locsim::cache::PrefixPlanner>(
                 *out.sim_cache);

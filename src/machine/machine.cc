@@ -457,9 +457,12 @@ namespace {
  *  skipped-ticks field — it is an execution-strategy diagnostic, and
  *  serializing it made otherwise-identical images differ. Version 4:
  *  sparse cache sections (record count, then one entry per non-default
- *  set) — the dense 4,096-record section was ~97% of every image. */
+ *  set) — the dense 4,096-record section was ~97% of every image.
+ *  Version 5: a native network section (per node, the router's rings,
+ *  staged words and output VCs, then the endpoint) in place of the
+ *  link and credit records of the latched-link fabric. */
 constexpr std::uint32_t kCheckpointMagic = 0x4b43534c; // "LSCK"
-constexpr std::uint32_t kCheckpointVersion = 4;
+constexpr std::uint32_t kCheckpointVersion = 5;
 
 } // namespace
 

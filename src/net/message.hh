@@ -97,9 +97,7 @@ struct Message
  *    the attribution counters and dateline state, so one 16-bit field
  *    holds the sequence number of a body flit and the link count of a
  *    head.
- * The checkpoint wire format keeps the original field set
- * (saveFlit/loadFlit widen back, and loadFlit rejects records this
- * layout cannot hold).
+ * Checkpoints write the same 16 bytes (see saveFlit).
  */
 struct Flit
 {
@@ -169,65 +167,43 @@ loadMessage(util::Deserializer &d)
 }
 
 /**
- * A flit's checkpoint record keeps the original 24-byte layout's
- * field set: src, and seq/hops/stalls/dateline on every flit.
+ * A flit's checkpoint record is the packed layout itself, 16 bytes:
+ * msg (u64); one u32 holding dst in bits 0-23, then head, tail,
+ * crossed_dateline and the three vc bits; seq_or_hops (u16); stalls
+ * (u16).
  */
 inline void
 saveFlit(util::Serializer &s, const Flit &f)
 {
     s.put(f.msg);
-    s.put(f.src());
-    s.put(static_cast<sim::NodeId>(f.dst));
-    s.put(static_cast<std::uint32_t>(f.seq()));
-    s.put(static_cast<bool>(f.head));
-    s.put(static_cast<bool>(f.tail));
-    s.put(static_cast<std::uint8_t>(f.vc));
-    s.put(static_cast<bool>(f.crossed_dateline));
-    s.put(f.hops());
+    s.put(static_cast<std::uint32_t>(f.dst) |
+          static_cast<std::uint32_t>(f.head) << 24 |
+          static_cast<std::uint32_t>(f.tail) << 25 |
+          static_cast<std::uint32_t>(f.crossed_dateline) << 26 |
+          static_cast<std::uint32_t>(f.vc) << 27);
+    s.put(f.seq_or_hops);
     s.put(f.stalls);
 }
 
-/** Inverse of saveFlit; throws on a record the packed layout cannot
- *  hold (none that the fabric writes). */
+/** Inverse of saveFlit; throws on a record the fabric never writes
+ *  (the two spare bits set, or head state on a body flit). */
 inline Flit
 loadFlit(util::Deserializer &d)
 {
     Flit f;
     f.msg = d.get<MessageId>();
-    const auto src = d.get<sim::NodeId>();
-    const auto dst = d.get<sim::NodeId>();
-    const auto seq = d.get<std::uint32_t>();
-    f.head = d.getBool();
-    f.tail = d.getBool();
-    const auto vc = d.get<std::uint8_t>();
-    const bool crossed = d.getBool();
-    const auto hops = d.get<std::uint16_t>();
-    const auto stalls = d.get<std::uint16_t>();
-    if (src != f.src())
-        throw std::runtime_error("loadFlit: source disagrees with the "
-                                 "message id");
-    if (dst >= kMaxNodes)
-        throw std::runtime_error("loadFlit: destination out of range");
-    if (vc >= 8)
-        throw std::runtime_error("loadFlit: VC out of range");
-    if (seq > UINT16_MAX)
-        throw std::runtime_error("loadFlit: sequence number out of "
-                                 "range");
-    f.dst = dst;
-    f.vc = vc;
-    if (f.head) {
-        if (seq != 0)
-            throw std::runtime_error("loadFlit: head flit with a "
-                                     "nonzero sequence number");
-        f.seq_or_hops = hops;
-        f.stalls = stalls;
-        f.crossed_dateline = crossed;
-    } else {
-        if (hops != 0 || stalls != 0 || crossed)
-            throw std::runtime_error("loadFlit: body flit with head "
-                                     "state");
-        f.seq_or_hops = static_cast<std::uint16_t>(seq);
-    }
+    const auto word = d.get<std::uint32_t>();
+    f.seq_or_hops = d.get<std::uint16_t>();
+    f.stalls = d.get<std::uint16_t>();
+    if (word >> 30 != 0)
+        throw std::runtime_error("loadFlit: spare bits set");
+    f.dst = word & 0xffffffu;
+    f.head = (word >> 24) & 1u;
+    f.tail = (word >> 25) & 1u;
+    f.crossed_dateline = (word >> 26) & 1u;
+    f.vc = static_cast<std::uint8_t>((word >> 27) & 7u);
+    if (!f.head && (f.crossed_dateline || f.stalls != 0))
+        throw std::runtime_error("loadFlit: body flit with head state");
     return f;
 }
 

@@ -157,9 +157,8 @@ Network::Network(const NetworkConfig &config,
         ep.inject_credits = config_.router.buffer_depth;
     }
 
-    // Wire the links, recording each in construction order (the
-    // checkpoint record order). The link leaving `node` on port p
-    // arrives at the neighbor on the port of the opposite direction;
+    // Wire the links. The link leaving `node` on port p arrives at the
+    // neighbor on the port of the opposite direction (producerOf());
     // its credits return the other way. A link between shards stages
     // its bits through the producing shard's outbox instead of
     // writing the consumer's staged word.
@@ -171,7 +170,7 @@ Network::Network(const NetworkConfig &config,
                     continue; // mesh edge: no link in this direction
                 const int out_port = Router::portFor(dim, dir);
                 const int in_port = Router::portFor(dim, -dir);
-                links_.push_back({node, out_port, nbr, in_port});
+                ++neighbor_channels_;
                 const bool remote = shardOf(nbr) != shardOf(node);
 
                 Router::Downstream down;
@@ -203,8 +202,6 @@ Network::Network(const NetworkConfig &config,
         // co-sharded. Injection credits go straight to the endpoint's
         // bank; ejection deposits into the endpoint's ring.
         NodeEndpoint &ep = endpoints_[node];
-        links_.push_back({node, -1, node, local_port_});
-        links_.push_back({node, local_port_, node, -1});
         Router::Downstream eject;
         eject.units = &ep.eject;
         eject.wake = &eject_staged_[node];
@@ -802,61 +799,40 @@ Network::bufferedFlits() const
     return flits;
 }
 
-Network::LinkLanes
-Network::lanesOf(const LinkEnds &link) const
+sim::NodeId
+Network::producerOf(sim::NodeId node, int port) const
 {
-    // Endpoint links carry VC 0 only: one lane. A router consumer
-    // has one ring per VC, filled through the producer's per-VC
-    // cursors.
-    const Router::OutputVc *outputs =
-        link.producer_port < 0
-            ? nullptr
-            : &output_vcs_[unitIndex(link.producer, link.producer_port,
-                                     0)];
-    if (link.consumer_port < 0)
-        return {&endpoints_[link.consumer].eject, outputs, nullptr, 1};
-    const Router::InputVc *rings =
-        &input_units_[unitIndex(link.consumer, link.consumer_port, 0)];
-    if (link.producer_port < 0) {
-        return {rings, nullptr, &endpoints_[link.producer].inject_cursor,
-                1};
-    }
-    return {rings, outputs, nullptr, config_.router.vcs};
-}
-
-std::uint32_t
-Network::creditsInFlight(const LinkEnds &link, int vc) const
-{
-    if (link.producer_port < 0)
-        return vc == 0 ? endpoints_[link.producer].inject_banked : 0u;
-    const Router &router = *routers_[link.producer];
-    return (router.stagedCreditBits() >>
-            router.unitBit(link.producer_port, vc)) &
-           1u;
+    if (port == local_port_)
+        return sim::kNodeNone;
+    // Input port portFor(dim, dir) receives from the neighbor in
+    // direction dir, which sends on portFor(dim, -dir) == port ^ 1.
+    return topo_.neighbor(node, port / 2, port % 2 == 0 ? +1 : -1);
 }
 
 TransitCounts
 Network::inTransit() const
 {
+    // At most one flit crosses a link per cycle and each staged bit
+    // stands for exactly one flit or credit, so the staged words are
+    // the whole of what is in transit.
     TransitCounts counts;
-    for (const LinkEnds &link : links_) {
-        const LinkLanes lanes = lanesOf(link);
-        std::uint64_t flits = 0;
-        for (int i = 0; i < lanes.count; ++i)
-            flits += lanes.cursor(i) - lanes.rings[i].tail;
-        if (link.producer_port < 0) {
-            counts.inject += flits;
-            continue;
+    const int vcs = config_.router.vcs;
+    const std::uint32_t lane = (1u << vcs) - 1u;
+    for (sim::NodeId node = 0; node < routers_.size(); ++node) {
+        const Router &router = *routers_[node];
+        const std::uint32_t flits = router.stagedFlitBits();
+        counts.inject += static_cast<std::uint64_t>(
+            std::popcount((flits >> (local_port_ * vcs)) & lane));
+        for (int port = 0; port < local_port_; ++port) {
+            const auto n = static_cast<std::uint64_t>(
+                std::popcount((flits >> (port * vcs)) & lane));
+            counts.neighbor += n;
+            if (n != 0 && shardOf(producerOf(node, port)) != shardOf(node))
+                counts.cross_shard += n;
         }
-        if (link.consumer_port < 0) {
-            counts.eject += flits;
-        } else {
-            counts.neighbor += flits;
-            if (shardOf(link.producer) != shardOf(link.consumer))
-                counts.cross_shard += flits;
-        }
-        for (int vc = 0; vc < config_.router.vcs; ++vc)
-            counts.credits += creditsInFlight(link, vc);
+        counts.eject += eject_staged_[node];
+        counts.credits += static_cast<std::uint64_t>(
+            std::popcount(router.stagedCreditBits()));
     }
     return counts;
 }
@@ -872,8 +848,7 @@ Network::memoryBytes() const
                         output_vcs_.capacity() *
                             sizeof(Router::OutputVc) +
                         (vc_slab_.capacity() + eject_slab_.capacity()) *
-                            sizeof(Flit) +
-                        links_.capacity() * sizeof(LinkEnds);
+                            sizeof(Flit);
     bytes += (flit_wake_staged_.capacity() + flit_wake_.capacity() +
               credit_wake_staged_.capacity() + credit_wake_.capacity() +
               buffered_slab_.capacity() + eject_staged_.capacity() +
@@ -956,59 +931,30 @@ Network::saveState(util::Serializer &s) const
                       "cannot checkpoint a traced network");
     }
 
-    // Links and routers serialize in construction order, which
-    // depends only on the topology (never on the shard plan); router
-    // state folds cross-shard wake words into their sequential
-    // staged-word equivalents. The stream is therefore identical for
-    // any shard count and restores at any other.
-    //
-    // A link record is the latched-link layout (head, mid, tail, then
-    // the flits in [head, tail)): between cycles every link had
-    // published everything it carried, so mid == tail, and what it
-    // held was exactly what is in transit now — at most one flit. Its
-    // cursors were counts of flits consumed and pushed, which are now
-    // the sums of the consumer rings' tails and the producer's
-    // per-VC cursors.
-    for (const LinkEnds &link : links_) {
-        const LinkLanes lanes = lanesOf(link);
-        std::uint32_t consumed = 0;
-        std::uint32_t produced = 0;
-        for (int i = 0; i < lanes.count; ++i) {
-            consumed += lanes.rings[i].tail;
-            produced += lanes.cursor(i);
-        }
-        s.put<std::uint64_t>(consumed);
-        s.put<std::uint64_t>(produced);
-        s.put<std::uint64_t>(produced);
-        for (int i = 0; i < lanes.count; ++i) {
-            const Router::InputVc &ring = lanes.rings[i];
-            for (std::uint32_t c = ring.tail; c != lanes.cursor(i); ++c)
-                saveFlit(s, ring.slots[c & ring.mask]);
-        }
-    }
-    // Credit records: (staged, visible) per VC. Between cycles all
-    // were visible; a returned credit not yet latched (or collected,
-    // for injection) counts as visible.
-    for (const LinkEnds &link : links_) {
-        for (int vc = 0; vc < config_.router.vcs; ++vc) {
-            s.put(0);
-            s.put(static_cast<int>(creditsInFlight(link, vc)));
-        }
-    }
-    for (const Router *router : routers_)
-        router->saveState(s);
-
-    for (const NodeEndpoint &ep : endpoints_) {
-        // The ejection ring's position lives in its link record; a
-        // latched flit is always drained in the cycle it latches.
-        LOCSIM_ASSERT(ep.eject.bufEmpty(),
-                      "ejection ring holds a latched flit between cycles");
+    // Nodes serialize in node order, which depends only on the
+    // topology (never on the shard plan), and each router folds its
+    // cross-shard wake words into its staged words, so the stream is
+    // identical for any shard count and restores at any other.
+    for (sim::NodeId node = 0; node < routers_.size(); ++node) {
+        routers_[node]->saveState(s);
+        const NodeEndpoint &ep = endpoints_[node];
         s.put<std::uint64_t>(ep.source_queue.size());
         for (std::size_t i = 0; i < ep.source_queue.size(); ++i)
             saveMessage(s, ep.source_queue[i]);
         s.put(ep.flits_sent);
         s.put(ep.inject_credits);
+        s.put(ep.inject_banked);
+        s.put(ep.inject_cursor);
         s.put(ep.next_seq);
+        // A latched flit is always drained in the cycle it latches, so
+        // the ejection ring's position is its tail, and a staged flit
+        // is all it can hold.
+        LOCSIM_ASSERT(ep.eject.bufEmpty(),
+                      "ejection ring holds a latched flit between cycles");
+        s.put(ep.eject.tail);
+        s.put(eject_staged_[node] != 0);
+        if (eject_staged_[node] != 0)
+            saveFlit(s, ep.eject.slots[ep.eject.tail & ep.eject.mask]);
         s.put<std::uint64_t>(ep.delivered.size());
         for (std::size_t i = 0; i < ep.delivered.size(); ++i)
             saveMessage(s, ep.delivered[i]);
@@ -1059,112 +1005,59 @@ Network::saveState(util::Serializer &s) const
 }
 
 void
-Network::restoreLink(const LinkEnds &link, const LinkImage &image)
+Network::checkCursors() const
 {
-    // Only ever applied to this network's own lanes: drop the const
-    // the read-side view carries.
-    const LinkLanes lanes = lanesOf(link);
-    auto *rings = const_cast<Router::InputVc *>(lanes.rings);
-    auto cursor = [&](int lane) -> std::uint32_t & {
-        return lanes.outputs != nullptr
-                   ? const_cast<Router::OutputVc &>(lanes.outputs[lane])
-                         .cursor
-                   : *const_cast<std::uint32_t *>(lanes.inject_cursor);
+    // Every ring has one writer, whose cursor runs exactly the staged
+    // flit (if any) ahead of the ring's tail; a ring nobody feeds
+    // counts as written through a cursor of 0, and an output with no
+    // consumer must never have written.
+    auto fail = [] {
+        throw std::runtime_error("Network::loadState: write cursor is "
+                                 "not its ring's tail plus the staged "
+                                 "bit");
     };
-    if (link.consumer_port < 0)
-        rings[0].head = rings[0].tail = image.head;
-    std::uint32_t consumed = 0;
-    for (int i = 0; i < lanes.count; ++i) {
-        cursor(i) = rings[i].tail;
-        consumed += rings[i].tail;
-    }
-    if (consumed != image.head) {
-        throw std::runtime_error(
-            "Network::loadState: link record disagrees with its "
-            "consumer's buffer");
-    }
-    if (image.tail != image.head) {
-        const int lane = image.flit.vc;
-        if (lane >= lanes.count) {
-            throw std::runtime_error(
-                "Network::loadState: flit in transit on a VC the link "
-                "does not carry");
-        }
-        Router::InputVc &ring = rings[lane];
-        if (static_cast<int>(ring.bufSize()) >=
-            config_.router.buffer_depth) {
-            throw std::runtime_error(
-                "Network::loadState: flit in transit overflows its "
-                "ring");
-        }
-        ring.slots[ring.tail & ring.mask] = image.flit;
-        ++cursor(lane);
-        if (link.consumer_port < 0) {
-            eject_staged_[link.consumer] = 1u;
-        } else {
-            Router &consumer = *routers_[link.consumer];
-            consumer.stageFlitBits(
-                1u << consumer.unitBit(link.consumer_port, lane));
-        }
-    }
-    for (int vc = 0; vc < config_.router.vcs; ++vc) {
-        const std::int64_t credits =
-            image.credits[static_cast<std::size_t>(vc)];
-        if (link.producer_port < 0) {
-            if (credits < 0 || credits > config_.router.buffer_depth ||
-                (vc != 0 && credits != 0)) {
-                throw std::runtime_error(
-                    "Network::loadState: bad injection credit record");
+    const int vcs = config_.router.vcs;
+    for (sim::NodeId node = 0; node < routers_.size(); ++node) {
+        const std::uint32_t staged = flit_wake_staged_[node];
+        const NodeEndpoint &ep = endpoints_[node];
+        for (int port = 0; port < ports_; ++port) {
+            // Also the consumer of this node's output `port`.
+            const sim::NodeId producer = producerOf(node, port);
+            for (int vc = 0; vc < vcs; ++vc) {
+                std::uint32_t cursor = 0;
+                if (producer != sim::kNodeNone) {
+                    cursor =
+                        output_vcs_[unitIndex(producer, port ^ 1, vc)]
+                            .cursor;
+                } else if (port == local_port_ && vc == 0) {
+                    cursor = ep.inject_cursor;
+                }
+                const Router::InputVc &ring =
+                    input_units_[unitIndex(node, port, vc)];
+                if (cursor != ring.tail + ((staged >> (port * vcs + vc)) &
+                                           1u))
+                    fail();
+                const bool consumed = port == local_port_
+                                          ? vc == 0
+                                          : producer != sim::kNodeNone;
+                if (!consumed &&
+                    output_vcs_[unitIndex(node, port, vc)].cursor != 0)
+                    fail();
             }
-            endpoints_[link.producer].inject_banked +=
-                static_cast<std::uint32_t>(credits);
-            continue;
         }
-        // At most one credit per link per cycle: a bit.
-        if (credits < 0 || credits > 1) {
-            throw std::runtime_error(
-                "Network::loadState: more than one credit in flight "
-                "on a link VC");
-        }
-        Router &producer = *routers_[link.producer];
-        if (credits == 1) {
-            producer.stageCreditBits(
-                1u << producer.unitBit(link.producer_port, vc));
-        }
+        // The ejection output deposits every VC through VC 0's cursor.
+        if (output_vcs_[unitIndex(node, local_port_, 0)].cursor !=
+            ep.eject.tail + eject_staged_[node])
+            fail();
     }
 }
 
 void
 Network::loadState(util::Deserializer &d)
 {
-    // Link records precede the routers in the stream but restore into
-    // router and endpoint state, so parse them first and apply them
-    // once both are loaded.
-    std::vector<LinkImage> images(links_.size());
-    for (LinkImage &image : images) {
-        image.head = static_cast<std::uint32_t>(d.get<std::uint64_t>());
-        const auto mid =
-            static_cast<std::uint32_t>(d.get<std::uint64_t>());
-        image.tail = static_cast<std::uint32_t>(d.get<std::uint64_t>());
-        if (mid != image.tail || image.tail - image.head > 1) {
-            throw std::runtime_error(
-                "Network::loadState: a link record holds more than "
-                "one flit in transit");
-        }
-        if (image.tail != image.head)
-            image.flit = loadFlit(d);
-    }
-    for (LinkImage &image : images) {
-        for (int vc = 0; vc < config_.router.vcs; ++vc) {
-            const std::int64_t staged = d.get<int>();
-            image.credits[static_cast<std::size_t>(vc)] =
-                staged + d.get<int>();
-        }
-    }
-    for (Router *router : routers_)
-        router->loadState(d);
-
+    const int depth = config_.router.buffer_depth;
     for (sim::NodeId node = 0; node < endpoints_.size(); ++node) {
+        routers_[node]->loadState(d);
         NodeEndpoint &ep = endpoints_[node];
         ep.source_queue.clear();
         auto count = d.get<std::uint64_t>();
@@ -1172,7 +1065,32 @@ Network::loadState(util::Deserializer &d)
             ep.source_queue.push_back(loadMessage(d));
         ep.flits_sent = d.get<std::uint32_t>();
         ep.inject_credits = d.get<int>();
+        ep.inject_banked = d.get<std::uint32_t>();
+        ep.inject_cursor = d.get<std::uint32_t>();
+        if (ep.inject_credits < 0 ||
+            static_cast<std::int64_t>(ep.inject_credits) +
+                    ep.inject_banked >
+                depth) {
+            throw std::runtime_error(
+                "Network::loadState: injection credits outside [0, "
+                "buffer_depth]");
+        }
         ep.next_seq = d.get<std::uint64_t>();
+        ep.eject.head = ep.eject.tail = d.get<std::uint32_t>();
+        eject_staged_[node] = d.getBool() ? 1u : 0u;
+        if (eject_staged_[node] != 0) {
+            const Flit flit = loadFlit(d);
+            if (flit.vc >= config_.router.vcs) {
+                throw std::runtime_error(
+                    "Network::loadState: ejected flit on a VC past vcs");
+            }
+            if (flit.dst >= topo_.nodeCount()) {
+                throw std::runtime_error(
+                    "Network::loadState: ejected flit bound past the "
+                    "last node");
+            }
+            ep.eject.slots[ep.eject.tail & ep.eject.mask] = flit;
+        }
         ep.delivered.clear();
         count = d.get<std::uint64_t>();
         for (std::uint64_t i = 0; i < count; ++i)
@@ -1189,12 +1107,9 @@ Network::loadState(util::Deserializer &d)
             ep.arrived_msg = d.get<MessageId>();
             ep.arrived_count = d.get<std::uint32_t>();
         }
-        ep.inject_banked = 0;
         source_pending_[node] = ep.source_queue.empty() ? 0u : 1u;
-        eject_staged_[node] = 0u; // restaged by the ejection links
     }
-    for (std::size_t i = 0; i < links_.size(); ++i)
-        restoreLink(links_[i], images[i]);
+    checkCursors();
 
     for (ShardState &shard : shards_) {
         shard.records.clear();

@@ -308,12 +308,7 @@ class Network : public sim::Clocked
      * node's injection and ejection link. 2*n*N on a torus;
      * 2*n*(k-1)*k^(n-1) on a mesh, whose edge nodes lack outward links.
      */
-    std::size_t
-    neighborChannels() const
-    {
-        return links_.size() - 2 * static_cast<std::size_t>(
-                                       topo_.nodeCount());
-    }
+    std::size_t neighborChannels() const { return neighbor_channels_; }
 
     /** Look up accounting for a message (test/diagnostic hook). */
     const MessageRecord *record(MessageId id) const;
@@ -361,23 +356,30 @@ class Network : public sim::Clocked
     void setProfiler(obs::Profiler *profiler, int lane);
 
     /**
-     * Serialize the complete fabric state: one flit record and one
-     * credit record per link, then every router, in construction
-     * order, endpoint queues, in-flight accounting and statistics.
-     * Link records keep the LSCK layout of the latched-link fabric
-     * this one replaced: a link's (head, mid, tail) cursors are the
-     * sums of its per-VC consumer tails and producer cursors, and its
-     * flits are the ones in transit (see saveLink()). The byte stream
-     * is independent of the shard count (records are sorted by id,
+     * Serialize the complete fabric state. Per node, in node order:
+     * the router (Router::saveState), then the endpoint: its source
+     * queue, injection credits and write cursor, the ejection ring's
+     * position and the flit staged in it, delivered messages and the
+     * reassembly cursor. Then the in-flight accounting records and the
+     * statistics. Flits in transit are the ring slots a staged bit
+     * names, so they serialize with their consumer. The byte stream is
+     * independent of the shard count (records are sorted by id,
      * per-shard statistics are merged, and cross-shard wake words fold
-     * into their sequential equivalents), so a checkpoint taken at any
-     * K restores at any other K. Requires no attached tracer (span ids
-     * would dangle across a restore).
+     * into the staged words), so a checkpoint taken at any K restores
+     * at any other K. Requires no attached tracer (span ids would
+     * dangle across a restore).
      */
     void saveState(util::Serializer &s) const;
 
-    /** Restore state saved by saveState() on an identically configured
-     *  fabric (any shard count on either side). */
+    /**
+     * Restore state saved by saveState() on an identically configured
+     * fabric (any shard count on either side). Throws
+     * std::runtime_error where Router::loadState does, on injection
+     * credits outside [0, buffer_depth], an ejected flit on a VC past
+     * vcs or bound for a node the fabric lacks, more than one message
+     * mid-ejection, or a write cursor that is not its consumer ring's
+     * tail plus the staged bit (0 where a port has no link).
+     */
     void loadState(util::Deserializer &d);
 
   private:
@@ -457,55 +459,12 @@ class Network : public sim::Clocked
     };
 
     /**
-     * One physical link in construction order (the checkpoint record
-     * order): flits go producer -> consumer, credits come back. A
-     * port of -1 names the node's endpoint (injection producer or
-     * ejection consumer).
+     * The node whose output feeds input @p port of @p node (through
+     * its port port ^ 1), or kNodeNone for the local port and mesh
+     * edges.
      */
-    struct LinkEnds
-    {
-        sim::NodeId producer;
-        int producer_port;
-        sim::NodeId consumer;
-        int consumer_port;
-    };
-
-    /**
-     * A link's lanes: per VC, the consumer ring and the producer's
-     * write cursor into it (one lane for the endpoint links, which
-     * carry VC 0 only). A router producer's cursors live in its
-     * output-VC records; the injection producer's is the endpoint's
-     * inject_cursor. Flits in transit on lane i are the ring slots
-     * [rings[i].tail, cursor(i)).
-     */
-    struct LinkLanes
-    {
-        const Router::InputVc *rings;
-        const Router::OutputVc *outputs; //!< null: injection link
-        const std::uint32_t *inject_cursor;
-        int count;
-
-        std::uint32_t
-        cursor(int lane) const
-        {
-            return outputs != nullptr ? outputs[lane].cursor
-                                      : *inject_cursor;
-        }
-    };
-
-    /** One link's flit and credit records as read from a checkpoint. */
-    struct LinkImage
-    {
-        std::uint32_t head = 0;
-        std::uint32_t tail = 0; //!< head or head + 1
-        Flit flit;              //!< valid when tail != head
-        std::array<std::int64_t, Router::kMaxVcs> credits{};
-    };
-
-    LinkLanes lanesOf(const LinkEnds &link) const;
-    /** Credits in flight back over @p link on @p vc. */
-    std::uint32_t creditsInFlight(const LinkEnds &link, int vc) const;
-    void restoreLink(const LinkEnds &link, const LinkImage &image);
+    sim::NodeId producerOf(sim::NodeId node, int port) const;
+    void checkCursors() const;
 
     std::size_t
     unitIndex(sim::NodeId node, int port, int vc) const
@@ -550,7 +509,8 @@ class Network : public sim::Clocked
     util::Arena arena_;
 
     std::vector<Router *> routers_;
-    std::vector<LinkEnds> links_;
+    /** Router-to-router links, counted while wiring. */
+    std::size_t neighbor_channels_ = 0;
 
     /**
      * Fabric-wide router state slabs, sliced per router (see
@@ -586,7 +546,9 @@ class Network : public sim::Clocked
      * ejection work. source_pending_[node] is set while the node's
      * source queue is non-empty (send() sets it, tickInjection clears
      * it with the last pop). Only the owning shard writes either word.
-     * Both are derived state: never serialized, rebuilt by loadState.
+     * Checkpoints save eject_staged_ as the ejection slot's staged
+     * bit; source_pending_ is derived, and loadState rebuilds it from
+     * the queue.
      */
     std::vector<std::uint32_t> eject_staged_;
     std::vector<std::uint32_t> source_pending_;

@@ -6,6 +6,8 @@
 #include "net/router.hh"
 
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "util/logging.hh"
 
@@ -399,6 +401,137 @@ Router::tick(sim::Tick now)
         return;
     routeAndAllocate(now);
     switchTraversal(now);
+}
+
+void
+Router::saveState(util::Serializer &s) const
+{
+    LOCSIM_ASSERT(*flit_wake_ == 0 && *credit_wake_ == 0,
+                  "latched wake words set between cycles at node ",
+                  node_);
+    const std::uint32_t staged = stagedFlitBits();
+    s.put(staged);
+    s.put(stagedCreditBits());
+    const int units = unitCount();
+    for (int u = 0; u < units; ++u) {
+        const InputVc &ivc = inputs_[static_cast<std::size_t>(u)];
+        s.put(ivc.head);
+        s.put(ivc.tail);
+        s.put(ivc.routed);
+        s.put(ivc.route_valid);
+        s.put(ivc.out_port);
+        s.put(ivc.out_vc);
+        const std::uint32_t end = ivc.tail + ((staged >> u) & 1u);
+        for (std::uint32_t i = ivc.head; i != end; ++i)
+            saveFlit(s, ivc.slots[i & ivc.mask]);
+    }
+    for (int u = 0; u < units; ++u) {
+        const OutputVc &ovc = outputs_[static_cast<std::size_t>(u)];
+        s.put(ovc.owner);
+        s.put(ovc.credits);
+        s.put(ovc.cursor);
+    }
+    for (int p = 0; p < portCount(); ++p)
+        s.put(next_vc_[static_cast<std::size_t>(p)]);
+    for (int p = 0; p < portCount(); ++p)
+        output_flits_[static_cast<std::size_t>(p)].saveState(s);
+    alloc_stalls_.saveState(s);
+}
+
+void
+Router::loadState(util::Deserializer &d)
+{
+    auto reject = [](const char *what) {
+        throw std::runtime_error(std::string("Router::loadState: ") +
+                                 what);
+    };
+    const int units = unitCount();
+    const int ports = portCount();
+    const std::uint32_t depth =
+        static_cast<std::uint32_t>(config_.buffer_depth);
+    const auto flits = d.get<std::uint32_t>();
+    const auto credits = d.get<std::uint32_t>();
+    if (((flits | credits) >> units) != 0)
+        reject("staged bit past the last unit");
+    *flit_wake_staged_ = flits;
+    *credit_wake_staged_ = credits;
+    *flit_wake_ = 0;
+    *credit_wake_ = 0;
+    remote_flit_wake_.store(0u, std::memory_order_relaxed);
+    remote_credit_wake_.store(0u, std::memory_order_relaxed);
+
+    // The occupancy masks and buffered count are functions of the
+    // rings, rebuilt as they load. ready_ports_ may be a superset of
+    // what a never-checkpointed run would hold; scanning an extra
+    // blocked port forwards nothing and marks nothing, so the superset
+    // is observationally identical and self-corrects on the first
+    // traversal.
+    *buffered_ = 0;
+    vc_occupied_ = 0;
+    owned_ports_ = 0;
+    alloc_pending_ = 0;
+    for (int u = 0; u < units; ++u) {
+        InputVc &ivc = inputs_[static_cast<std::size_t>(u)];
+        ivc.head = d.get<std::uint32_t>();
+        ivc.tail = d.get<std::uint32_t>();
+        ivc.routed = d.getBool();
+        ivc.route_valid = d.getBool();
+        ivc.out_port = d.get<std::int8_t>();
+        ivc.out_vc = d.get<std::int8_t>();
+        const std::uint32_t held = ivc.tail - ivc.head;
+        const std::uint32_t staged = (flits >> u) & 1u;
+        if (held > depth || held + staged > depth)
+            reject("ring holds more than buffer_depth flits");
+        if (ivc.route_valid ? ivc.out_port < 0 || ivc.out_port >= ports ||
+                                  ivc.out_vc < 0 ||
+                                  ivc.out_vc >= config_.vcs
+                            : ivc.routed || ivc.out_port != -1 ||
+                                  ivc.out_vc != -1)
+            reject("malformed route");
+        for (std::uint32_t i = ivc.head; i != ivc.tail + staged; ++i) {
+            const Flit flit = loadFlit(d);
+            if (flit.vc != unit_vc_[static_cast<std::size_t>(u)])
+                reject("flit VC differs from its ring's");
+            if (flit.dst >= topo_.nodeCount())
+                reject("flit destination past the last node");
+            ivc.slots[i & ivc.mask] = flit;
+        }
+        *buffered_ += held;
+        if (held != 0) {
+            vc_occupied_ |= 1u << u;
+            if (!ivc.routed)
+                alloc_pending_ |= 1u << u;
+        }
+    }
+    for (int u = 0; u < units; ++u) {
+        OutputVc &ovc = outputs_[static_cast<std::size_t>(u)];
+        ovc.owner = d.get<std::int8_t>();
+        ovc.credits = d.get<std::int16_t>();
+        ovc.cursor = d.get<std::uint32_t>();
+        if (ovc.owner < -1 || ovc.owner >= units)
+            reject("output VC owner is not an input unit");
+        if (ovc.credits < 0 ||
+            static_cast<std::uint32_t>(ovc.credits) +
+                    ((credits >> u) & 1u) >
+                depth)
+            reject("credits outside [0, buffer_depth]");
+        if (ovc.owner != -1)
+            owned_ports_ |= 1u << unit_port_[static_cast<std::size_t>(u)];
+    }
+    ready_ports_ = owned_ports_;
+    for (int p = 0; p < ports; ++p) {
+        std::int8_t &next_vc = next_vc_[static_cast<std::size_t>(p)];
+        next_vc = d.get<std::int8_t>();
+        if (next_vc < 0 || next_vc >= config_.vcs)
+            reject("round-robin VC out of range");
+    }
+    // The allocation scan's start is a pure function of the tick; a
+    // cleared cache recomputes it on the next scan.
+    rr_now_ = 0;
+    rr_start_ = 0;
+    for (int p = 0; p < ports; ++p)
+        output_flits_[static_cast<std::size_t>(p)].loadState(d);
+    alloc_stalls_.loadState(d);
 }
 
 std::size_t

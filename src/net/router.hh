@@ -189,8 +189,7 @@ class Router
     /**
      * One output VC, packed to 8 bytes and indexed like the input
      * units (port * vcs + vc), so a credit bit's index addresses its
-     * record directly and a flit move touches one record. Checkpoint
-     * streams still carry the original int-width fields.
+     * record directly and a flit move touches one record.
      */
     struct OutputVc
     {
@@ -426,136 +425,35 @@ class Router
     sim::NodeId node() const { return node_; }
 
     /**
-     * Serialize the router's dynamic state: input-VC buffers with
-     * their wormhole routing state, output VC ownership and credits,
-     * all wake/occupancy masks (staged wakes can be nonzero at a run
-     * boundary), arbitration cache, and per-port statistics. Wiring
-     * and decode tables are reconstructed at build time. Write
-     * cursors and flits in transit are not router state: the Network
-     * serializes them as link records (see Network::saveState).
+     * Serialize the router's dynamic state: its staged flit and credit
+     * words (pending cross-shard bits folded in, so the bytes do not
+     * depend on the shard count), then per input unit its ring
+     * cursors, routing state and the flits in [head, tail + staged
+     * bit), per output VC its owner, credits and write cursor, the
+     * per-port VC round-robin pointers and the statistics. Wiring,
+     * decode tables, the latched wake words (clear between cycles) and
+     * every field derivable from the rest (occupancy and ownership
+     * masks, the buffered count, the arbitration cache) are rebuilt
+     * instead.
      */
-    void
-    saveState(util::Serializer &s) const
-    {
-        const int units = unitCount();
-        s.put<std::uint64_t>(static_cast<std::uint64_t>(units));
-        for (int u = 0; u < units; ++u) {
-            const InputVc &ivc = inputs_[static_cast<std::size_t>(u)];
-            s.put(ivc.head);
-            s.put(ivc.tail);
-            for (std::uint32_t i = ivc.head; i != ivc.tail; ++i)
-                saveFlit(s, ivc.slots[i & ivc.mask]);
-            s.put(ivc.routed);
-            s.put(ivc.route_valid);
-            s.put(static_cast<int>(ivc.out_port));
-            s.put(static_cast<int>(ivc.out_vc));
-        }
-        const int ports = portCount();
-        s.put<std::uint64_t>(static_cast<std::uint64_t>(ports));
-        for (int p = 0; p < ports; ++p) {
-            for (int vc = 0; vc < config_.vcs; ++vc) {
-                const OutputVc &ovc =
-                    outputs_[static_cast<std::size_t>(unitBit(p, vc))];
-                s.put(static_cast<int>(ovc.owner));
-                s.put(static_cast<int>(ovc.credits));
-            }
-            s.put(static_cast<int>(next_vc_[static_cast<std::size_t>(p)]));
-        }
-        // The slab word is 32-bit in memory; the stream keeps its
-        // original 64-bit field.
-        s.put<std::uint64_t>(*buffered_);
-        // The stream carries one wake bit per port; fold the per-unit
-        // staged bits (with pending cross-shard ones, which latch
-        // identically) into that form, independent of the shard
-        // count. Latched words are always clear between cycles.
-        s.put(portBits(stagedFlitBits()));
-        s.put(portBits(*flit_wake_));
-        s.put(portBits(stagedCreditBits()));
-        s.put(portBits(*credit_wake_));
-        s.put(vc_occupied_);
-        s.put(owned_ports_);
-        s.put(rr_now_);
-        s.put(rr_start_);
-        for (int p = 0; p < ports; ++p)
-            output_flits_[static_cast<std::size_t>(p)].saveState(s);
-        alloc_stalls_.saveState(s);
-    }
+    void saveState(util::Serializer &s) const;
 
-    void
-    loadState(util::Deserializer &d)
+    /**
+     * Inverse of saveState(). Throws std::runtime_error on a staged
+     * bit past the last unit, a ring holding more than buffer_depth
+     * flits, a malformed route, a flit on the wrong VC or bound for a
+     * node the fabric lacks, an owner that is not an input unit, or
+     * credits (with a staged one) outside [0, buffer_depth]. Write
+     * cursors are checked against their consumers by the Network.
+     */
+    void loadState(util::Deserializer &d);
+
+    /** Unlatched flit bits, including pending cross-shard ones. */
+    std::uint32_t
+    stagedFlitBits() const
     {
-        const int units = unitCount();
-        if (d.get<std::uint64_t>() !=
-            static_cast<std::uint64_t>(units)) {
-            throw std::runtime_error(
-                "Router::loadState: input unit count mismatch");
-        }
-        for (int u = 0; u < units; ++u) {
-            InputVc &ivc = inputs_[static_cast<std::size_t>(u)];
-            ivc.head = d.get<std::uint32_t>();
-            ivc.tail = d.get<std::uint32_t>();
-            for (std::uint32_t i = ivc.head; i != ivc.tail; ++i)
-                ivc.slots[i & ivc.mask] = loadFlit(d);
-            ivc.routed = d.getBool();
-            ivc.route_valid = d.getBool();
-            ivc.out_port = static_cast<std::int8_t>(d.get<int>());
-            ivc.out_vc = static_cast<std::int8_t>(d.get<int>());
-        }
-        const int ports = portCount();
-        if (d.get<std::uint64_t>() !=
-            static_cast<std::uint64_t>(ports)) {
-            throw std::runtime_error(
-                "Router::loadState: output port count mismatch");
-        }
-        for (int p = 0; p < ports; ++p) {
-            for (int vc = 0; vc < config_.vcs; ++vc) {
-                OutputVc &ovc =
-                    outputs_[static_cast<std::size_t>(unitBit(p, vc))];
-                ovc.owner = static_cast<std::int8_t>(d.get<int>());
-                ovc.credits = static_cast<std::int16_t>(d.get<int>());
-            }
-            next_vc_[static_cast<std::size_t>(p)] =
-                static_cast<std::int8_t>(d.get<int>());
-        }
-        *buffered_ =
-            static_cast<std::uint32_t>(d.get<std::uint64_t>());
-        // Staged bits are rebuilt from the link records the Network
-        // restores after the routers (their per-port form in the
-        // stream is implied by them); latched words must be clear.
-        d.get<std::uint32_t>();
-        const std::uint32_t flit_wake = d.get<std::uint32_t>();
-        d.get<std::uint32_t>();
-        const std::uint32_t credit_wake = d.get<std::uint32_t>();
-        if (flit_wake != 0 || credit_wake != 0) {
-            throw std::runtime_error(
-                "Router::loadState: latched wake words set between "
-                "cycles");
-        }
-        *flit_wake_staged_ = 0;
-        *flit_wake_ = 0;
-        *credit_wake_staged_ = 0;
-        *credit_wake_ = 0;
-        remote_flit_wake_.store(0u, std::memory_order_relaxed);
-        remote_credit_wake_.store(0u, std::memory_order_relaxed);
-        vc_occupied_ = d.get<std::uint32_t>();
-        owned_ports_ = d.get<std::uint32_t>();
-        // Rebuild the derived scan masks. ready_ports_ may be a
-        // superset of what a never-checkpointed run would hold;
-        // scanning an extra blocked port forwards nothing and marks
-        // nothing, so the superset is observationally identical and
-        // self-corrects on the first traversal.
-        ready_ports_ = owned_ports_;
-        alloc_pending_ = 0;
-        for (int u = 0; u < units; ++u) {
-            const InputVc &ivc = inputs_[static_cast<std::size_t>(u)];
-            if (!ivc.routed && !ivc.bufEmpty())
-                alloc_pending_ |= 1u << u;
-        }
-        rr_now_ = d.get<sim::Tick>();
-        rr_start_ = d.get<int>();
-        for (int p = 0; p < ports; ++p)
-            output_flits_[static_cast<std::size_t>(p)].loadState(d);
-        alloc_stalls_.loadState(d);
+        return *flit_wake_staged_ |
+               remote_flit_wake_.load(std::memory_order_relaxed);
     }
 
     /** Unlatched credit bits, including pending cross-shard ones. */
@@ -566,41 +464,7 @@ class Router
                remote_credit_wake_.load(std::memory_order_relaxed);
     }
 
-    /** Stage flit bits (checkpoint restore of flits in transit). */
-    void stageFlitBits(std::uint32_t bits) { *flit_wake_staged_ |= bits; }
-
-    /** Stage credit bits (checkpoint restore of credits in flight). */
-    void
-    stageCreditBits(std::uint32_t bits)
-    {
-        *credit_wake_staged_ |= bits;
-    }
-
   private:
-    /**
-     * Fold per-unit wake bits into the per-port form the checkpoint
-     * stream carries (one bit per port with any unit set).
-     */
-    std::uint32_t
-    portBits(std::uint32_t units) const
-    {
-        const std::uint32_t lane = (1u << config_.vcs) - 1u;
-        std::uint32_t ports = 0;
-        for (int p = 0; p < portCount(); ++p) {
-            if ((units >> (p * config_.vcs)) & lane)
-                ports |= 1u << p;
-        }
-        return ports;
-    }
-
-    /** Unlatched flit bits, including pending cross-shard ones. */
-    std::uint32_t
-    stagedFlitBits() const
-    {
-        return *flit_wake_staged_ |
-               remote_flit_wake_.load(std::memory_order_relaxed);
-    }
-
     void receiveCredits();
     void receiveFlits();
     void routeAndAllocate(sim::Tick now);
@@ -670,9 +534,8 @@ class Router
      * a flit latched into a routed unit (receiveFlits), or a fresh VC
      * claim (routeAndAllocate). alloc_pending_ likewise narrows the
      * allocation scan to units whose head packet still needs an
-     * output VC. Both masks are derived state: they are never
-     * serialized (checkpoint bytes are unchanged) and are rebuilt
-     * conservatively in loadState().
+     * output VC. Both masks are derived state, never serialized and
+     * rebuilt conservatively in loadState().
      */
     std::uint32_t ready_ports_ = 0;
     std::uint32_t alloc_pending_ = 0;

@@ -234,16 +234,16 @@ TEST(Checkpoint, SaveLoadSaveIsByteStable)
 
 /**
  * LSCK bytes are pinned, not just self-consistent: 8x8 machines saved
- * mid-traffic must hash to fixed digests. These are the version 4
- * (sparse cache section) images; expanding their cache sections back
- * to the dense version 3 layout reproduces, at 1 and 2 shards, the
- * digests recorded from the latched-link fabric that direct deposit
- * replaced. Across the save points, flits
- * are in transit on neighbor, injection, ejection and (at 2 shards)
- * cross-shard links, and credits are in flight — the states whose
- * records the deposit protocol re-derives from producer cursors and
- * consumer rings. Each image also restores at the other shard count
- * and re-saves to the same digest.
+ * mid-traffic must hash to fixed digests. These are version 5 images
+ * (native network section). Restoring each and re-saving it with the
+ * version 4 network writer reproduces the version 4 digests at 1 and
+ * 2 shards, apart from the allocation scan's round-robin cache, which
+ * version 5 rebuilds from the tick instead of storing. Across the save
+ * points, flits are in transit on neighbor, injection, ejection and
+ * (at 2 and 4 shards) cross-shard links, and credits are in flight, so
+ * the staged words the images carry, with cross-shard bits folded in,
+ * are pinned where the most links cross shards too. Each image also
+ * restores at another shard count and re-saves to the same digest.
  */
 TEST(Checkpoint, MidTrafficImagesMatchPinnedDigests)
 {
@@ -254,17 +254,17 @@ TEST(Checkpoint, MidTrafficImagesMatchPinnedDigests)
     };
     const Point points[] = {
         {1201,
-         "8a5d7931c3ba7343efc0e79daa620889b04123a3b32e68c97f5a5488e04ee803"},
+         "a93ea56876db3479a64373bd602ca66c586a21e5aa4daa2c720e6b2aa6bdaf4a"},
         {2502,
-         "be6fe6b9dcc904ef6382f3e177a97edf548c35290073ab931d926c6240f8ac30"},
+         "ff9cb5067068447b8988741655f59fd28b6a3d630bc9d8b990ff10fca95be964"},
         {3703,
-         "a73f750f92b03151c0904b49ce95ce070f591533346e3dacdf91bb9b8661919a"},
+         "0e25dfbd764fcaa052efd0f0091e787a6c83d8b9c546040bb418ebb90eb56a0d"},
     };
     MachineConfig config;
     config.contexts = 4;
     const workload::Mapping mapping = identityMapping(config);
     net::TransitCounts seen;
-    for (int shards : {1, 2}) {
+    for (int shards : {1, 2, 4}) {
         config.shards = shards;
         for (const Point &p : points) {
             Machine machine(config, mapping);
@@ -283,7 +283,7 @@ TEST(Checkpoint, MidTrafficImagesMatchPinnedDigests)
             seen.credits += t.credits;
 
             MachineConfig other = config;
-            other.shards = 3 - shards;
+            other.shards = shards == 4 ? 1 : 2 * shards;
             Machine restored(other, mapping);
             restored.restoreCheckpoint(image);
             EXPECT_EQ(util::Sha256::hashHex(restored.saveCheckpoint()),

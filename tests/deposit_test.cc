@@ -247,9 +247,9 @@ class TwoRouters
             slices.inputs = slab.inputs.data();
             slices.outputs = slab.outputs.data();
             slices.vc_slots = slab.slots.data();
-            slices.flit_wake_staged = &slab.words[0];
+            slices.flit_wake_staged = &slab.words[kFlitStaged];
             slices.flit_wake = &slab.words[1];
-            slices.credit_wake_staged = &slab.words[2];
+            slices.credit_wake_staged = &slab.words[kCreditStaged];
             slices.credit_wake = &slab.words[3];
             slices.buffered = &slab.words[4];
             routers_[r] = std::make_unique<Router>(
@@ -261,12 +261,12 @@ class TwoRouters
         Router::Downstream down;
         down.units = &slabs_[1].inputs[static_cast<std::size_t>(
             in * config_.vcs)];
-        down.wake = &slabs_[1].words[0];
+        down.wake = &slabs_[1].words[kFlitStaged];
         down.shift = static_cast<std::uint8_t>(in * config_.vcs);
         down.vc_mask = 0xff;
         routers_[0]->connectOutput(out, down);
         Router::Upstream up;
-        up.word = &slabs_[0].words[2];
+        up.word = &slabs_[0].words[kCreditStaged];
         up.shift = static_cast<std::uint8_t>(out * config_.vcs);
         routers_[1]->connectInput(in, up);
         Router::Upstream bank;
@@ -290,7 +290,7 @@ class TwoRouters
         flit.dst = 1;
         flit.head = true;
         flit.tail = true;
-        routers_[0]->stageFlitBits(1u << unit);
+        slabs_[0].words[kFlitStaged] |= 1u << unit;
     }
 
     /** One cycle of router 0 (router 1 stays stalled). */
@@ -308,8 +308,8 @@ class TwoRouters
     void
     forgeCredit()
     {
-        routers_[0]->stageCreditBits(
-            1u << routers_[0]->unitBit(Router::portFor(0, +1), 0));
+        slabs_[0].words[kCreditStaged] |=
+            1u << routers_[0]->unitBit(Router::portFor(0, +1), 0);
     }
 
     /** Flits latched or deposited into router 1's -x VC 0 ring. */
@@ -325,6 +325,9 @@ class TwoRouters
   private:
     static constexpr std::size_t kPorts = 3;
     static constexpr std::size_t kUnits = kPorts * 2;
+    /** Slab words holding a router's staged flit and credit bits. */
+    static constexpr std::size_t kFlitStaged = 0;
+    static constexpr std::size_t kCreditStaged = 2;
 
     struct Slab
     {

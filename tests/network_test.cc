@@ -147,21 +147,15 @@ TEST(NetworkDeathTest, NodeCountBeyondMessageIdBitsDies)
 }
 
 /**
- * A checkpoint flit record in the stream's field order and widths
- * (the 24-byte flit layout's fields), so tests can write records the
- * packed Flit cannot hold. Defaults are a valid body flit.
+ * A checkpoint flit record in the stream's field order and widths, so
+ * tests can write records the fabric never does. Defaults are a valid
+ * body flit (bodyFlit()).
  */
 struct FlitRecord
 {
     std::uint64_t msg = (std::uint64_t{5} << 40) | 7;
-    std::uint32_t src = 5;
-    std::uint32_t dst = 9;
-    std::uint32_t seq = 11;
-    bool head = false;
-    bool tail = true;
-    std::uint8_t vc = 0;
-    bool crossed_dateline = false;
-    std::uint16_t hops = 0;
+    std::uint32_t word = 9 | 1u << 25; // dst 9, tail
+    std::uint16_t seq_or_hops = 11;
     std::uint16_t stalls = 0;
 
     std::vector<std::uint8_t>
@@ -169,14 +163,8 @@ struct FlitRecord
     {
         util::Serializer s;
         s.put(msg);
-        s.put(src);
-        s.put(dst);
-        s.put(seq);
-        s.put(head);
-        s.put(tail);
-        s.put(vc);
-        s.put(crossed_dateline);
-        s.put(hops);
+        s.put(word);
+        s.put(seq_or_hops);
         s.put(stalls);
         return s.buffer();
     }
@@ -224,29 +212,26 @@ loaded(const std::vector<std::uint8_t> &bytes)
     return loadFlit(d);
 }
 
-TEST(FlitStream, SaveWritesTheOriginalRecordLayout)
+TEST(FlitStream, SaveWritesThePackedRecord)
 {
-    // msg u64, src u32, dst u32, seq u32, head, tail, vc, dateline
-    // (one byte each), hops u16, stalls u16; little-endian.
+    // msg u64; dst in bits 0-23 of a u32, then head, tail, dateline
+    // and three vc bits; seq_or_hops u16; stalls u16; little-endian.
     const std::vector<std::uint8_t> head = {
         0x07, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, // msg
-        0x05, 0x00, 0x00, 0x00,                         // src
-        0x09, 0x00, 0x00, 0x00,                         // dst
-        0x00, 0x00, 0x00, 0x00,                         // seq
-        0x01, 0x00, 0x01, 0x01,     // head, tail, vc, dateline
-        0x03, 0x00, 0x02, 0x00,     // hops, stalls
+        0x09, 0x00, 0x00, 0x0d, // dst 9, head, dateline, vc 1
+        0x03, 0x00,             // hops
+        0x02, 0x00,             // stalls
     };
     const std::vector<std::uint8_t> body = {
         0x07, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, // msg
-        0x05, 0x00, 0x00, 0x00,                         // src
-        0x09, 0x00, 0x00, 0x00,                         // dst
-        0x0b, 0x00, 0x00, 0x00,                         // seq
-        0x00, 0x01, 0x00, 0x00,     // head, tail, vc, dateline
-        0x00, 0x00, 0x00, 0x00,     // hops, stalls
+        0x09, 0x00, 0x00, 0x02, // dst 9, tail
+        0x0b, 0x00,             // seq
+        0x00, 0x00,             // stalls
     };
     EXPECT_EQ(saved(headFlit()), head);
     EXPECT_EQ(saved(bodyFlit()), body);
     EXPECT_EQ(FlitRecord{}.bytes(), body);
+    EXPECT_EQ(head.size(), sizeof(Flit));
 }
 
 TEST(FlitStream, LoadInvertsSave)
@@ -255,22 +240,285 @@ TEST(FlitStream, LoadInvertsSave)
     EXPECT_EQ(loaded(saved(bodyFlit())), bodyFlit());
 }
 
-TEST(FlitStream, LoadRejectsRecordsThePackedFlitCannotHold)
+TEST(FlitStream, LoadRejectsRecordsTheFabricNeverWrites)
 {
-    std::vector<FlitRecord> bad(8);
-    bad[0].src = 6; // not msg >> 40
-    bad[1].head = true; // a head is always flit 0
-    bad[2].hops = 1; // body flits carry no head state
+    std::vector<FlitRecord> bad(4);
+    bad[0].word |= 1u << 30; // the two spare bits
+    bad[1].word |= 1u << 31;
+    bad[2].word |= 1u << 26; // body flits carry no head state
     bad[3].stalls = 1;
-    bad[4].crossed_dateline = true;
-    bad[5].vc = 8; // three VC bits
-    bad[6].dst = 1u << 24; // 24 dst bits
-    bad[7].seq = 65536; // 16 sequence bits
     for (std::size_t i = 0; i < bad.size(); ++i) {
         EXPECT_THROW(loaded(bad[i].bytes()), std::runtime_error)
             << "record " << i;
     }
+    std::vector<std::uint8_t> cut = FlitRecord{}.bytes();
+    cut.pop_back();
+    EXPECT_THROW(loaded(cut), std::runtime_error) << "cut short";
     EXPECT_EQ(loaded(FlitRecord{}.bytes()), bodyFlit());
+}
+
+/**
+ * A version 5 network section for a 4-node ring (radix 4, one
+ * dimension, 2 VCs, depth 8), written field by field in the stream's
+ * order and widths so tests can write sections the fabric never does.
+ * Defaults describe a fresh fabric; withFlitInTransit() stages one
+ * head flit on the link from node 0 to node 1.
+ */
+struct SectionImage
+{
+    static constexpr int kNodes = 4;
+    static constexpr int kPorts = 3;
+    static constexpr int kVcs = 2;
+    static constexpr int kUnits = kPorts * kVcs;
+    static constexpr int kDepth = 8;
+
+    struct Unit
+    {
+        std::uint32_t head = 0;
+        std::uint32_t tail = 0;
+        bool routed = false;
+        bool route_valid = false;
+        std::int8_t out_port = -1;
+        std::int8_t out_vc = -1;
+        std::vector<Flit> flits;
+    };
+    struct Output
+    {
+        std::int8_t owner = -1;
+        std::int16_t credits = kDepth;
+        std::uint32_t cursor = 0;
+    };
+    struct Node
+    {
+        std::uint32_t staged_flits = 0;
+        std::uint32_t staged_credits = 0;
+        Unit units[kUnits];
+        Output outputs[kUnits];
+        std::int8_t next_vc[kPorts] = {};
+        int inject_credits = kDepth;
+        std::uint32_t inject_banked = 0;
+        std::uint32_t inject_cursor = 0;
+        std::uint32_t eject_tail = 0;
+        bool eject_staged = false;
+        Flit eject_flit;
+        std::uint64_t arrived = 0; //!< messages mid-ejection
+    };
+    Node nodes[kNodes];
+
+    static NetworkConfig
+    config()
+    {
+        NetworkConfig c;
+        c.radix = kNodes;
+        c.dims = 1;
+        return c;
+    }
+
+    /** A head flit from node 0 for @p dst on VC @p vc. */
+    static Flit
+    headFor(sim::NodeId dst, int vc)
+    {
+        Flit f;
+        f.msg = 1;
+        f.dst = dst;
+        f.head = true;
+        f.tail = true;
+        f.vc = static_cast<std::uint8_t>(vc);
+        return f;
+    }
+
+    /** Node 0's +x output (port 0) deposited into node 1's -x input
+     *  (port 1), VC 0: staged, not yet latched. */
+    SectionImage &
+    withFlitInTransit()
+    {
+        nodes[0].outputs[0].cursor = 1;
+        nodes[0].outputs[0].credits = kDepth - 1;
+        nodes[1].staged_flits = 1u << (1 * kVcs);
+        nodes[1].units[1 * kVcs].flits = {headFor(1, 0)};
+        return *this;
+    }
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        util::Serializer s;
+        for (const Node &n : nodes) {
+            s.put(n.staged_flits);
+            s.put(n.staged_credits);
+            for (const Unit &u : n.units) {
+                s.put(u.head);
+                s.put(u.tail);
+                s.put(u.routed);
+                s.put(u.route_valid);
+                s.put(u.out_port);
+                s.put(u.out_vc);
+                for (const Flit &f : u.flits)
+                    saveFlit(s, f);
+            }
+            for (const Output &o : n.outputs) {
+                s.put(o.owner);
+                s.put(o.credits);
+                s.put(o.cursor);
+            }
+            for (std::int8_t vc : n.next_vc)
+                s.put(vc);
+            for (int p = 0; p < kPorts; ++p)
+                s.put<std::uint64_t>(0); // output flits
+            s.put<std::uint64_t>(0);     // allocation stalls
+            s.put<std::uint64_t>(0);     // source queue
+            s.put<std::uint32_t>(0);     // flits sent
+            s.put(n.inject_credits);
+            s.put(n.inject_banked);
+            s.put(n.inject_cursor);
+            s.put<std::uint64_t>(0); // message sequence
+            s.put(n.eject_tail);
+            s.put(n.eject_staged);
+            if (n.eject_staged)
+                saveFlit(s, n.eject_flit);
+            s.put<std::uint64_t>(0); // delivered
+            s.put(n.arrived);
+            for (std::uint64_t i = 0; i < n.arrived; ++i) {
+                s.put<MessageId>(i + 1);
+                s.put<std::uint32_t>(1);
+            }
+        }
+        s.put<std::uint64_t>(0); // records
+        s.put<std::uint64_t>(0); // in flight
+        s.put<std::uint64_t>(0); // pending deliveries
+        NetworkStats{}.saveState(s);
+        s.put<sim::Tick>(0);     // stats start
+        s.put<std::uint64_t>(0); // flit-hop base
+        return s.takeBuffer();
+    }
+};
+
+std::vector<std::uint8_t>
+savedSection(const Network &network)
+{
+    util::Serializer s;
+    network.saveState(s);
+    return s.takeBuffer();
+}
+
+TEST(Network, CheckpointRejectsMalformedSection)
+{
+    sim::Engine engine;
+    Network fresh(engine, SectionImage::config());
+    EXPECT_EQ(SectionImage{}.bytes(), savedSection(fresh))
+        << "the builder does not write a fresh fabric's section";
+
+    // A well-formed section with a flit in transit loads, holds the
+    // flit where its staged bit says, and re-saves byte for byte.
+    const std::vector<std::uint8_t> good =
+        SectionImage{}.withFlitInTransit().bytes();
+    {
+        sim::Engine e;
+        Network loaded(e, SectionImage::config());
+        util::Deserializer d(good);
+        loaded.loadState(d);
+        EXPECT_TRUE(d.atEnd());
+        EXPECT_EQ(loaded.inTransit().neighbor, 1u);
+        EXPECT_EQ(savedSection(loaded), good);
+    }
+
+    constexpr int kDepth = SectionImage::kDepth;
+    constexpr int kVcs = SectionImage::kVcs;
+    constexpr int kTransit = 1 * kVcs; // node 1's unit holding the flit
+    struct Case
+    {
+        const char *name;
+        std::vector<std::uint8_t> bytes;
+    };
+    std::vector<Case> cases;
+    auto add = [&](const char *name, auto &&mutate) {
+        SectionImage image;
+        image.withFlitInTransit();
+        mutate(image);
+        cases.push_back({name, image.bytes()});
+    };
+    add("staged bit past the last unit", [](SectionImage &im) {
+        im.nodes[2].staged_credits = 1u << SectionImage::kUnits;
+    });
+    add("ring holds more than buffer_depth", [&](SectionImage &im) {
+        // depth latched flits plus the staged one.
+        SectionImage::Unit &u = im.nodes[1].units[kTransit];
+        u.tail = kDepth;
+        u.flits.assign(kDepth + 1, SectionImage::headFor(1, 0));
+    });
+    add("cursor ahead of its ring", [](SectionImage &im) {
+        im.nodes[0].outputs[0].cursor = 2;
+    });
+    add("staged flit its producer never wrote", [](SectionImage &im) {
+        im.nodes[0].outputs[0].cursor = 0;
+    });
+    add("injection cursor off its ring", [](SectionImage &im) {
+        im.nodes[3].inject_cursor = 1;
+    });
+    add("ejection VC 1 writes a cursor", [&](SectionImage &im) {
+        im.nodes[3].outputs[2 * kVcs + 1].cursor = 1;
+    });
+    add("credits above buffer_depth", [](SectionImage &im) {
+        im.nodes[2].outputs[0].credits = kDepth + 1;
+    });
+    add("negative credits", [](SectionImage &im) {
+        im.nodes[2].outputs[0].credits = -1;
+    });
+    add("full credits with one staged", [](SectionImage &im) {
+        im.nodes[2].staged_credits = 1u;
+    });
+    add("injection credits above buffer_depth", [](SectionImage &im) {
+        im.nodes[2].inject_banked = 1;
+    });
+    add("owner past the last unit", [](SectionImage &im) {
+        im.nodes[2].outputs[0].owner = SectionImage::kUnits;
+    });
+    add("owner below -1", [](SectionImage &im) {
+        im.nodes[2].outputs[0].owner = -2;
+    });
+    add("flit VC differs from its ring's", [&](SectionImage &im) {
+        im.nodes[1].units[kTransit].flits[0].vc = 1;
+    });
+    add("round-robin VC at vcs", [](SectionImage &im) {
+        im.nodes[2].next_vc[0] = kVcs;
+    });
+    add("route VC at vcs", [&](SectionImage &im) {
+        SectionImage::Unit &u = im.nodes[1].units[kTransit];
+        u.route_valid = true;
+        u.out_port = 0;
+        u.out_vc = kVcs;
+    });
+    add("routed without a route", [&](SectionImage &im) {
+        im.nodes[1].units[kTransit].routed = true;
+    });
+    add("ejected flit on VC vcs", [](SectionImage &im) {
+        im.nodes[1].outputs[2 * kVcs].cursor = 1;
+        im.nodes[1].eject_staged = true;
+        im.nodes[1].eject_flit = SectionImage::headFor(1, kVcs);
+    });
+    add("flit bound past the last node", [&](SectionImage &im) {
+        im.nodes[1].units[kTransit].flits[0].dst = SectionImage::kNodes;
+    });
+    add("ejected flit bound past the last node", [](SectionImage &im) {
+        im.nodes[1].outputs[2 * kVcs].cursor = 1;
+        im.nodes[1].eject_staged = true;
+        im.nodes[1].eject_flit =
+            SectionImage::headFor(SectionImage::kNodes, 0);
+    });
+    add("two messages mid-ejection", [](SectionImage &im) {
+        im.nodes[2].arrived = 2;
+    });
+    {
+        std::vector<std::uint8_t> cut = good;
+        cut.pop_back();
+        cases.push_back({"section cut short", cut});
+    }
+    for (const Case &c : cases) {
+        sim::Engine e;
+        Network network(e, SectionImage::config());
+        util::Deserializer d(c.bytes);
+        EXPECT_THROW(network.loadState(d), std::runtime_error) << c.name;
+    }
 }
 
 TEST(Network, AllPairsDeliverExactly)

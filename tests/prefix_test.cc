@@ -753,7 +753,7 @@ TEST(Options, ExplicitBudgetsWinOverQuick)
     }
 }
 
-TEST(Options, NoPrefixCacheDisablesThePlanner)
+TEST(Options, CacheDirAloneEnablesThePlanner)
 {
     const fs::path dir = freshDir("flag-gate");
     const std::string dir_arg = dir.string();
@@ -764,13 +764,6 @@ TEST(Options, NoPrefixCacheDisablesThePlanner)
         EXPECT_NE(options.prefix_planner, nullptr)
             << "prefix cache should default on with --cache-dir";
         EXPECT_TRUE(options.prefixUsable());
-    }
-    {
-        const auto options = parseArgs(
-            {"--cache-dir", dir_arg.c_str(), "--no-prefix-cache"});
-        EXPECT_NE(options.sim_cache, nullptr);
-        EXPECT_EQ(options.prefix_planner, nullptr);
-        EXPECT_FALSE(options.prefixUsable());
     }
     {
         const auto options = parseArgs({});
