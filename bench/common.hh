@@ -373,6 +373,8 @@ maybeReportCacheStats(const HarnessOptions &options)
               << " prefix_misses=" << s.prefix_misses
               << " prefix_stores=" << s.prefix_stores
               << " prefix_dedup_hits=" << s.prefix_dedup_hits
+              << " window_hits=" << s.window_hits
+              << " window_stores=" << s.window_stores
               << " dir=" << options.sim_cache->dir().string() << "\n";
 }
 
@@ -467,6 +469,8 @@ maybeWriteRunReport(const HarnessOptions &options,
         counters.set("cache.prefix_misses", s.prefix_misses);
         counters.set("cache.prefix_stores", s.prefix_stores);
         counters.set("cache.prefix_dedup_hits", s.prefix_dedup_hits);
+        counters.set("cache.window_hits", s.window_hits);
+        counters.set("cache.window_stores", s.window_stores);
     }
     report.setCounters(counters.snapshot());
     const double wall =

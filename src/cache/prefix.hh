@@ -11,7 +11,9 @@
  * hashes everything that shapes the trajectory and *nothing* that
  * merely observes it) and stored as a checkpoint image in the
  * SimCache. A sweep point then restores the longest matching prefix
- * and simulates only its divergent suffix — the measurement window.
+ * and simulates only its divergent suffix — the measurement window,
+ * and of that only the cycles past the longest window image already
+ * stored for the prefix (a shorter window's end).
  *
  * Exactness is inherited, not asserted: restore-then-extend is
  * bit-identical to a straight run (tests/checkpoint_test.cc,
@@ -80,6 +82,12 @@ class PrefixPlanner
      * machine is ready for measure(window); its measurements are
      * bit-identical to Machine::run(warmup, window) on a fresh
      * machine.
+     *
+     * The machine carries this prefix's window images
+     * (SimCache::longestWindow) for its first measure(window): that
+     * call resumes from the longest stored window of at most
+     * `window` cycles and stores the image at its own end, so a sweep
+     * over window lengths simulates each cycle past the warm-up once.
      */
     std::unique_ptr<machine::Machine>
     warmMachine(const machine::MachineConfig &config,

@@ -2,20 +2,26 @@
  * @file
  * SimCache implementation.
  *
- * Both entry families — result payloads (.simcache) and prefix
+ * Both keyed entry families — result payloads (.simcache) and prefix
  * checkpoint images (.ckpt) — share one code path: lookupEntry /
- * storePayload / getOrRunEntry parameterized by Kind. The in-flight
+ * writeAtomically / getOrRunEntry parameterized by Kind. The in-flight
  * singleflight map is keyed by the on-disk file name, so a result and
  * a checkpoint with the same content hash never alias each other.
+ * Window images (<prefix key>.windows/<w>) share the file I/O but not
+ * the singleflight.
  */
 
 #include "cache/store.hh"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <stdexcept>
 #include <system_error>
 
 #include "obs/profiler.hh"
+#include "util/sha256.hh"
 
 namespace locsim {
 namespace cache {
@@ -28,6 +34,47 @@ const char *
 entrySuffix(int kind)
 {
     return kind == 0 ? ".simcache" : ".ckpt";
+}
+
+/** A window-image file ends in the SHA-256 of the image before it. */
+constexpr std::size_t kDigestBytes = 32;
+
+std::array<std::uint8_t, kDigestBytes>
+digestOf(const std::uint8_t *data, std::size_t size)
+{
+    util::Sha256 hash;
+    hash.update(data, size);
+    return hash.digest();
+}
+
+std::optional<std::vector<std::uint8_t>>
+readFile(const fs::path &path)
+{
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
+    if (!is)
+        return std::nullopt;
+    const std::streamsize size = is.tellg();
+    if (size < 0)
+        return std::nullopt;
+    std::vector<std::uint8_t> bytes(
+        static_cast<std::size_t>(size));
+    is.seekg(0);
+    if (!bytes.empty() &&
+        !is.read(reinterpret_cast<char *>(bytes.data()), size))
+        return std::nullopt;
+    return bytes;
+}
+
+/** The window a file name spells: a positive decimal, no leading
+ *  zeros (temp files and strays never parse). */
+std::optional<std::uint64_t>
+windowOf(const std::string &name)
+{
+    std::uint64_t window = 0; // left at 0 by a failed or overflowing parse
+    std::from_chars(name.data(), name.data() + name.size(), window);
+    if (window == 0 || name != std::to_string(window))
+        return std::nullopt;
+    return window;
 }
 
 } // namespace
@@ -62,25 +109,18 @@ SimCache::entryPath(const std::string &key, Kind kind) const
     return dir_ / (key + entrySuffix(static_cast<int>(kind)));
 }
 
+fs::path
+SimCache::windowPath(const std::string &prefix_key,
+                     std::uint64_t window) const
+{
+    return dir_ / (prefix_key + ".windows") / std::to_string(window);
+}
+
 std::optional<std::vector<std::uint8_t>>
 SimCache::lookupEntry(const std::string &key, Kind kind) const
 {
     obs::ScopedPhase profile(profile_slot_, obs::Phase::CacheProbe);
-
-    std::ifstream is(entryPath(key, kind),
-                     std::ios::binary | std::ios::ate);
-    if (!is)
-        return std::nullopt;
-    const std::streamsize size = is.tellg();
-    if (size < 0)
-        return std::nullopt;
-    std::vector<std::uint8_t> bytes(
-        static_cast<std::size_t>(size));
-    is.seekg(0);
-    if (!bytes.empty() &&
-        !is.read(reinterpret_cast<char *>(bytes.data()), size))
-        return std::nullopt;
-    return bytes;
+    return readFile(entryPath(key, kind));
 }
 
 std::optional<std::vector<std::uint8_t>>
@@ -104,8 +144,8 @@ SimCache::removeCheckpoint(const std::string &key)
 }
 
 void
-SimCache::storePayload(const std::string &key, Kind kind,
-                       const std::vector<std::uint8_t> &payload)
+SimCache::writeAtomically(const fs::path &path,
+                          const std::vector<std::uint8_t> &payload)
 {
     obs::ScopedPhase profile(profile_slot_, obs::Phase::CacheStore);
 
@@ -117,8 +157,9 @@ SimCache::storePayload(const std::string &key, Kind kind,
     // Write-then-rename: the rename is atomic within a filesystem, so
     // a concurrent reader (including another process) sees either no
     // entry or the whole payload, never a prefix.
-    const fs::path temp =
-        dir_ / (key + ".tmp." + std::to_string(serial));
+    const std::string name = path.filename().string();
+    fs::path temp = path;
+    temp += ".tmp." + std::to_string(serial);
     {
         std::ofstream os(temp, std::ios::binary | std::ios::trunc);
         if (!payload.empty()) {
@@ -129,17 +170,16 @@ SimCache::storePayload(const std::string &key, Kind kind,
             std::error_code ec;
             fs::remove(temp, ec);
             throw std::runtime_error(
-                "cache store failed writing temp file for key " +
-                key);
+                "cache store failed writing temp file for " + name);
         }
     }
     std::error_code ec;
-    fs::rename(temp, entryPath(key, kind), ec);
+    fs::rename(temp, path, ec);
     if (ec) {
         std::error_code ec2;
         fs::remove(temp, ec2);
-        throw std::runtime_error("cache store failed renaming key " +
-                                 key + ": " + ec.message());
+        throw std::runtime_error("cache store failed renaming " + name +
+                                 ": " + ec.message());
     }
 }
 
@@ -192,7 +232,7 @@ SimCache::getOrRunEntry(
                 from_disk = true;
             } else {
                 payload = compute();
-                storePayload(key, kind, payload);
+                writeAtomically(entryPath(key, kind), payload);
             }
         } catch (...) {
             {
@@ -248,6 +288,76 @@ SimCache::getOrRunCheckpoint(
     const std::function<std::vector<std::uint8_t>()> &compute)
 {
     return getOrRunEntry(key, Kind::Checkpoint, compute);
+}
+
+std::optional<WindowImage>
+SimCache::longestWindow(const std::string &prefix_key,
+                        std::uint64_t window)
+{
+    obs::ScopedPhase profile(profile_slot_, obs::Phase::CacheProbe);
+
+    std::vector<std::uint64_t> stored;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir_ / (prefix_key + ".windows"), ec),
+         end;
+         !ec && it != end; it.increment(ec)) {
+        const std::optional<std::uint64_t> w =
+            windowOf(it->path().filename().string());
+        if (w && *w <= window)
+            stored.push_back(*w);
+    }
+    std::sort(stored.rbegin(), stored.rend());
+    for (const std::uint64_t w : stored) {
+        std::optional<std::vector<std::uint8_t>> bytes =
+            readFile(windowPath(prefix_key, w));
+        if (!bytes)
+            continue; // removed by another process since the listing
+        if (bytes->size() >= kDigestBytes) {
+            const std::size_t size = bytes->size() - kDigestBytes;
+            const auto digest = digestOf(bytes->data(), size);
+            if (std::equal(digest.begin(), digest.end(),
+                           bytes->begin() +
+                               static_cast<std::ptrdiff_t>(size))) {
+                bytes->resize(size);
+                std::lock_guard<std::mutex> lock(mutex_);
+                ++stats_.window_hits;
+                return WindowImage{w, std::move(*bytes)};
+            }
+        }
+        // Torn, truncated, or flipped: drop it and try a shorter one.
+        removeWindow(prefix_key, w);
+    }
+    return std::nullopt;
+}
+
+void
+SimCache::storeWindow(const std::string &prefix_key, std::uint64_t window,
+                      const std::vector<std::uint8_t> &image)
+{
+    const fs::path path = windowPath(prefix_key, window);
+    std::error_code ec;
+    fs::create_directories(path.parent_path(), ec);
+    if (ec) {
+        throw std::runtime_error("cache store failed creating " +
+                                 path.parent_path().string() + ": " +
+                                 ec.message());
+    }
+    const auto digest = digestOf(image.data(), image.size());
+    std::vector<std::uint8_t> payload;
+    payload.reserve(image.size() + kDigestBytes);
+    payload.insert(payload.end(), image.begin(), image.end());
+    payload.insert(payload.end(), digest.begin(), digest.end());
+    writeAtomically(path, payload);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.window_stores;
+}
+
+void
+SimCache::removeWindow(const std::string &prefix_key,
+                       std::uint64_t window)
+{
+    std::error_code ec;
+    fs::remove(windowPath(prefix_key, window), ec);
 }
 
 CacheStats

@@ -17,7 +17,9 @@
  * Payloads are opaque bytes; the harness layer decides what they mean
  * (serialized Measurements, today). A corrupt or truncated entry is
  * indistinguishable from a miss: the decode failure is the caller's
- * to handle, typically by deleting and recomputing.
+ * to handle, typically by deleting and recomputing. Window images are
+ * the one family the store verifies itself (a SHA-256 trailer): their
+ * bytes carry statistics straight into results.
  */
 
 #ifndef LOCSIM_CACHE_STORE_HH_
@@ -57,6 +59,19 @@ struct CacheStats
     std::uint64_t prefix_stores = 0;
     std::uint64_t prefix_dedup_hits = 0;
     ///@}
+
+    /** @name Window images (see SimCache::longestWindow) */
+    ///@{
+    std::uint64_t window_hits = 0;   //!< verified images served
+    std::uint64_t window_stores = 0; //!< images written to disk
+    ///@}
+};
+
+/** A stored window image: its window length and checkpoint bytes. */
+struct WindowImage
+{
+    std::uint64_t window = 0;
+    std::vector<std::uint8_t> image;
 };
 
 /** A content-addressed byte store rooted at one directory. */
@@ -118,6 +133,37 @@ class SimCache
     void removeCheckpoint(const std::string &key);
     ///@}
 
+    /**
+     * @name Window images
+     *
+     * A third entry family: the checkpoint image at warm-up + w
+     * cycles, with statistics reset at the warm-up, of the prefix
+     * @p prefix_key names. Each lives at `<prefix_key>.windows/<w>`
+     * (w in decimal), so any process can list which windows exist;
+     * stores are atomic temp+rename like every other entry. A file is
+     * the image followed by the 32-byte SHA-256 of the image, checked
+     * on every read: a window image's statistics flow into results,
+     * so a flipped bit must read as a miss, never as a different
+     * number. No singleflight: a window image at w is produced only
+     * by the result its simKey names, which getOrRun already
+     * deduplicates.
+     */
+    ///@{
+
+    /**
+     * The verified image with the largest w in [1, @p window], or
+     * nullopt. Files that fail the check are removed on the way.
+     */
+    std::optional<WindowImage>
+    longestWindow(const std::string &prefix_key, std::uint64_t window);
+
+    void storeWindow(const std::string &prefix_key, std::uint64_t window,
+                     const std::vector<std::uint8_t> &image);
+
+    void removeWindow(const std::string &prefix_key,
+                      std::uint64_t window);
+    ///@}
+
     /** Lifetime hit/miss counters (thread-safe snapshot). */
     CacheStats stats() const;
 
@@ -146,10 +192,13 @@ class SimCache
 
     std::filesystem::path entryPath(const std::string &key,
                                     Kind kind) const;
+    std::filesystem::path windowPath(const std::string &prefix_key,
+                                     std::uint64_t window) const;
     std::optional<std::vector<std::uint8_t>>
     lookupEntry(const std::string &key, Kind kind) const;
-    void storePayload(const std::string &key, Kind kind,
-                      const std::vector<std::uint8_t> &payload);
+    /** Write @p payload to @p path via a temp file and a rename. */
+    void writeAtomically(const std::filesystem::path &path,
+                         const std::vector<std::uint8_t> &payload);
     std::vector<std::uint8_t> getOrRunEntry(
         const std::string &key, Kind kind,
         const std::function<std::vector<std::uint8_t>()> &compute);

@@ -191,8 +191,9 @@ class CacheController : public sim::Clocked
     void saveState(util::Serializer &s) const;
 
     /**
-     * Restore state written by saveState() into a freshly constructed
-     * controller with the same configuration. The restored completion
+     * Restore state written by saveState() into a controller with the
+     * same configuration, overwriting all of its state (fresh or
+     * not). The restored completion
      * heap is the wakeup source (nextWake()), so nothing is scheduled
      * into the engine.
      */

@@ -356,16 +356,27 @@ Machine::runTicks(sim::Tick ticks)
 void
 Machine::advance(std::uint64_t cycles)
 {
+    window_images_.reset();
     runTicks(cycles * config_.net_clock_ratio);
 }
 
 Measurement
 Machine::measure(std::uint64_t window)
 {
-    resetStats();
+    // A window image holds the statistics of its first `resumed`
+    // cycles, reset at the warm-up like the ones resetStats() clears.
+    const std::unique_ptr<WindowImages> images =
+        std::move(window_images_);
+    const std::uint64_t resumed =
+        images != nullptr ? images->resume(*this, window) : 0;
+    LOCSIM_ASSERT(resumed <= window, "resumed past the window");
+    if (resumed == 0)
+        resetStats();
     const std::uint64_t ratio = config_.net_clock_ratio;
+    runTicks((window - resumed) * ratio);
+    if (images != nullptr && resumed < window)
+        images->store(window, saveCheckpoint());
     const sim::Tick elapsed_ticks = window * ratio;
-    runTicks(elapsed_ticks);
     const double elapsed = static_cast<double>(elapsed_ticks);
 
     Measurement m;
@@ -509,8 +520,6 @@ Machine::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
 
     LOCSIM_ASSERT(tracer_ == nullptr && sampler_ == nullptr,
                   "cannot restore with tracing or sampling on");
-    LOCSIM_ASSERT(engines_.front()->now() == 0,
-                  "restoreCheckpoint requires a fresh machine");
 
     util::Deserializer d(bytes);
     if (d.get<std::uint32_t>() != kCheckpointMagic)

@@ -196,6 +196,39 @@ Measurement loadMeasurement(util::Deserializer &d);
  */
 std::uint32_t checkpointFormatVersion();
 
+class Machine;
+
+/**
+ * Stored ends of earlier measurement windows over one warm-up, so
+ * Machine::measure() can resume a window from the longest one that
+ * fits instead of simulating it from its first cycle. A window image
+ * is the machine's checkpoint at warmup + w cycles with statistics
+ * reset at the warm-up, so a restored image carries the first w
+ * cycles of any longer window's statistics. Implemented by the cache
+ * layer (cache::PrefixPlanner attaches one), so this layer never
+ * depends on where the images live.
+ */
+class WindowImages
+{
+  public:
+    virtual ~WindowImages() = default;
+
+    /**
+     * Put @p machine, still at its warm-up, at the end of the longest
+     * stored window of at most @p window cycles, and return that
+     * window's length. Return 0 when there is none, with @p machine
+     * at its warm-up state (an implementation that fails part-way
+     * through a restore must restore the warm-up again).
+     */
+    virtual std::uint64_t resume(Machine &machine,
+                                 std::uint64_t window) = 0;
+
+    /** Keep @p image: the machine at the end of a @p window-cycle
+     *  window. */
+    virtual void store(std::uint64_t window,
+                       const std::vector<std::uint8_t> &image) = 0;
+};
+
 /** The assembled machine. */
 class Machine
 {
@@ -236,20 +269,35 @@ class Machine
      */
     Measurement run(std::uint64_t warmup, std::uint64_t window);
 
-    /** Advance @p cycles processor cycles without touching stats. */
+    /** Advance @p cycles processor cycles without touching stats
+     *  (and detach any window images: they describe the old state). */
     void advance(std::uint64_t cycles);
 
     /**
      * Reset statistics, run @p window processor cycles, and report
-     * measurements over that window.
+     * measurements over that window. With window images attached,
+     * the window resumes from the longest stored one that fits and
+     * simulates only the cycles still missing, then stores its own
+     * end; the result is bit-identical either way. The images serve
+     * this call only and are detached by it.
      */
     Measurement measure(std::uint64_t window);
 
     /**
+     * Attach @p images for the next measure(). The machine must be at
+     * the warm-up the images were taken over, with no measure() or
+     * advance() between this call and that one.
+     */
+    void setWindowImages(std::unique_ptr<WindowImages> images)
+    {
+        window_images_ = std::move(images);
+    }
+
+    /**
      * Serialize the complete simulation state — timeline, network
      * fabric, every controller, processor, and workload program — so
-     * the run can later be resumed on a freshly constructed Machine
-     * with identical configuration. Restoring and continuing is
+     * the run can later be resumed on any Machine with identical
+     * configuration. Restoring and continuing is
      * bit-identical to never having stopped.
      *
      * The image is independent of the shard count: a checkpoint taken
@@ -262,10 +310,12 @@ class Machine
     std::vector<std::uint8_t> saveCheckpoint() const;
 
     /**
-     * Restore state saved by saveCheckpoint(). Must be called on a
-     * freshly constructed Machine (time still at zero) with the same
-     * configuration (any shard count) and mapping as the saving
-     * machine.
+     * Restore state saved by saveCheckpoint() on a Machine with the
+     * same configuration (any shard count) and mapping as the saving
+     * machine. The machine may be fresh or may have run, even into a
+     * restore that threw part-way: every loader overwrites all of its
+     * component's state, so a good image always yields the same
+     * machine (tests/checkpoint_test.cc pins this).
      *
      * @throws std::runtime_error on a malformed or mismatched image.
      */
@@ -337,6 +387,9 @@ class Machine
     std::vector<std::shared_ptr<obs::Tracer>> shard_tracers_;
     std::shared_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::MetricsSampler> sampler_;
+
+    /** Window images for the next measure() (null when none). */
+    std::unique_ptr<WindowImages> window_images_;
 };
 
 } // namespace machine

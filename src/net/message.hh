@@ -151,6 +151,7 @@ saveMessage(util::Serializer &s, const Message &m)
     s.put(m.cls);
 }
 
+/** Inverse of saveMessage; throws on a class past the last. */
 inline Message
 loadMessage(util::Deserializer &d)
 {
@@ -163,6 +164,9 @@ loadMessage(util::Deserializer &d)
         word = d.get<std::uint64_t>();
     m.submit_tick = d.get<sim::Tick>();
     m.cls = d.get<MessageClass>();
+    // The class indexes per-class arrays (ClassAttribution).
+    if (static_cast<std::size_t>(m.cls) >= kMessageClassCount)
+        throw std::runtime_error("loadMessage: class past the last");
     return m;
 }
 

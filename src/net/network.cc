@@ -1052,17 +1052,50 @@ Network::checkCursors() const
     }
 }
 
+namespace {
+
+/** The next message in @p d, which must be one Network::send could
+ *  have made on a fabric of @p nodes nodes; throws
+ *  std::runtime_error saying what is wrong with it otherwise. */
+Message
+checkedMessage(util::Deserializer &d, sim::NodeId nodes)
+{
+    auto reject = [](const char *what) {
+        throw std::runtime_error(
+            std::string("Network::loadState: message ") + what);
+    };
+    const Message m = loadMessage(d);
+    if (m.src >= nodes || m.dst >= nodes)
+        reject("endpoint past the last node");
+    if (m.src == m.dst)
+        reject("sent to its own source");
+    if (m.flits < 1 || m.flits > 65535)
+        reject("length outside [1, 65535] flits");
+    if (m.id >> kMessageIdSrcShift != m.src)
+        reject("id names another source");
+    return m;
+}
+
+} // namespace
+
 void
 Network::loadState(util::Deserializer &d)
 {
     const int depth = config_.router.buffer_depth;
+    const sim::NodeId nodes = topo_.nodeCount();
     for (sim::NodeId node = 0; node < endpoints_.size(); ++node) {
         routers_[node]->loadState(d);
         NodeEndpoint &ep = endpoints_[node];
         ep.source_queue.clear();
         auto count = d.get<std::uint64_t>();
-        for (std::uint64_t i = 0; i < count; ++i)
-            ep.source_queue.push_back(loadMessage(d));
+        for (std::uint64_t i = 0; i < count; ++i) {
+            ep.source_queue.push_back(checkedMessage(d, nodes));
+            if (ep.source_queue.back().src != node) {
+                throw std::runtime_error(
+                    "Network::loadState: queued message from another "
+                    "node");
+            }
+        }
         ep.flits_sent = d.get<std::uint32_t>();
         ep.inject_credits = d.get<int>();
         ep.inject_banked = d.get<std::uint32_t>();
@@ -1093,8 +1126,14 @@ Network::loadState(util::Deserializer &d)
         }
         ep.delivered.clear();
         count = d.get<std::uint64_t>();
-        for (std::uint64_t i = 0; i < count; ++i)
-            ep.delivered.push_back(loadMessage(d));
+        for (std::uint64_t i = 0; i < count; ++i) {
+            ep.delivered.push_back(checkedMessage(d, nodes));
+            if (ep.delivered.back().dst != node) {
+                throw std::runtime_error(
+                    "Network::loadState: delivered message for another "
+                    "node");
+            }
+        }
         count = d.get<std::uint64_t>();
         if (count > 1) {
             throw std::runtime_error(
@@ -1128,10 +1167,20 @@ Network::loadState(util::Deserializer &d)
     // later to its destination shard. Records that were in-transit
     // mailbox mail at save time restore directly into the destination
     // map; the next drain simply finds the mailboxes empty.
+    const auto has_record = [&](MessageId id) {
+        return std::any_of(shards_.begin(), shards_.end(),
+                           [id](const ShardState &shard) {
+                               return shard.records.find(id) != nullptr;
+                           });
+    };
     const auto record_count = d.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < record_count; ++i) {
         MessageRecord rec;
-        rec.message = loadMessage(d);
+        rec.message = checkedMessage(d, nodes);
+        if (has_record(rec.message.id)) {
+            throw std::runtime_error(
+                "Network::loadState: two records for one message");
+        }
         rec.inject_start = d.get<sim::Tick>();
         rec.delivered = d.get<sim::Tick>();
         rec.hops = d.get<int>();
@@ -1144,6 +1193,21 @@ Network::loadState(util::Deserializer &d)
         const RecordHandle h = shard.record_pool.alloc();
         shard.record_pool.get(h) = rec;
         shard.records.insert(rec.message.id, h);
+    }
+    // Injection and delivery both look up their message's record.
+    for (const NodeEndpoint &ep : endpoints_) {
+        for (std::size_t i = 0; i < ep.source_queue.size(); ++i) {
+            if (!has_record(ep.source_queue[i].id))
+                throw std::runtime_error(
+                    "Network::loadState: queued message without a "
+                    "record");
+        }
+        for (std::size_t i = 0; i < ep.delivered.size(); ++i) {
+            if (!has_record(ep.delivered[i].id))
+                throw std::runtime_error(
+                    "Network::loadState: delivered message without a "
+                    "record");
+        }
     }
 
     // Global accounting and statistics restore into shard 0; the

@@ -377,8 +377,13 @@ class Network : public sim::Clocked
      * std::runtime_error where Router::loadState does, on injection
      * credits outside [0, buffer_depth], an ejected flit on a VC past
      * vcs or bound for a node the fabric lacks, more than one message
-     * mid-ejection, or a write cursor that is not its consumer ring's
-     * tail plus the staged bit (0 where a port has no link).
+     * mid-ejection, a write cursor that is not its consumer ring's
+     * tail plus the staged bit (0 where a port has no link), and on
+     * any message send() could not have made: an endpoint past the
+     * last node, src == dst, a length outside [1, 65535] flits, an id
+     * whose source bits are not its src, or a class past the last.
+     * A queued message must come from its node, a delivered one be
+     * for it, and each must have exactly one accounting record.
      */
     void loadState(util::Deserializer &d);
 

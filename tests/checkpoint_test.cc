@@ -1,7 +1,7 @@
 /**
  * @file
  * Checkpoint/restore tests: saving a machine mid-run and restoring it
- * into a fresh machine must be invisible — extending the restored run
+ * into a fresh (or a used) machine must be invisible — extending the restored run
  * produces bit-for-bit the same measurements as never having stopped.
  * This is the property that lets the simulation cache extend a cached
  * run instead of recomputing it from cycle zero.
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "machine/machine.hh"
@@ -296,6 +297,45 @@ TEST(Checkpoint, MidTrafficImagesMatchPinnedDigests)
     EXPECT_GT(seen.inject, 0u);
     EXPECT_GT(seen.eject, 0u);
     EXPECT_GT(seen.credits, 0u);
+}
+
+/**
+ * A machine restores over itself after it has run, even after a
+ * restore that threw part-way, because every loader overwrites all of
+ * its component's state: the image re-saves byte for byte, and the
+ * machine then continues exactly as a straight run does. Window
+ * images rely on this (Machine::measure restores one over the warm
+ * machine, and falls back to the warm-up image over a failed one).
+ */
+TEST(Checkpoint, RestoresOverAnAdvancedMachine)
+{
+    MachineConfig config = smallConfig();
+    config.contexts = 2;
+    const workload::Mapping mapping = identityMapping(config);
+    for (int shards : {1, 2}) {
+        SCOPED_TRACE(std::to_string(shards) + " shards");
+        config.shards = shards;
+        Machine straight(config, mapping);
+        straight.advance(701);
+        const std::vector<std::uint8_t> image = straight.saveCheckpoint();
+        const Measurement expected = straight.measure(1203);
+
+        // Ahead of the image: later clock, other traffic in flight.
+        Machine machine(config, mapping);
+        machine.advance(1900);
+        machine.restoreCheckpoint(image);
+        EXPECT_EQ(machine.saveCheckpoint(), image);
+        EXPECT_TRUE(bitIdentical(machine.measure(1203), expected));
+
+        // One byte short fails in the last section, after every other
+        // component has loaded.
+        const std::vector<std::uint8_t> cut(image.begin(),
+                                            image.end() - 1);
+        EXPECT_THROW(machine.restoreCheckpoint(cut), std::runtime_error);
+        machine.restoreCheckpoint(image);
+        EXPECT_EQ(machine.saveCheckpoint(), image);
+        EXPECT_TRUE(bitIdentical(machine.measure(1203), expected));
+    }
 }
 
 TEST(Checkpoint, RestoredMachineContinuesCoherently)

@@ -301,9 +301,12 @@ struct SectionImage
         std::uint32_t eject_tail = 0;
         bool eject_staged = false;
         Flit eject_flit;
+        std::vector<Message> queued;
+        std::vector<Message> delivered;
         std::uint64_t arrived = 0; //!< messages mid-ejection
     };
     Node nodes[kNodes];
+    std::vector<MessageRecord> records;
 
     static NetworkConfig
     config()
@@ -339,6 +342,28 @@ struct SectionImage
         return *this;
     }
 
+    /** Node 0's first message, a 12-flit request for node 2. */
+    static Message
+    request()
+    {
+        Message m;
+        m.id = (MessageId{0} << kMessageIdSrcShift) | 1;
+        m.src = 0;
+        m.dst = 2;
+        m.flits = 12;
+        m.cls = MessageClass::Request;
+        return m;
+    }
+
+    /** request() waiting in node 0's source queue, with its record. */
+    SectionImage &
+    withQueuedMessage()
+    {
+        nodes[0].queued = {request()};
+        records = {MessageRecord{request()}};
+        return *this;
+    }
+
     std::vector<std::uint8_t>
     bytes() const
     {
@@ -366,7 +391,9 @@ struct SectionImage
             for (int p = 0; p < kPorts; ++p)
                 s.put<std::uint64_t>(0); // output flits
             s.put<std::uint64_t>(0);     // allocation stalls
-            s.put<std::uint64_t>(0);     // source queue
+            s.put<std::uint64_t>(n.queued.size());
+            for (const Message &m : n.queued)
+                saveMessage(s, m);
             s.put<std::uint32_t>(0);     // flits sent
             s.put(n.inject_credits);
             s.put(n.inject_banked);
@@ -376,14 +403,24 @@ struct SectionImage
             s.put(n.eject_staged);
             if (n.eject_staged)
                 saveFlit(s, n.eject_flit);
-            s.put<std::uint64_t>(0); // delivered
+            s.put<std::uint64_t>(n.delivered.size());
+            for (const Message &m : n.delivered)
+                saveMessage(s, m);
             s.put(n.arrived);
             for (std::uint64_t i = 0; i < n.arrived; ++i) {
                 s.put<MessageId>(i + 1);
                 s.put<std::uint32_t>(1);
             }
         }
-        s.put<std::uint64_t>(0); // records
+        s.put<std::uint64_t>(records.size());
+        for (const MessageRecord &r : records) {
+            saveMessage(s, r.message);
+            s.put(r.inject_start);
+            s.put(r.delivered);
+            s.put(r.hops);
+            s.put(r.head_hops);
+            s.put(r.head_stalls);
+        }
         s.put<std::uint64_t>(0); // in flight
         s.put<std::uint64_t>(0); // pending deliveries
         NetworkStats{}.saveState(s);
@@ -420,6 +457,17 @@ TEST(Network, CheckpointRejectsMalformedSection)
         EXPECT_TRUE(d.atEnd());
         EXPECT_EQ(loaded.inTransit().neighbor, 1u);
         EXPECT_EQ(savedSection(loaded), good);
+    }
+    // So does one with a message queued at its source.
+    {
+        const std::vector<std::uint8_t> queued =
+            SectionImage{}.withQueuedMessage().bytes();
+        sim::Engine e;
+        Network loaded(e, SectionImage::config());
+        util::Deserializer d(queued);
+        loaded.loadState(d);
+        EXPECT_TRUE(d.atEnd());
+        EXPECT_EQ(savedSection(loaded), queued);
     }
 
     constexpr int kDepth = SectionImage::kDepth;
@@ -508,6 +556,60 @@ TEST(Network, CheckpointRejectsMalformedSection)
     add("two messages mid-ejection", [](SectionImage &im) {
         im.nodes[2].arrived = 2;
     });
+    // Messages: each case edits the queued request() and its record
+    // alike, so only the named fault is left.
+    auto addMessage = [&](const char *name, auto &&mutate) {
+        add(name, [&](SectionImage &im) {
+            im.withQueuedMessage();
+            mutate(im.nodes[0].queued[0]);
+            mutate(im.records[0].message);
+        });
+    };
+    addMessage("message bound past the last node",
+               [](Message &m) { m.dst = SectionImage::kNodes; });
+    addMessage("message from past the last node", [](Message &m) {
+        m.src = SectionImage::kNodes;
+        m.id = (MessageId{m.src} << kMessageIdSrcShift) | 1;
+    });
+    addMessage("message to its own source", [](Message &m) { m.dst = 0; });
+    addMessage("zero-flit message", [](Message &m) { m.flits = 0; });
+    addMessage("65536-flit message", [](Message &m) { m.flits = 65536; });
+    addMessage("id naming another source", [](Message &m) {
+        m.id = (MessageId{1} << kMessageIdSrcShift) | 1;
+    });
+    addMessage("class past the last", [](Message &m) {
+        m.cls = static_cast<MessageClass>(kMessageClassCount);
+    });
+    add("record bound past the last node", [](SectionImage &im) {
+        im.withQueuedMessage();
+        im.records[0].message.dst = SectionImage::kNodes;
+    });
+    add("queued message without a record", [](SectionImage &im) {
+        im.withQueuedMessage();
+        im.records.clear();
+    });
+    add("two records for one message", [](SectionImage &im) {
+        im.withQueuedMessage();
+        im.records.push_back(im.records[0]);
+    });
+    add("queued message from another node", [](SectionImage &im) {
+        im.withQueuedMessage();
+        std::swap(im.nodes[0].queued, im.nodes[1].queued);
+    });
+    add("delivered message without a record", [](SectionImage &im) {
+        im.nodes[2].delivered = {SectionImage::request()};
+    });
+    add("delivered message for another node", [](SectionImage &im) {
+        im.withQueuedMessage();
+        std::swap(im.nodes[0].queued, im.nodes[1].delivered);
+    });
+    add("delivered message bound past the last node",
+        [](SectionImage &im) {
+            Message m = SectionImage::request();
+            m.dst = SectionImage::kNodes;
+            im.nodes[1].delivered = {m};
+            im.records = {MessageRecord{m}};
+        });
     {
         std::vector<std::uint8_t> cut = good;
         cut.pop_back();

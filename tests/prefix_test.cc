@@ -13,7 +13,9 @@
  *
  *  - PrefixPlanner: a prefix produced once serves every measurement
  *    window bit-identically, across shard counts and a table of
- *    corrupt stored images;
+ *    corrupt stored images; window images resume longer windows in
+ *    any request order, across store instances, and fall back to the
+ *    warm-up when one is corrupt;
  *
  *  - bench harness: --warmup/--window validation and --quick
  *    precedence, sampled runs bypassing the prefix cache, recovery
@@ -28,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,6 +48,7 @@
 #include "obs/counters.hh"
 #include "obs/profiler.hh"
 #include "util/serialize.hh"
+#include "util/sha256.hh"
 #include "workload/mapping.hh"
 
 namespace locsim {
@@ -463,6 +467,167 @@ TEST(PrefixPlanner, CorruptImageIsDroppedAndRecomputed)
             planner.warmMachine(config, mapping, kWarmup);
         EXPECT_EQ(measurementBytes(machine->measure(400)), oracle);
         EXPECT_EQ(readBytes(image), good);
+        fs::remove_all(dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Window images.
+// ---------------------------------------------------------------------
+
+/** Where a prefix's window image of @p window cycles lives: the
+ *  documented layout, which other processes list. */
+fs::path
+windowFile(const fs::path &dir, const std::string &prefix_key,
+           std::uint64_t window)
+{
+    return dir / (prefix_key + ".windows") / std::to_string(window);
+}
+
+/**
+ * Windows requested in any order measure bit-identically to straight
+ * runs, at one and two shards; each resumes from the longest stored
+ * window that fits and stores its own end unless it found exactly it.
+ */
+TEST(PrefixPlanner, WindowImagesResumeInAnyOrder)
+{
+    struct Order
+    {
+        const char *name;
+        std::vector<std::uint64_t> windows;
+        std::uint64_t hits;
+        std::uint64_t stores;
+    };
+    const Order orders[] = {
+        {"ascending", {200, 500, 900}, 2, 3},
+        {"descending", {900, 500, 200}, 0, 3},
+        {"equal", {500, 500}, 1, 1},
+    };
+    const auto mapping = baseMapping();
+    constexpr std::uint64_t kWarmup = 600;
+    std::map<std::uint64_t, std::vector<std::uint8_t>> oracle;
+    for (const std::uint64_t window : {200, 500, 900}) {
+        oracle[window] = measurementBytes(
+            oracleRun(baseConfig(), mapping, kWarmup, window));
+    }
+    for (const int shards : {1, 2}) {
+        auto config = baseConfig();
+        config.shards = shards;
+        for (const Order &order : orders) {
+            SCOPED_TRACE(std::string(order.name) + " at " +
+                         std::to_string(shards) + " shards");
+            const fs::path dir = freshDir("window-order");
+            SimCache store(dir);
+            PrefixPlanner planner(store);
+            for (const std::uint64_t window : order.windows) {
+                const auto machine =
+                    planner.warmMachine(config, mapping, kWarmup);
+                EXPECT_EQ(measurementBytes(machine->measure(window)),
+                          oracle[window])
+                    << "window " << window;
+            }
+            const CacheStats s = store.stats();
+            EXPECT_EQ(s.window_hits, order.hits);
+            EXPECT_EQ(s.window_stores, order.stores);
+            EXPECT_EQ(s.prefix_stores, 1u);
+            fs::remove_all(dir);
+        }
+    }
+}
+
+/** A second store instance (another process, in effect) finds the
+ *  window images the first one stored. */
+TEST(PrefixPlanner, WindowImagesServeAnotherStoreInstance)
+{
+    const fs::path dir = freshDir("window-instance");
+    const auto config = baseConfig();
+    const auto mapping = baseMapping();
+    constexpr std::uint64_t kWarmup = 600;
+    const std::string key = prefixKey(config, mapping, kWarmup);
+    {
+        SimCache first(dir);
+        PrefixPlanner(first).warmMachine(config, mapping, kWarmup)
+            ->measure(300);
+        EXPECT_EQ(first.stats().window_stores, 1u);
+    }
+    SimCache second(dir);
+    const auto machine =
+        PrefixPlanner(second).warmMachine(config, mapping, kWarmup);
+    EXPECT_EQ(measurementBytes(machine->measure(700)),
+              measurementBytes(oracleRun(config, mapping, kWarmup, 700)));
+    const CacheStats s = second.stats();
+    EXPECT_EQ(s.prefix_hits, 1u);
+    EXPECT_EQ(s.window_hits, 1u);
+    EXPECT_EQ(s.window_stores, 1u);
+    EXPECT_TRUE(fs::is_regular_file(windowFile(dir, key, 300)));
+    EXPECT_TRUE(fs::is_regular_file(windowFile(dir, key, 700)));
+    fs::remove_all(dir);
+}
+
+/** Re-append a valid SHA-256 trailer to a window file's image part
+ *  after cutting one byte from it: a checksum that passes over an
+ *  image that fails to restore part-way. */
+std::vector<std::uint8_t>
+resealedCutImage(std::vector<std::uint8_t> bytes)
+{
+    bytes.resize(bytes.size() - 32 - 1);
+    util::Sha256 hash;
+    hash.update(bytes.data(), bytes.size());
+    const auto digest = hash.digest();
+    bytes.insert(bytes.end(), digest.begin(), digest.end());
+    return bytes;
+}
+
+/**
+ * Every way a stored window image goes bad, plus a bad checksum and a
+ * good checksum over an image that fails to restore: the next window
+ * falls back to the warm-up image, measures bit-identically to a
+ * straight run, and stores a good image again.
+ */
+TEST(PrefixPlanner, CorruptWindowImageFallsBack)
+{
+    const auto config = baseConfig();
+    const auto mapping = baseMapping();
+    constexpr std::uint64_t kWarmup = 600;
+    constexpr std::uint64_t kWindow = 400;
+    const std::string key = prefixKey(config, mapping, kWarmup);
+    const auto oracle =
+        measurementBytes(oracleRun(config, mapping, kWarmup, kWindow));
+
+    struct Case
+    {
+        Corruption corruption;
+        std::uint64_t hits; //!< images that verified before failing
+    };
+    std::vector<Case> cases;
+    for (const Corruption &corruption : kCorruptions)
+        cases.push_back({corruption, 0});
+    cases.push_back({{"bad checksum",
+                      [](std::vector<std::uint8_t> bytes) {
+                          bytes.back() ^= 1;
+                          return bytes;
+                      }},
+                     0});
+    cases.push_back({{"good checksum, image cut short", resealedCutImage},
+                     1});
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.corruption.name);
+        const fs::path dir = freshDir("corrupt-window");
+        SimCache store(dir);
+        PrefixPlanner planner(store);
+        planner.warmMachine(config, mapping, kWarmup)->measure(kWindow);
+        const fs::path file = windowFile(dir, key, kWindow);
+        const auto good = readBytes(file);
+        ASSERT_FALSE(good.empty());
+        writeBytes(file, c.corruption.apply(good));
+
+        const auto machine =
+            planner.warmMachine(config, mapping, kWarmup);
+        EXPECT_EQ(measurementBytes(machine->measure(kWindow)), oracle);
+        EXPECT_EQ(readBytes(file), good);
+        const CacheStats s = store.stats();
+        EXPECT_EQ(s.window_hits, c.hits);
+        EXPECT_EQ(s.window_stores, 2u);
         fs::remove_all(dir);
     }
 }

@@ -116,7 +116,7 @@ TEST(Profiler, CheckpointPhasesAttributedToSaveRestore)
     machine::Machine machine(config, mapping);
     machine.advance(200);
     const auto bytes = machine.saveCheckpoint();
-    // Restoring requires a fresh machine; profile it separately.
+    // Restore on a second machine so each phase is counted once.
     machine::Machine restored(config, mapping);
     restored.restoreCheckpoint(bytes);
     const PhaseTotals t = profiler.totals();
