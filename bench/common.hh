@@ -80,12 +80,6 @@ struct HarnessOptions
     bool no_cache = false;
     /** --cache-stats: print hit/miss counters to stderr at exit. */
     bool cache_stats = false;
-    /**
-     * The prefix-checkpoint planner (see cache/prefix.hh), created iff
-     * a cache is configured. Shared for the same reason as sim_cache:
-     * one planner, one stats block.
-     */
-    std::shared_ptr<locsim::cache::PrefixPlanner> prefix_planner;
 
     /**
      * The simulation cache selected by the flags, or null. Shared so
@@ -108,9 +102,10 @@ struct HarnessOptions
     std::chrono::steady_clock::time_point start_time;
 
     /**
-     * True when results may be served from / stored to the cache:
-     * a cache is configured and no observability sink is attached
-     * (traces and samples are side effects a cached replay would
+     * True when results may be served from / stored to the cache, and
+     * misses warm through its prefix images: a cache is configured
+     * and no observability sink is attached (traces and samples are
+     * side effects a cached replay or a restored warm-up would
      * silently lose).
      */
     bool
@@ -118,18 +113,6 @@ struct HarnessOptions
     {
         return sim_cache != nullptr && obs.trace_out.empty() &&
                obs.sample_period == 0;
-    }
-
-    /**
-     * True when cache misses should warm through the prefix planner
-     * (restore a stored warmup image instead of re-simulating it).
-     * Implies cacheUsable(): prefix reuse is a refinement of the
-     * result cache, never a path around its gating.
-     */
-    bool
-    prefixUsable() const
-    {
-        return prefix_planner != nullptr && cacheUsable();
     }
 };
 
@@ -240,11 +223,6 @@ parseHarnessOptions(util::OptionParser &opts, int argc,
             LOCSIM_FATAL("--cache-dir rejected: ", e.what());
         }
     }
-    if (out.sim_cache != nullptr) {
-        out.prefix_planner =
-            std::make_shared<locsim::cache::PrefixPlanner>(
-                *out.sim_cache);
-    }
     // Resolve --shards / LOCSIM_SHARDS here, on the main thread, so a
     // malformed variable is fatal before any simulation. The result
     // is not clamped to any one machine's node count; it sizes the
@@ -274,27 +252,24 @@ parseHarnessOptions(int argc, const char *const *argv,
 }
 
 /**
- * Simulate (config, warmup, window) for a cache miss: through the
- * prefix planner when enabled (restore the shared warmup image, or
- * produce and store it exactly once, then measure only the window),
- * else a straight fresh-machine run. Bit-identical either way —
- * measure() resets statistics at the warmup boundary, so the recorded
+ * Simulate (config, warmup, window) for a result-cache miss through
+ * the prefix planner (cache/prefix.hh): restore the shared warmup
+ * image, or produce and store it exactly once, then measure only the
+ * window. Bit-identical to a straight fresh-machine run — measure()
+ * resets statistics at the warmup boundary, so the recorded
  * Measurement depends only on the machine state there, which
  * restore-then-extend reproduces exactly.
+ *
+ * @pre options.cacheUsable()
  */
 inline machine::Measurement
 simulateForMiss(const HarnessOptions &options,
                 const machine::MachineConfig &config,
                 const workload::Mapping &mapping)
 {
-    if (options.prefixUsable()) {
-        const std::unique_ptr<machine::Machine> machine =
-            options.prefix_planner->warmMachine(config, mapping,
-                                                options.warmup);
-        return machine->measure(options.window);
-    }
-    machine::Machine machine(config, mapping);
-    return machine.run(options.warmup, options.window);
+    return locsim::cache::PrefixPlanner(*options.sim_cache)
+        .warmMachine(config, mapping, options.warmup)
+        ->measure(options.window);
 }
 
 /**
@@ -451,8 +426,6 @@ maybeWriteRunReport(const HarnessOptions &options,
                      static_cast<long long>(options.obs.sample_period));
     report.addConfig("cache_dir", options.cache_dir);
     report.addConfig("cache_enabled", options.sim_cache != nullptr);
-    report.addConfig("prefix_cache_enabled",
-                     options.prefix_planner != nullptr);
     for (const SimPoint &p : points) {
         report.addSimulation(p.mapping + ".p" +
                                  std::to_string(p.contexts),

@@ -44,6 +44,7 @@
 #include "obs/counters.hh"
 #include "obs/profiler.hh"
 #include "obs/report.hh"
+#include "obs/trace.hh"
 #include "sim/engine.hh"
 #include "util/options.hh"
 #include "util/random.hh"
@@ -554,18 +555,6 @@ class CollectingReporter : public benchmark::ConsoleReporter
     std::vector<Entry> entries;
 };
 
-std::string
-escapeJson(const std::string &in)
-{
-    std::string out;
-    for (char c : in) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 bool
 writeJson(const std::string &path,
           const std::vector<CollectingReporter::Entry> &entries)
@@ -579,10 +568,12 @@ writeJson(const std::string &path,
     std::fprintf(file, "{\n  \"benchmarks\": [\n");
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto &e = entries[i];
+        std::string name;
+        obs::appendJsonEscaped(name, e.name);
         std::fprintf(file,
                      "    {\"name\": \"%s\", \"ns_per_op\": %.6g, "
                      "\"iterations\": %lld",
-                     escapeJson(e.name).c_str(), e.ns_per_op,
+                     name.c_str(), e.ns_per_op,
                      static_cast<long long>(e.iterations));
         if (e.allocs_per_op >= 0.0)
             std::fprintf(file, ", \"allocs_per_op\": %.6g",

@@ -8,7 +8,9 @@
  * singleflight map is keyed by the on-disk file name, so a result and
  * a checkpoint with the same content hash never alias each other.
  * Window images (<prefix key>.windows/<w>) share the file I/O but not
- * the singleflight.
+ * the singleflight. Every file is written by writeAtomically and read
+ * by readEntry, so every family has the same verified format: the
+ * payload, then its SHA-256.
  */
 
 #include "cache/store.hh"
@@ -36,7 +38,7 @@ entrySuffix(int kind)
     return kind == 0 ? ".simcache" : ".ckpt";
 }
 
-/** A window-image file ends in the SHA-256 of the image before it. */
+/** Every entry file ends in the SHA-256 of the payload before it. */
 constexpr std::size_t kDigestBytes = 32;
 
 std::array<std::uint8_t, kDigestBytes>
@@ -47,8 +49,15 @@ digestOf(const std::uint8_t *data, std::size_t size)
     return hash.digest();
 }
 
+/**
+ * The payload of the entry file at @p path, or nullopt if there is
+ * none. A file whose trailer is not the SHA-256 of the bytes before it
+ * (torn, truncated, foreign, or a flipped bit) is removed and reads
+ * as a miss: an entry's bytes flow into results, so a bad one must
+ * never read as a different number.
+ */
 std::optional<std::vector<std::uint8_t>>
-readFile(const fs::path &path)
+readEntry(const fs::path &path)
 {
     std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is)
@@ -62,7 +71,19 @@ readFile(const fs::path &path)
     if (!bytes.empty() &&
         !is.read(reinterpret_cast<char *>(bytes.data()), size))
         return std::nullopt;
-    return bytes;
+    if (bytes.size() >= kDigestBytes) {
+        const std::size_t payload = bytes.size() - kDigestBytes;
+        const auto digest = digestOf(bytes.data(), payload);
+        if (std::equal(digest.begin(), digest.end(),
+                       bytes.begin() +
+                           static_cast<std::ptrdiff_t>(payload))) {
+            bytes.resize(payload);
+            return bytes;
+        }
+    }
+    std::error_code ec;
+    fs::remove(path, ec);
+    return std::nullopt;
 }
 
 /** The window a file name spells: a positive decimal, no leading
@@ -120,7 +141,7 @@ std::optional<std::vector<std::uint8_t>>
 SimCache::lookupEntry(const std::string &key, Kind kind) const
 {
     obs::ScopedPhase profile(profile_slot_, obs::Phase::CacheProbe);
-    return readFile(entryPath(key, kind));
+    return readEntry(entryPath(key, kind));
 }
 
 std::optional<std::vector<std::uint8_t>>
@@ -156,16 +177,19 @@ SimCache::writeAtomically(const fs::path &path,
     }
     // Write-then-rename: the rename is atomic within a filesystem, so
     // a concurrent reader (including another process) sees either no
-    // entry or the whole payload, never a prefix.
+    // entry or the whole file, never a prefix.
     const std::string name = path.filename().string();
     fs::path temp = path;
     temp += ".tmp." + std::to_string(serial);
     {
+        const auto digest = digestOf(payload.data(), payload.size());
         std::ofstream os(temp, std::ios::binary | std::ios::trunc);
         if (!payload.empty()) {
             os.write(reinterpret_cast<const char *>(payload.data()),
                      static_cast<std::streamsize>(payload.size()));
         }
+        os.write(reinterpret_cast<const char *>(digest.data()),
+                 static_cast<std::streamsize>(digest.size()));
         if (!os) {
             std::error_code ec;
             fs::remove(temp, ec);
@@ -308,24 +332,15 @@ SimCache::longestWindow(const std::string &prefix_key,
     }
     std::sort(stored.rbegin(), stored.rend());
     for (const std::uint64_t w : stored) {
-        std::optional<std::vector<std::uint8_t>> bytes =
-            readFile(windowPath(prefix_key, w));
-        if (!bytes)
-            continue; // removed by another process since the listing
-        if (bytes->size() >= kDigestBytes) {
-            const std::size_t size = bytes->size() - kDigestBytes;
-            const auto digest = digestOf(bytes->data(), size);
-            if (std::equal(digest.begin(), digest.end(),
-                           bytes->begin() +
-                               static_cast<std::ptrdiff_t>(size))) {
-                bytes->resize(size);
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.window_hits;
-                return WindowImage{w, std::move(*bytes)};
-            }
-        }
-        // Torn, truncated, or flipped: drop it and try a shorter one.
-        removeWindow(prefix_key, w);
+        // A file that fails the check is gone now (so is one another
+        // process removed since the listing): try a shorter one.
+        std::optional<std::vector<std::uint8_t>> image =
+            readEntry(windowPath(prefix_key, w));
+        if (!image)
+            continue;
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.window_hits;
+        return WindowImage{w, std::move(*image)};
     }
     return std::nullopt;
 }
@@ -342,12 +357,7 @@ SimCache::storeWindow(const std::string &prefix_key, std::uint64_t window,
                                  path.parent_path().string() + ": " +
                                  ec.message());
     }
-    const auto digest = digestOf(image.data(), image.size());
-    std::vector<std::uint8_t> payload;
-    payload.reserve(image.size() + kDigestBytes);
-    payload.insert(payload.end(), image.begin(), image.end());
-    payload.insert(payload.end(), digest.begin(), digest.end());
-    writeAtomically(path, payload);
+    writeAtomically(path, image);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.window_stores;
 }

@@ -15,11 +15,12 @@
  *    the compute function; the rest block and share its result.
  *
  * Payloads are opaque bytes; the harness layer decides what they mean
- * (serialized Measurements, today). A corrupt or truncated entry is
- * indistinguishable from a miss: the decode failure is the caller's
- * to handle, typically by deleting and recomputing. Window images are
- * the one family the store verifies itself (a SHA-256 trailer): their
- * bytes carry statistics straight into results.
+ * (serialized Measurements and checkpoint images). Every file, in
+ * every family, is the payload followed by its 32-byte SHA-256,
+ * checked on every read: a torn, truncated, foreign or bit-flipped
+ * file reads as a miss and is removed, because a payload's bytes flow
+ * into results. A payload that verifies but fails to decode is still
+ * the caller's to handle, by removing and recomputing.
  */
 
 #ifndef LOCSIM_CACHE_STORE_HH_
@@ -140,12 +141,9 @@ class SimCache
      * cycles, with statistics reset at the warm-up, of the prefix
      * @p prefix_key names. Each lives at `<prefix_key>.windows/<w>`
      * (w in decimal), so any process can list which windows exist;
-     * stores are atomic temp+rename like every other entry. A file is
-     * the image followed by the 32-byte SHA-256 of the image, checked
-     * on every read: a window image's statistics flow into results,
-     * so a flipped bit must read as a miss, never as a different
-     * number. No singleflight: a window image at w is produced only
-     * by the result its simKey names, which getOrRun already
+     * stores are atomic temp+rename and verified on read like every
+     * other entry. No singleflight: a window image at w is produced
+     * only by the result its simKey names, which getOrRun already
      * deduplicates.
      */
     ///@{
@@ -196,7 +194,8 @@ class SimCache
                                      std::uint64_t window) const;
     std::optional<std::vector<std::uint8_t>>
     lookupEntry(const std::string &key, Kind kind) const;
-    /** Write @p payload to @p path via a temp file and a rename. */
+    /** Write @p payload and its SHA-256 to @p path via a temp file
+     *  and a rename. */
     void writeAtomically(const std::filesystem::path &path,
                          const std::vector<std::uint8_t> &payload);
     std::vector<std::uint8_t> getOrRunEntry(

@@ -372,7 +372,6 @@ CacheController::startMiss(const MemRequest &req)
     Mshr &mshr = newMshr(line);
     mshr.req = req;
     mshr.issued = engine_.now();
-    recordTxnIssue();
     send(homeOf(req.addr),
          req.is_store ? MsgType::GetX : MsgType::GetS, req.addr, 0,
          node_, 0);
@@ -385,7 +384,6 @@ CacheController::fillLine(Addr addr, CacheState state,
     const auto evicted = cache_.fill(addr, state, data);
     if (!evicted)
         return;
-    stats_.evictions.inc();
     if (evicted->state != CacheState::Modified)
         return; // Shared/clean victims drop silently.
     stats_.writebacks.inc();
@@ -524,7 +522,6 @@ CacheController::homeLocalAccess(const MemRequest &req)
         txn.waiting_fetch = true;
         txn.local_req = req;
         txn.issued = engine_.now();
-        recordTxnIssue();
         send(entry.owner, MsgType::Fetch, req.addr, 0, node_, 0);
         return;
     }
@@ -537,7 +534,6 @@ CacheController::homeLocalAccess(const MemRequest &req)
         txn.waiting_fetch = true;
         txn.local_req = req;
         txn.issued = engine_.now();
-        recordTxnIssue();
         send(entry.owner, MsgType::FetchInv, req.addr, 0, node_, 0);
         return;
     }
@@ -551,7 +547,6 @@ CacheController::homeLocalAccess(const MemRequest &req)
         txn.pending_acks = invs;
         txn.local_req = req;
         txn.issued = engine_.now();
-        recordTxnIssue();
         return;
     }
 
@@ -856,16 +851,6 @@ CacheController::handleGrant(const ProtoMsg &msg, bool exclusive)
     mshr_pool_.free(h);
 }
 
-void
-CacheController::recordTxnIssue()
-{
-    if (last_txn_issue_ != sim::kTickNever) {
-        stats_.txn_spacing.add(
-            static_cast<double>(engine_.now() - last_txn_issue_));
-    }
-    last_txn_issue_ = engine_.now();
-}
-
 bool
 CacheController::quiescent() const
 {
@@ -962,7 +947,6 @@ CacheController::saveState(util::Serializer &s) const
     s.put(completion_seq_);
 
     s.put(busy_until_);
-    s.put(last_txn_issue_);
     stats_.saveState(s);
 }
 
@@ -1034,7 +1018,6 @@ CacheController::loadState(util::Deserializer &d)
     completion_seq_ = d.get<std::uint64_t>();
 
     busy_until_ = d.get<sim::Tick>();
-    last_txn_issue_ = d.get<sim::Tick>();
     stats_.loadState(d);
 }
 

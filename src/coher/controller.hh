@@ -103,9 +103,6 @@ struct ControllerStats
     stats::Accumulator txn_latency;
     /** Messages on the critical path, per transaction. */
     stats::Accumulator critical_messages;
-    /** Issue-to-issue spacing of communication transactions (ticks). */
-    stats::Accumulator txn_spacing;
-    stats::Counter evictions;
     stats::Counter writebacks;
     /** LimitLESS software-directory traps at this home. */
     stats::Counter limitless_traps;
@@ -120,8 +117,6 @@ struct ControllerStats
         messages_sent.saveState(s);
         txn_latency.saveState(s);
         critical_messages.saveState(s);
-        txn_spacing.saveState(s);
-        evictions.saveState(s);
         writebacks.saveState(s);
         limitless_traps.saveState(s);
     }
@@ -136,8 +131,6 @@ struct ControllerStats
         messages_sent.loadState(d);
         txn_latency.loadState(d);
         critical_messages.loadState(d);
-        txn_spacing.loadState(d);
-        evictions.loadState(d);
         writebacks.loadState(d);
         limitless_traps.loadState(d);
     }
@@ -292,12 +285,16 @@ class CacheController : public sim::Clocked
     /**
      * Transaction pools hold only a handful of live objects per node
      * (the workload bounds outstanding misses per context), so small
-     * 16-slot chunks keep a 64x64 machine's warm footprint compact
+     * 4-slot chunks keep a 64x64 machine's warm footprint compact
      * where the default 512-slot chunks would cost ~128KB per node.
+     * The first chunk is allocated on a node's first miss, on the
+     * thread running its shard; 16-slot chunks (4.4 KB per node) made
+     * a sweep's peak RSS depend on which allocator arena that thread
+     * reused, by ~4 MB on a 32x32 machine.
      */
-    using MshrPool = util::Pool<Mshr, 4>;
+    using MshrPool = util::Pool<Mshr, 2>;
     using MshrHandle = MshrPool::Handle;
-    using HomePool = util::Pool<HomeTxn, 4>;
+    using HomePool = util::Pool<HomeTxn, 2>;
     using HomeHandle = HomePool::Handle;
 
     /** A completion waiting for its due tick (min-heap by due, seq). */
@@ -334,7 +331,6 @@ class CacheController : public sim::Clocked
     void completeHomeTxn(Addr line, HomeTxn &txn);
     void finishLocalTxn(HomeTxn &txn, std::uint64_t value);
     void releaseHomeTxn(Addr line);
-    void recordTxnIssue();
 
     /**
      * Invalidate all sharers of a home entry other than @p keep;
@@ -425,7 +421,6 @@ class CacheController : public sim::Clocked
 
     MemClient *client_ = nullptr;
     sim::Tick busy_until_ = 0;
-    sim::Tick last_txn_issue_ = sim::kTickNever;
     obs::Tracer *tracer_ = nullptr;
     int trace_track_ = 0;
     obs::PhaseSlot *profile_slot_ = nullptr;

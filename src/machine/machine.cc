@@ -471,9 +471,12 @@ namespace {
  *  set) — the dense 4,096-record section was ~97% of every image.
  *  Version 5: a native network section (per node, the router's rings,
  *  staged words and output VCs, then the endpoint) in place of the
- *  link and credit records of the latched-link fabric. */
+ *  link and credit records of the latched-link fabric. Version 6:
+ *  nothing the loader can rebuild (credits, write cursors, record
+ *  hop distances, in-flight and pending counts) and no statistic
+ *  nothing reads. */
 constexpr std::uint32_t kCheckpointMagic = 0x4b43534c; // "LSCK"
-constexpr std::uint32_t kCheckpointVersion = 5;
+constexpr std::uint32_t kCheckpointVersion = 6;
 
 } // namespace
 

@@ -154,11 +154,12 @@ Network::Network(const NetworkConfig &config,
         NodeEndpoint &ep = endpoints_[node];
         ep.eject.slots = eject_slab_.data() + node * vc_cap;
         ep.eject.mask = static_cast<std::uint32_t>(vc_cap - 1);
-        ep.inject_credits = config_.router.buffer_depth;
+        ep.inject_credits =
+            static_cast<std::uint32_t>(config_.router.buffer_depth);
     }
 
     // Wire the links. The link leaving `node` on port p arrives at the
-    // neighbor on the port of the opposite direction (producerOf());
+    // neighbor on the port of the opposite direction (peerOf());
     // its credits return the other way. A link between shards stages
     // its bits through the producing shard's outbox instead of
     // writing the consumer's staged word.
@@ -207,7 +208,7 @@ Network::Network(const NetworkConfig &config,
         eject.wake = &eject_staged_[node];
         routers_[node]->connectOutput(local_port_, eject);
         Router::Upstream inject;
-        inject.word = &ep.inject_banked;
+        inject.word = &ep.inject_credits;
         inject.counter = true;
         routers_[node]->connectInput(local_port_, inject);
     }
@@ -353,13 +354,9 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
                   "injection visited an empty source queue at node ",
                   node);
 
-    // Collect returned injection credits. Credits bank up while the
-    // node has nothing to send, so collecting them lazily (only when
-    // a message wants to inject) is equivalent to collecting every
-    // cycle.
-    ep.inject_credits +=
-        static_cast<int>(std::exchange(ep.inject_banked, 0u));
-    LOCSIM_ASSERT(ep.inject_credits <= config_.router.buffer_depth,
+    LOCSIM_ASSERT(ep.inject_credits <=
+                      static_cast<std::uint32_t>(
+                          config_.router.buffer_depth),
                   "injection credit overflow at node ", node);
 
     if (ep.inject_credits == 0)
@@ -800,12 +797,12 @@ Network::bufferedFlits() const
 }
 
 sim::NodeId
-Network::producerOf(sim::NodeId node, int port) const
+Network::peerOf(sim::NodeId node, int port) const
 {
     if (port == local_port_)
         return sim::kNodeNone;
-    // Input port portFor(dim, dir) receives from the neighbor in
-    // direction dir, which sends on portFor(dim, -dir) == port ^ 1.
+    // Port portFor(dim, dir) links to the neighbor in direction dir,
+    // whose end of the link is portFor(dim, -dir) == port ^ 1.
     return topo_.neighbor(node, port / 2, port % 2 == 0 ? +1 : -1);
 }
 
@@ -827,7 +824,7 @@ Network::inTransit() const
             const auto n = static_cast<std::uint64_t>(
                 std::popcount((flits >> (port * vcs)) & lane));
             counts.neighbor += n;
-            if (n != 0 && shardOf(producerOf(node, port)) != shardOf(node))
+            if (n != 0 && shardOf(peerOf(node, port)) != shardOf(node))
                 counts.cross_shard += n;
         }
         counts.eject += eject_staged_[node];
@@ -942,9 +939,6 @@ Network::saveState(util::Serializer &s) const
         for (std::size_t i = 0; i < ep.source_queue.size(); ++i)
             saveMessage(s, ep.source_queue[i]);
         s.put(ep.flits_sent);
-        s.put(ep.inject_credits);
-        s.put(ep.inject_banked);
-        s.put(ep.inject_cursor);
         s.put(ep.next_seq);
         // A latched flit is always drained in the cycle it latches, so
         // the ejection ring's position is its tail, and a staged flit
@@ -992,63 +986,83 @@ Network::saveState(util::Serializer &s) const
         saveMessage(s, rec->message);
         s.put(rec->inject_start);
         s.put(rec->delivered);
-        s.put(rec->hops);
         s.put(rec->head_hops);
         s.put(rec->head_stalls);
     }
 
-    s.put<std::uint64_t>(static_cast<std::uint64_t>(inFlight()));
-    s.put(pendingDeliveries());
     stats().saveState(s);
     s.put(stats_start_);
     s.put(stats_flit_hops_base_);
 }
 
 void
-Network::checkCursors() const
+Network::rebuildWriters()
 {
-    // Every ring has one writer, whose cursor runs exactly the staged
-    // flit (if any) ahead of the ring's tail; a ring nobody feeds
-    // counts as written through a cursor of 0, and an output with no
-    // consumer must never have written.
-    auto fail = [] {
-        throw std::runtime_error("Network::loadState: write cursor is "
-                                 "not its ring's tail plus the staged "
-                                 "bit");
+    auto reject = [](const char *what) {
+        throw std::runtime_error(std::string("Network::loadState: ") +
+                                 what);
     };
     const int vcs = config_.router.vcs;
+    const auto depth =
+        static_cast<std::uint32_t>(config_.router.buffer_depth);
     for (sim::NodeId node = 0; node < routers_.size(); ++node) {
-        const std::uint32_t staged = flit_wake_staged_[node];
-        const NodeEndpoint &ep = endpoints_[node];
+        NodeEndpoint &ep = endpoints_[node];
+        const std::uint32_t flit_bits = flit_wake_staged_[node];
+        const std::uint32_t credit_bits = credit_wake_staged_[node];
         for (int port = 0; port < ports_; ++port) {
-            // Also the consumer of this node's output `port`.
-            const sim::NodeId producer = producerOf(node, port);
             for (int vc = 0; vc < vcs; ++vc) {
-                std::uint32_t cursor = 0;
-                if (producer != sim::kNodeNone) {
-                    cursor =
-                        output_vcs_[unitIndex(producer, port ^ 1, vc)]
-                            .cursor;
-                } else if (port == local_port_ && vc == 0) {
-                    cursor = ep.inject_cursor;
-                }
+                const int bit = port * vcs + vc;
+                // This node's input ring: only the injection VC and
+                // linked neighbor ports have a writer.
                 const Router::InputVc &ring =
                     input_units_[unitIndex(node, port, vc)];
-                if (cursor != ring.tail + ((staged >> (port * vcs + vc)) &
-                                           1u))
-                    fail();
-                const bool consumed = port == local_port_
-                                          ? vc == 0
-                                          : producer != sim::kNodeNone;
-                if (!consumed &&
-                    output_vcs_[unitIndex(node, port, vc)].cursor != 0)
-                    fail();
+                const std::uint32_t flit = (flit_bits >> bit) & 1u;
+                const sim::NodeId peer = peerOf(node, port);
+                const bool fed = port == local_port_
+                                     ? vc == 0
+                                     : peer != sim::kNodeNone;
+                if (!fed && ring.bufSize() + flit != 0)
+                    reject("flit on a ring nothing feeds");
+                if (port == local_port_ && vc == 0) {
+                    ep.inject_cursor = ring.tail + flit;
+                    ep.inject_credits = depth - ring.bufSize() - flit;
+                }
+
+                // This node's output VC, against its consumer's ring.
+                // Ejection deposits every VC through VC 0's cursor.
+                Router::OutputVc &out =
+                    output_vcs_[unitIndex(node, port, vc)];
+                const std::uint32_t credit = (credit_bits >> bit) & 1u;
+                std::uint32_t held = 0;
+                out.cursor = 0;
+                if (port == local_port_) {
+                    const Flit &staged =
+                        ep.eject.slots[ep.eject.tail & ep.eject.mask];
+                    held = eject_staged_[node] != 0 && staged.vc == vc;
+                    if (vc == 0)
+                        out.cursor = ep.eject.tail + eject_staged_[node];
+                } else if (peer != sim::kNodeNone) {
+                    const int in = port ^ 1;
+                    const Router::InputVc &dst =
+                        input_units_[unitIndex(peer, in, vc)];
+                    const std::uint32_t deposit =
+                        (flit_wake_staged_[peer] >> (in * vcs + vc)) & 1u;
+                    held = dst.bufSize() + deposit;
+                    out.cursor = dst.tail + deposit;
+                } else {
+                    if (credit != 0)
+                        reject("credit staged on an output nothing "
+                               "consumes");
+                    out.credits = 0;
+                    continue;
+                }
+                if (held + credit > depth)
+                    reject("ring occupancy plus staged bits exceeds "
+                           "buffer_depth");
+                out.credits =
+                    static_cast<std::int16_t>(depth - held - credit);
             }
         }
-        // The ejection output deposits every VC through VC 0's cursor.
-        if (output_vcs_[unitIndex(node, local_port_, 0)].cursor !=
-            ep.eject.tail + eject_staged_[node])
-            fail();
     }
 }
 
@@ -1081,7 +1095,6 @@ checkedMessage(util::Deserializer &d, sim::NodeId nodes)
 void
 Network::loadState(util::Deserializer &d)
 {
-    const int depth = config_.router.buffer_depth;
     const sim::NodeId nodes = topo_.nodeCount();
     for (sim::NodeId node = 0; node < endpoints_.size(); ++node) {
         routers_[node]->loadState(d);
@@ -1097,17 +1110,6 @@ Network::loadState(util::Deserializer &d)
             }
         }
         ep.flits_sent = d.get<std::uint32_t>();
-        ep.inject_credits = d.get<int>();
-        ep.inject_banked = d.get<std::uint32_t>();
-        ep.inject_cursor = d.get<std::uint32_t>();
-        if (ep.inject_credits < 0 ||
-            static_cast<std::int64_t>(ep.inject_credits) +
-                    ep.inject_banked >
-                depth) {
-            throw std::runtime_error(
-                "Network::loadState: injection credits outside [0, "
-                "buffer_depth]");
-        }
         ep.next_seq = d.get<std::uint64_t>();
         ep.eject.head = ep.eject.tail = d.get<std::uint32_t>();
         eject_staged_[node] = d.getBool() ? 1u : 0u;
@@ -1148,7 +1150,7 @@ Network::loadState(util::Deserializer &d)
         }
         source_pending_[node] = ep.source_queue.empty() ? 0u : 1u;
     }
-    checkCursors();
+    rebuildWriters();
 
     for (ShardState &shard : shards_) {
         shard.records.clear();
@@ -1183,7 +1185,7 @@ Network::loadState(util::Deserializer &d)
         }
         rec.inject_start = d.get<sim::Tick>();
         rec.delivered = d.get<sim::Tick>();
-        rec.hops = d.get<int>();
+        rec.hops = topo_.distance(rec.message.src, rec.message.dst);
         rec.head_hops = d.get<std::uint16_t>();
         rec.head_stalls = d.get<std::uint16_t>();
         const int s = rec.inject_start == sim::kTickNever
@@ -1193,9 +1195,13 @@ Network::loadState(util::Deserializer &d)
         const RecordHandle h = shard.record_pool.alloc();
         shard.record_pool.get(h) = rec;
         shard.records.insert(rec.message.id, h);
+        if (rec.delivered == sim::kTickNever)
+            ++shards_[0].in_flight;
     }
     // Injection and delivery both look up their message's record.
     for (const NodeEndpoint &ep : endpoints_) {
+        shards_[0].pending_deliveries +=
+            static_cast<std::int64_t>(ep.delivered.size());
         for (std::size_t i = 0; i < ep.source_queue.size(); ++i) {
             if (!has_record(ep.source_queue[i].id))
                 throw std::runtime_error(
@@ -1213,10 +1219,6 @@ Network::loadState(util::Deserializer &d)
     // Global accounting and statistics restore into shard 0; the
     // serial-point sums (and the shard-ordered stats merge) are then
     // identical to the values saved.
-    shards_[0].in_flight =
-        static_cast<std::int64_t>(d.get<std::uint64_t>());
-    shards_[0].pending_deliveries =
-        static_cast<std::int64_t>(d.get<std::uint64_t>());
     shards_[0].stats.loadState(d);
     stats_start_ = d.get<sim::Tick>();
     stats_flit_hops_base_ = d.get<std::uint64_t>();

@@ -358,11 +358,13 @@ class Network : public sim::Clocked
     /**
      * Serialize the complete fabric state. Per node, in node order:
      * the router (Router::saveState), then the endpoint: its source
-     * queue, injection credits and write cursor, the ejection ring's
-     * position and the flit staged in it, delivered messages and the
-     * reassembly cursor. Then the in-flight accounting records and the
-     * statistics. Flits in transit are the ring slots a staged bit
-     * names, so they serialize with their consumer. The byte stream is
+     * queue, the ejection ring's position and the flit staged in it,
+     * delivered messages and the reassembly cursor. Then the
+     * accounting records and the statistics. Flits in transit are the
+     * ring slots a staged bit names, so they serialize with their
+     * consumer. Nothing the rest determines is written: credits and
+     * write cursors (rebuildWriters()), each record's hop distance,
+     * and the in-flight and pending-delivery counts. The byte stream is
      * independent of the shard count (records are sorted by id,
      * per-shard statistics are merged, and cross-shard wake words fold
      * into the staged words), so a checkpoint taken at any K restores
@@ -374,12 +376,10 @@ class Network : public sim::Clocked
     /**
      * Restore state saved by saveState() on an identically configured
      * fabric (any shard count on either side). Throws
-     * std::runtime_error where Router::loadState does, on injection
-     * credits outside [0, buffer_depth], an ejected flit on a VC past
-     * vcs or bound for a node the fabric lacks, more than one message
-     * mid-ejection, a write cursor that is not its consumer ring's
-     * tail plus the staged bit (0 where a port has no link), and on
-     * any message send() could not have made: an endpoint past the
+     * std::runtime_error where Router::loadState and rebuildWriters()
+     * do, on an ejected flit on a VC past vcs or bound for a node the
+     * fabric lacks, more than one message mid-ejection, and on any
+     * message send() could not have made: an endpoint past the
      * last node, src == dst, a length outside [1, 65535] flits, an id
      * whose source bits are not its src, or a class past the last.
      * A queued message must come from its node, a delivered one be
@@ -393,14 +393,13 @@ class Network : public sim::Clocked
         // Injection side.
         util::RingQueue<Message> source_queue;
         std::uint32_t flits_sent = 0;    //!< of the current message
-        int inject_credits = 0;          //!< VC0 credits into router
         /**
-         * Credits the router returned, not yet collected. Collected
-         * lazily (only when a message wants to inject); the router
-         * ticks after this endpoint within a cycle, so a credit
-         * returned in cycle t is first collectable in t+1.
+         * VC 0 credits into the router. The router adds each returned
+         * credit here directly; it ticks after this endpoint within a
+         * cycle, so a credit returned in cycle t is first usable in
+         * t+1.
          */
-        std::uint32_t inject_banked = 0;
+        std::uint32_t inject_credits = 0;
         /** Write cursor into the router's injection VC ring. */
         std::uint32_t inject_cursor = 0;
         /** Message-id sequence for this source endpoint. */
@@ -464,12 +463,25 @@ class Network : public sim::Clocked
     };
 
     /**
-     * The node whose output feeds input @p port of @p node (through
-     * its port port ^ 1), or kNodeNone for the local port and mesh
-     * edges.
+     * The neighbor across @p port of @p node, which both feeds that
+     * input port and consumes that output port (through its own port
+     * port ^ 1), or kNodeNone for the local port and mesh edges.
      */
-    sim::NodeId producerOf(sim::NodeId node, int port) const;
-    void checkCursors() const;
+    sim::NodeId peerOf(sim::NodeId node, int port) const;
+
+    /**
+     * Rebuild every write cursor and credit count from the loaded
+     * rings and staged words. A writer's cursor is its consumer
+     * ring's tail plus the staged flit bit; its credits are
+     * buffer_depth minus the ring's occupancy, the staged flit bit and
+     * the staged credit bit (for an ejection VC, the occupancy is the
+     * staged ejection flit on that VC). Where nothing consumes, both
+     * are 0. Throws std::runtime_error on a ring whose occupancy plus
+     * staged bits exceeds buffer_depth, and on a flit staged or held
+     * on a ring nothing feeds or a credit staged on an output nothing
+     * consumes.
+     */
+    void rebuildWriters();
 
     std::size_t
     unitIndex(sim::NodeId node, int port, int vc) const

@@ -425,12 +425,8 @@ Router::saveState(util::Serializer &s) const
         for (std::uint32_t i = ivc.head; i != end; ++i)
             saveFlit(s, ivc.slots[i & ivc.mask]);
     }
-    for (int u = 0; u < units; ++u) {
-        const OutputVc &ovc = outputs_[static_cast<std::size_t>(u)];
-        s.put(ovc.owner);
-        s.put(ovc.credits);
-        s.put(ovc.cursor);
-    }
+    for (int u = 0; u < units; ++u)
+        s.put(outputs_[static_cast<std::size_t>(u)].owner);
     for (int p = 0; p < portCount(); ++p)
         s.put(next_vc_[static_cast<std::size_t>(p)]);
     for (int p = 0; p < portCount(); ++p)
@@ -504,18 +500,11 @@ Router::loadState(util::Deserializer &d)
         }
     }
     for (int u = 0; u < units; ++u) {
-        OutputVc &ovc = outputs_[static_cast<std::size_t>(u)];
-        ovc.owner = d.get<std::int8_t>();
-        ovc.credits = d.get<std::int16_t>();
-        ovc.cursor = d.get<std::uint32_t>();
-        if (ovc.owner < -1 || ovc.owner >= units)
+        std::int8_t &owner = outputs_[static_cast<std::size_t>(u)].owner;
+        owner = d.get<std::int8_t>();
+        if (owner < -1 || owner >= units)
             reject("output VC owner is not an input unit");
-        if (ovc.credits < 0 ||
-            static_cast<std::uint32_t>(ovc.credits) +
-                    ((credits >> u) & 1u) >
-                depth)
-            reject("credits outside [0, buffer_depth]");
-        if (ovc.owner != -1)
+        if (owner != -1)
             owned_ports_ |= 1u << unit_port_[static_cast<std::size_t>(u)];
     }
     ready_ports_ = owned_ports_;

@@ -429,12 +429,13 @@ class Router
      * words (pending cross-shard bits folded in, so the bytes do not
      * depend on the shard count), then per input unit its ring
      * cursors, routing state and the flits in [head, tail + staged
-     * bit), per output VC its owner, credits and write cursor, the
-     * per-port VC round-robin pointers and the statistics. Wiring,
-     * decode tables, the latched wake words (clear between cycles) and
-     * every field derivable from the rest (occupancy and ownership
-     * masks, the buffered count, the arbitration cache) are rebuilt
-     * instead.
+     * bit), per output VC its owner, the per-port VC round-robin
+     * pointers and the statistics. Wiring, decode tables, the latched
+     * wake words (clear between cycles) and every field derivable
+     * from the rest (occupancy and ownership masks, the buffered
+     * count, the arbitration cache) are rebuilt instead; so are the
+     * output VCs' credits and write cursors, which are functions of
+     * the consumer rings (Network::rebuildWriters).
      */
     void saveState(util::Serializer &s) const;
 
@@ -442,9 +443,8 @@ class Router
      * Inverse of saveState(). Throws std::runtime_error on a staged
      * bit past the last unit, a ring holding more than buffer_depth
      * flits, a malformed route, a flit on the wrong VC or bound for a
-     * node the fabric lacks, an owner that is not an input unit, or
-     * credits (with a staged one) outside [0, buffer_depth]. Write
-     * cursors are checked against their consumers by the Network.
+     * node the fabric lacks, or an owner that is not an input unit.
+     * Leaves credits and write cursors to the Network.
      */
     void loadState(util::Deserializer &d);
 

@@ -14,6 +14,7 @@
 
 #include "obs/build_info.hh"
 #include "obs/profiler.hh"
+#include "obs/trace.hh"
 #include "util/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -25,50 +26,13 @@ namespace obs {
 
 namespace {
 
-/** Escape a string for a JSON literal (ASCII-only output). */
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    out.reserve(in.size() + 2);
-    for (const char c : in) {
-        const auto u = static_cast<unsigned char>(c);
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (u < 0x20 || u >= 0x80) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
 std::string
 jsonString(const std::string &in)
 {
     // Appended rather than concatenated: GCC 12 at -O3 reports a
     // false -Wrestrict inside `"\"" + ... + "\""`.
     std::string out = "\"";
-    out += jsonEscape(in);
+    appendJsonEscaped(out, in);
     out += '"';
     return out;
 }

@@ -163,7 +163,7 @@ MetricsSampler::writeJson(std::ostream &os) const
     os << "],\"series\":{";
     for (std::size_t p = 0; p < probes_.size(); ++p) {
         std::string name;
-        appendJsonEscaped(name, probes_[p].name.c_str());
+        appendJsonEscaped(name, probes_[p].name);
         os << (p ? "," : "") << '"' << name << "\":[";
         const auto &series = probes_[p].series;
         for (std::size_t i = 0; i < series.size(); ++i)

@@ -90,10 +90,10 @@ Args::add(const char *key, const char *value)
 }
 
 void
-appendJsonEscaped(std::string &out, const char *s)
+appendJsonEscaped(std::string &out, std::string_view s)
 {
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
+    for (const char c : s) {
+        const auto u = static_cast<unsigned char>(c);
         switch (c) {
           case '"':
             out.append("\\\"");
@@ -111,10 +111,9 @@ appendJsonEscaped(std::string &out, const char *s)
             out.append("\\r");
             break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
+            if (u < 0x20 || u >= 0x80) {
                 char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
+                std::snprintf(buf, sizeof(buf), "\\u%04x", u);
                 out.append(buf);
             } else {
                 out.push_back(c);
@@ -199,7 +198,7 @@ writeMetadata(std::ostream &os, int pid, const char *kind,
         os << ",\n";
     first = false;
     std::string escaped;
-    appendJsonEscaped(escaped, name.c_str());
+    appendJsonEscaped(escaped, name);
     os << "{\"name\":\"" << kind << "\",\"ph\":\"M\",\"pid\":" << pid;
     if (tid >= 0)
         os << ",\"tid\":" << tid;

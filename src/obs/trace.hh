@@ -31,6 +31,7 @@
 #include <deque>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hh"
@@ -117,8 +118,12 @@ class Args
     std::string body_;
 };
 
-/** Append @p s to @p out with JSON string escaping (no quotes). */
-void appendJsonEscaped(std::string &out, const char *s);
+/**
+ * Append @p s to @p out with JSON string escaping (no quotes). The
+ * output is ASCII: control characters and bytes at or above 0x80 are
+ * written as \u00XX.
+ */
+void appendJsonEscaped(std::string &out, std::string_view s);
 
 /** One shard of trace events plus its track names. */
 class Tracer

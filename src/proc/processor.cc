@@ -5,6 +5,9 @@
 
 #include "proc/processor.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include "util/logging.hh"
 
 namespace locsim {
@@ -114,7 +117,6 @@ Processor::issue(int ctx_index)
     req.context = ctx_index;
 
     if (ctx.op.kind == Op::Kind::Prefetch) {
-        stats_.prefetches.inc();
         // Fire and forget: a hit needs nothing; a miss starts the
         // coherence transaction but the thread does not wait for it.
         if (!controller_.tryFastPath(req)) {
@@ -201,17 +203,26 @@ Processor::saveState(util::Serializer &s) const
 void
 Processor::loadState(util::Deserializer &d)
 {
+    auto reject = [](const char *what) {
+        throw std::runtime_error(std::string("Processor::loadState: ") +
+                                 what);
+    };
     const auto n = d.get<std::uint64_t>();
     if (n != contexts_.size())
-        throw std::runtime_error(
-            "Processor::loadState: context count mismatch");
+        reject("context count mismatch");
     for (Context &ctx : contexts_) {
         ctx.state = d.get<CtxState>();
+        if (ctx.state > CtxState::ReadyToResume)
+            reject("context state past ReadyToResume");
         ctx.compute_remaining = d.get<std::uint32_t>();
         ctx.op = loadOp(d);
+        if (ctx.op.kind > Op::Kind::Prefetch)
+            reject("op kind past Prefetch");
         ctx.resume_value = d.get<std::uint64_t>();
     }
     active_ = d.get<int>();
+    if (active_ < 0 || active_ >= static_cast<int>(contexts_.size()))
+        reject("active context outside [0, contexts)");
     switch_remaining_ = d.get<std::uint32_t>();
     stats_.loadState(d);
     now_ = d.get<sim::Tick>();

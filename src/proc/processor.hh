@@ -45,8 +45,6 @@ struct ProcessorStats
     stats::Counter switches;
     /** Memory operations issued (hits and misses). */
     stats::Counter ops;
-    /** Non-blocking prefetches issued. */
-    stats::Counter prefetches;
 
     void
     saveState(util::Serializer &s) const
@@ -56,7 +54,6 @@ struct ProcessorStats
         switch_cycles.saveState(s);
         switches.saveState(s);
         ops.saveState(s);
-        prefetches.saveState(s);
     }
 
     void
@@ -67,7 +64,6 @@ struct ProcessorStats
         switch_cycles.loadState(d);
         switches.loadState(d);
         ops.loadState(d);
-        prefetches.loadState(d);
     }
 };
 
@@ -155,6 +151,13 @@ class Processor : public sim::Clocked, public coher::MemClient
      * themselves checkpoint separately (ThreadProgram::saveState).
      */
     void saveState(util::Serializer &s) const;
+
+    /**
+     * Inverse of saveState(). Throws std::runtime_error on a context
+     * count other than this processor's, a context state past
+     * ReadyToResume, an op kind past Prefetch, an active context
+     * outside [0, contexts), and a truncated section.
+     */
     void loadState(util::Deserializer &d);
 
   private:

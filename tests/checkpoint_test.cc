@@ -235,11 +235,11 @@ TEST(Checkpoint, SaveLoadSaveIsByteStable)
 
 /**
  * LSCK bytes are pinned, not just self-consistent: 8x8 machines saved
- * mid-traffic must hash to fixed digests. These are version 5 images
- * (native network section). Restoring each and re-saving it with the
- * version 4 network writer reproduces the version 4 digests at 1 and
- * 2 shards, apart from the allocation scan's round-robin cache, which
- * version 5 rebuilds from the tick instead of storing. Across the save
+ * mid-traffic must hash to fixed digests. These are version 6 images:
+ * each is the version 5 image of the same machine with the fields
+ * version 6 rebuilds on load (credits, write cursors, record hop
+ * distances, the in-flight and pending counts) and the unread
+ * statistics cut out, at 1, 2 and 4 shards. Across the save
  * points, flits are in transit on neighbor, injection, ejection and
  * (at 2 and 4 shards) cross-shard links, and credits are in flight, so
  * the staged words the images carry, with cross-shard bits folded in,
@@ -255,11 +255,11 @@ TEST(Checkpoint, MidTrafficImagesMatchPinnedDigests)
     };
     const Point points[] = {
         {1201,
-         "a93ea56876db3479a64373bd602ca66c586a21e5aa4daa2c720e6b2aa6bdaf4a"},
+         "719950630ef50df2d223a30eb0cd0e12dd2a25697095601a867b12a524e2e349"},
         {2502,
-         "ff9cb5067068447b8988741655f59fd28b6a3d630bc9d8b990ff10fca95be964"},
+         "2680323ee38b573d048ef1fdfd2f67586e369254b8ed37e7d0a635d9d76c0850"},
         {3703,
-         "0e25dfbd764fcaa052efd0f0091e787a6c83d8b9c546040bb418ebb90eb56a0d"},
+         "bdf4d12ad1f663bb5ac766407267a83932fd6048ccac28ae494a1f76776a6f8e"},
     };
     MachineConfig config;
     config.contexts = 4;

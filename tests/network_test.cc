@@ -258,11 +258,12 @@ TEST(FlitStream, LoadRejectsRecordsTheFabricNeverWrites)
 }
 
 /**
- * A version 5 network section for a 4-node ring (radix 4, one
+ * A version 6 network section for a 4-node ring (radix 4, one
  * dimension, 2 VCs, depth 8), written field by field in the stream's
  * order and widths so tests can write sections the fabric never does.
  * Defaults describe a fresh fabric; withFlitInTransit() stages one
- * head flit on the link from node 0 to node 1.
+ * head flit on the link from node 0 to node 1. A 4-node line (the
+ * mesh) reads the same layout.
  */
 struct SectionImage
 {
@@ -285,8 +286,6 @@ struct SectionImage
     struct Output
     {
         std::int8_t owner = -1;
-        std::int16_t credits = kDepth;
-        std::uint32_t cursor = 0;
     };
     struct Node
     {
@@ -295,9 +294,6 @@ struct SectionImage
         Unit units[kUnits];
         Output outputs[kUnits];
         std::int8_t next_vc[kPorts] = {};
-        int inject_credits = kDepth;
-        std::uint32_t inject_banked = 0;
-        std::uint32_t inject_cursor = 0;
         std::uint32_t eject_tail = 0;
         bool eject_staged = false;
         Flit eject_flit;
@@ -309,11 +305,12 @@ struct SectionImage
     std::vector<MessageRecord> records;
 
     static NetworkConfig
-    config()
+    config(bool mesh = false)
     {
         NetworkConfig c;
         c.radix = kNodes;
         c.dims = 1;
+        c.wraparound = !mesh;
         return c;
     }
 
@@ -335,8 +332,6 @@ struct SectionImage
     SectionImage &
     withFlitInTransit()
     {
-        nodes[0].outputs[0].cursor = 1;
-        nodes[0].outputs[0].credits = kDepth - 1;
         nodes[1].staged_flits = 1u << (1 * kVcs);
         nodes[1].units[1 * kVcs].flits = {headFor(1, 0)};
         return *this;
@@ -381,11 +376,8 @@ struct SectionImage
                 for (const Flit &f : u.flits)
                     saveFlit(s, f);
             }
-            for (const Output &o : n.outputs) {
+            for (const Output &o : n.outputs)
                 s.put(o.owner);
-                s.put(o.credits);
-                s.put(o.cursor);
-            }
             for (std::int8_t vc : n.next_vc)
                 s.put(vc);
             for (int p = 0; p < kPorts; ++p)
@@ -395,10 +387,7 @@ struct SectionImage
             for (const Message &m : n.queued)
                 saveMessage(s, m);
             s.put<std::uint32_t>(0);     // flits sent
-            s.put(n.inject_credits);
-            s.put(n.inject_banked);
-            s.put(n.inject_cursor);
-            s.put<std::uint64_t>(0); // message sequence
+            s.put<std::uint64_t>(0);     // message sequence
             s.put(n.eject_tail);
             s.put(n.eject_staged);
             if (n.eject_staged)
@@ -417,12 +406,9 @@ struct SectionImage
             saveMessage(s, r.message);
             s.put(r.inject_start);
             s.put(r.delivered);
-            s.put(r.hops);
             s.put(r.head_hops);
             s.put(r.head_stalls);
         }
-        s.put<std::uint64_t>(0); // in flight
-        s.put<std::uint64_t>(0); // pending deliveries
         NetworkStats{}.saveState(s);
         s.put<sim::Tick>(0);     // stats start
         s.put<std::uint64_t>(0); // flit-hop base
@@ -446,12 +432,13 @@ TEST(Network, CheckpointRejectsMalformedSection)
         << "the builder does not write a fresh fabric's section";
 
     // A well-formed section with a flit in transit loads, holds the
-    // flit where its staged bit says, and re-saves byte for byte.
+    // flit where its staged bit says, and re-saves byte for byte, on
+    // the ring and on the line.
     const std::vector<std::uint8_t> good =
         SectionImage{}.withFlitInTransit().bytes();
-    {
+    for (bool mesh : {false, true}) {
         sim::Engine e;
-        Network loaded(e, SectionImage::config());
+        Network loaded(e, SectionImage::config(mesh));
         util::Deserializer d(good);
         loaded.loadState(d);
         EXPECT_TRUE(d.atEnd());
@@ -473,17 +460,19 @@ TEST(Network, CheckpointRejectsMalformedSection)
     constexpr int kDepth = SectionImage::kDepth;
     constexpr int kVcs = SectionImage::kVcs;
     constexpr int kTransit = 1 * kVcs; // node 1's unit holding the flit
+    constexpr int kLocal = 2 * kVcs; // the local port's VC 0 unit
     struct Case
     {
         const char *name;
         std::vector<std::uint8_t> bytes;
+        bool mesh = false;
     };
     std::vector<Case> cases;
-    auto add = [&](const char *name, auto &&mutate) {
+    auto add = [&](const char *name, auto &&mutate, bool mesh = false) {
         SectionImage image;
         image.withFlitInTransit();
         mutate(image);
-        cases.push_back({name, image.bytes()});
+        cases.push_back({name, image.bytes(), mesh});
     };
     add("staged bit past the last unit", [](SectionImage &im) {
         im.nodes[2].staged_credits = 1u << SectionImage::kUnits;
@@ -494,30 +483,31 @@ TEST(Network, CheckpointRejectsMalformedSection)
         u.tail = kDepth;
         u.flits.assign(kDepth + 1, SectionImage::headFor(1, 0));
     });
-    add("cursor ahead of its ring", [](SectionImage &im) {
-        im.nodes[0].outputs[0].cursor = 2;
+    add("full ring plus a staged credit", [&](SectionImage &im) {
+        // depth - 1 latched flits, the staged one, and node 0's +x
+        // output holding a returned credit for the same ring.
+        SectionImage::Unit &u = im.nodes[1].units[kTransit];
+        u.tail = kDepth - 1;
+        u.flits.assign(kDepth, SectionImage::headFor(1, 0));
+        im.nodes[0].staged_credits = 1u;
     });
-    add("staged flit its producer never wrote", [](SectionImage &im) {
-        im.nodes[0].outputs[0].cursor = 0;
+    add("flit staged on a ring nothing feeds", [&](SectionImage &im) {
+        im.nodes[2].staged_flits = 1u << (kLocal + 1);
+        im.nodes[2].units[kLocal + 1].flits = {
+            SectionImage::headFor(3, 1)};
     });
-    add("injection cursor off its ring", [](SectionImage &im) {
-        im.nodes[3].inject_cursor = 1;
+    add("flit held on a ring nothing feeds", [&](SectionImage &im) {
+        SectionImage::Unit &u = im.nodes[2].units[kLocal + 1];
+        u.tail = 1;
+        u.flits = {SectionImage::headFor(3, 1)};
     });
-    add("ejection VC 1 writes a cursor", [&](SectionImage &im) {
-        im.nodes[3].outputs[2 * kVcs + 1].cursor = 1;
-    });
-    add("credits above buffer_depth", [](SectionImage &im) {
-        im.nodes[2].outputs[0].credits = kDepth + 1;
-    });
-    add("negative credits", [](SectionImage &im) {
-        im.nodes[2].outputs[0].credits = -1;
-    });
-    add("full credits with one staged", [](SectionImage &im) {
-        im.nodes[2].staged_credits = 1u;
-    });
-    add("injection credits above buffer_depth", [](SectionImage &im) {
-        im.nodes[2].inject_banked = 1;
-    });
+    add(
+        "credit staged on an output nothing consumes",
+        [&](SectionImage &im) {
+            // Node 0's -x output has no link on the line.
+            im.nodes[0].staged_credits = 1u << kVcs;
+        },
+        true);
     add("owner past the last unit", [](SectionImage &im) {
         im.nodes[2].outputs[0].owner = SectionImage::kUnits;
     });
@@ -540,7 +530,6 @@ TEST(Network, CheckpointRejectsMalformedSection)
         im.nodes[1].units[kTransit].routed = true;
     });
     add("ejected flit on VC vcs", [](SectionImage &im) {
-        im.nodes[1].outputs[2 * kVcs].cursor = 1;
         im.nodes[1].eject_staged = true;
         im.nodes[1].eject_flit = SectionImage::headFor(1, kVcs);
     });
@@ -548,7 +537,6 @@ TEST(Network, CheckpointRejectsMalformedSection)
         im.nodes[1].units[kTransit].flits[0].dst = SectionImage::kNodes;
     });
     add("ejected flit bound past the last node", [](SectionImage &im) {
-        im.nodes[1].outputs[2 * kVcs].cursor = 1;
         im.nodes[1].eject_staged = true;
         im.nodes[1].eject_flit =
             SectionImage::headFor(SectionImage::kNodes, 0);
@@ -617,7 +605,7 @@ TEST(Network, CheckpointRejectsMalformedSection)
     }
     for (const Case &c : cases) {
         sim::Engine e;
-        Network network(e, SectionImage::config());
+        Network network(e, SectionImage::config(c.mesh));
         util::Deserializer d(c.bytes);
         EXPECT_THROW(network.loadState(d), std::runtime_error) << c.name;
     }

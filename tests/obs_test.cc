@@ -52,6 +52,10 @@ TEST(Args, EscapesStrings)
     const std::string body =
         std::move(Args().add("s", "a\"b\\c\nd\x01")).str();
     EXPECT_EQ(body, "\"s\":\"a\\\"b\\\\c\\nd\\u0001\"");
+    // The output is ASCII: bytes at or above 0x80 are escaped too.
+    std::string utf8;
+    appendJsonEscaped(utf8, "caf\xc3\xa9");
+    EXPECT_EQ(utf8, "caf\\u00c3\\u00a9");
 }
 
 TEST(Tracer, RecordsOnNamedTracksAndCapsEvents)

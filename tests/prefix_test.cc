@@ -257,7 +257,43 @@ const Corruption kCorruptions[] = {
          bytes.push_back(0);
          return bytes;
      }},
+    {"one bit flipped",
+     [](std::vector<std::uint8_t> bytes) {
+         bytes[bytes.size() / 2] ^= 1;
+         return bytes;
+     }},
 };
+
+/** @p payload as the store writes every entry: then its SHA-256. */
+std::vector<std::uint8_t>
+sealed(std::vector<std::uint8_t> payload)
+{
+    util::Sha256 hash;
+    hash.update(payload.data(), payload.size());
+    const auto digest = hash.digest();
+    payload.insert(payload.end(), digest.begin(), digest.end());
+    return payload;
+}
+
+/** A good checksum over an entry's payload cut one byte short: the
+ *  file verifies, and the payload fails to decode or restore, which
+ *  the callers recover from themselves. */
+const Corruption kResealedCut = {
+    "good checksum, payload cut short",
+    [](std::vector<std::uint8_t> bytes) {
+        bytes.resize(bytes.size() - 32 - 1);
+        return sealed(std::move(bytes));
+    }};
+
+/** kCorruptions, then kResealedCut. */
+std::vector<Corruption>
+everyCorruption()
+{
+    std::vector<Corruption> all(std::begin(kCorruptions),
+                                std::end(kCorruptions));
+    all.push_back(kResealedCut);
+    return all;
+}
 
 // ---------------------------------------------------------------------
 // prefixKey semantics.
@@ -440,9 +476,11 @@ TEST(PrefixPlanner, RestoresAcrossShardCounts)
 }
 
 /**
- * Every way a stored image goes bad is one more input: warmMachine
- * drops the image, produces the prefix again, measures bit-identically
- * to a fresh run, and leaves a good image on disk.
+ * Every way a stored image goes bad is one more input: the store
+ * drops a file that fails its checksum, warmMachine one that verifies
+ * but fails to restore; either way the prefix is produced again,
+ * measures bit-identically to a fresh run, and leaves a good image on
+ * disk.
  */
 TEST(PrefixPlanner, CorruptImageIsDroppedAndRecomputed)
 {
@@ -453,7 +491,7 @@ TEST(PrefixPlanner, CorruptImageIsDroppedAndRecomputed)
     const auto oracle =
         measurementBytes(oracleRun(config, mapping, kWarmup, 400));
 
-    for (const Corruption &corruption : kCorruptions) {
+    for (const Corruption &corruption : everyCorruption()) {
         SCOPED_TRACE(corruption.name);
         const fs::path dir = freshDir("corrupt");
         SimCache store(dir);
@@ -564,20 +602,6 @@ TEST(PrefixPlanner, WindowImagesServeAnotherStoreInstance)
     fs::remove_all(dir);
 }
 
-/** Re-append a valid SHA-256 trailer to a window file's image part
- *  after cutting one byte from it: a checksum that passes over an
- *  image that fails to restore part-way. */
-std::vector<std::uint8_t>
-resealedCutImage(std::vector<std::uint8_t> bytes)
-{
-    bytes.resize(bytes.size() - 32 - 1);
-    util::Sha256 hash;
-    hash.update(bytes.data(), bytes.size());
-    const auto digest = hash.digest();
-    bytes.insert(bytes.end(), digest.begin(), digest.end());
-    return bytes;
-}
-
 /**
  * Every way a stored window image goes bad, plus a bad checksum and a
  * good checksum over an image that fails to restore: the next window
@@ -608,8 +632,7 @@ TEST(PrefixPlanner, CorruptWindowImageFallsBack)
                           return bytes;
                       }},
                      0});
-    cases.push_back({{"good checksum, image cut short", resealedCutImage},
-                     1});
+    cases.push_back({kResealedCut, 1});
     for (const Case &c : cases) {
         SCOPED_TRACE(c.corruption.name);
         const fs::path dir = freshDir("corrupt-window");
@@ -647,14 +670,12 @@ cachedOptions(const fs::path &dir)
     options.window = 400;
     options.cache_dir = dir.string();
     options.sim_cache = std::make_shared<SimCache>(dir.string());
-    options.prefix_planner =
-        std::make_shared<PrefixPlanner>(*options.sim_cache);
     return options;
 }
 
 /**
  * Sampled runs bypass the prefix cache entirely (a restore would
- * silently drop the warmup's samples): prefixUsable() is false, the
+ * silently drop the warmup's samples): cacheUsable() is false, the
  * run touches no cache entries, and both the Measurement and the
  * sampler series are byte-equal to a plain uncached run.
  */
@@ -670,8 +691,7 @@ TEST(Harness, SampledRunsBypassThePrefixCache)
     ASSERT_EQ(countEntries(dir, ".simcache"), 1u);
 
     options.obs.sample_period = 50;
-    EXPECT_TRUE(options.cacheUsable() == false);
-    EXPECT_FALSE(options.prefixUsable());
+    EXPECT_FALSE(options.cacheUsable());
     config.sample_period = 50;
     const machine::Measurement via_harness =
         bench::runCachedMeasurement(options, config, baseMapping());
@@ -779,7 +799,7 @@ TEST(Harness, ManifestCoreIsDeterministicColdAndWarm)
     // gets probed, so prefix counters are zero and result hits one.
     EXPECT_NE(warm_a.find("\"cache.hits\": 1"), std::string::npos)
         << warm_a;
-    EXPECT_NE(warm_a.find("\"prefix_cache_enabled\": true"),
+    EXPECT_NE(warm_a.find("\"cache_enabled\": true"),
               std::string::npos);
 
     fs::remove_all(dir);
@@ -819,15 +839,17 @@ TEST(Harness, PrefixHitsAppearInManifestCounters)
 }
 
 /**
- * runCachedMeasurement's recovery path: a result payload that fails
- * to load is dropped, recomputed (through the prefix image) and
- * stored again, for every corruption in the table.
+ * A result entry that fails its checksum reads as a miss, and one
+ * that verifies but fails to load takes runCachedMeasurement's
+ * recovery path: either way it is recomputed (through the prefix
+ * image) and stored again, for every corruption in the table. The
+ * flipped bit is the row a store without checksums serves silently.
  */
 TEST(Harness, CorruptResultPayloadIsRecomputed)
 {
     const auto config = baseConfig();
     const auto mapping = baseMapping();
-    for (const Corruption &corruption : kCorruptions) {
+    for (const Corruption &corruption : everyCorruption()) {
         SCOPED_TRACE(corruption.name);
         const fs::path dir = freshDir("corrupt-result");
         const bench::HarnessOptions options = cachedOptions(dir);
@@ -840,13 +862,13 @@ TEST(Harness, CorruptResultPayloadIsRecomputed)
             dir / (simKey(config, mapping, options.warmup,
                           options.window) +
                    ".simcache");
-        ASSERT_EQ(readBytes(payload), oracle);
-        writeBytes(payload, corruption.apply(oracle));
+        ASSERT_EQ(readBytes(payload), sealed(oracle));
+        writeBytes(payload, corruption.apply(sealed(oracle)));
 
         EXPECT_EQ(measurementBytes(bench::runCachedMeasurement(
                       options, config, mapping)),
                   oracle);
-        EXPECT_EQ(readBytes(payload), oracle);
+        EXPECT_EQ(readBytes(payload), sealed(oracle));
         fs::remove_all(dir);
     }
 }
@@ -923,17 +945,19 @@ TEST(Options, CacheDirAloneEnablesThePlanner)
     const fs::path dir = freshDir("flag-gate");
     const std::string dir_arg = dir.string();
     {
-        const auto options =
-            parseArgs({"--cache-dir", dir_arg.c_str()});
-        EXPECT_NE(options.sim_cache, nullptr);
-        EXPECT_NE(options.prefix_planner, nullptr)
-            << "prefix cache should default on with --cache-dir";
-        EXPECT_TRUE(options.prefixUsable());
+        const auto options = parseArgs({"--cache-dir", dir_arg.c_str(),
+                                        "--warmup", "600", "--window",
+                                        "400"});
+        ASSERT_TRUE(options.cacheUsable());
+        (void)bench::runCachedMeasurement(options, baseConfig(),
+                                          baseMapping());
+        EXPECT_EQ(countEntries(dir, ".ckpt"), 1u)
+            << "a miss with --cache-dir should warm through the planner";
     }
     {
         const auto options = parseArgs({});
         EXPECT_EQ(options.sim_cache, nullptr);
-        EXPECT_EQ(options.prefix_planner, nullptr);
+        EXPECT_FALSE(options.cacheUsable());
     }
     fs::remove_all(dir);
 }

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "coher/controller.hh"
 #include "net/network.hh"
 #include "proc/processor.hh"
 #include "sim/engine.hh"
+#include "util/serialize.hh"
 
 namespace locsim {
 namespace proc {
@@ -259,6 +261,113 @@ TEST_F(ProcessorFixture, AllBlockedReportsCorrectly)
     // With a 1-cycle compute and long remote latency, the single
     // context is almost certainly waiting now.
     EXPECT_TRUE(h.processor->allBlocked());
+}
+
+/**
+ * A processor section for two contexts, written field by field in the
+ * stream's order and widths so tests can write sections the processor
+ * never does. Defaults describe a well-formed mid-run processor:
+ * context 0 computing toward a prefetch (the last op kind), context 1
+ * resuming from a completed load, and context 1 active.
+ */
+struct ProcessorSection
+{
+    struct Context
+    {
+        std::uint8_t state = 0; //!< Computing
+        std::uint32_t compute_remaining = 3;
+        std::uint8_t kind = 0; //!< Load
+        coher::Addr addr = coher::makeAddr(3, 0);
+        std::uint64_t store_value = 0;
+        std::uint32_t compute_cycles = 5;
+        std::uint64_t resume_value = 0;
+    };
+    std::uint64_t count = 2;
+    Context contexts[2];
+    int active = 1;
+    std::uint32_t switch_remaining = 4;
+
+    ProcessorSection()
+    {
+        contexts[0].kind = 2;  // Prefetch
+        contexts[1].state = 3; // ReadyToResume
+        contexts[1].resume_value = 77;
+    }
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        util::Serializer s;
+        s.put(count);
+        for (const Context &c : contexts) {
+            s.put(c.state);
+            s.put(c.compute_remaining);
+            s.put(c.kind);
+            s.put(c.addr);
+            s.put(c.store_value);
+            s.put(c.compute_cycles);
+            s.put(c.resume_value);
+        }
+        s.put(active);
+        s.put(switch_remaining);
+        for (int i = 0; i < 5; ++i)
+            s.put<std::uint64_t>(static_cast<std::uint64_t>(i + 10));
+        s.put<sim::Tick>(1234); // clock
+        return s.takeBuffer();
+    }
+};
+
+TEST(Processor, CheckpointRejectsMalformedSection)
+{
+    FixedLoadProgram p0(coher::makeAddr(3, 0), 5);
+    FixedLoadProgram p1(coher::makeAddr(3, 1), 5);
+
+    // The well-formed section loads and re-saves byte for byte.
+    const std::vector<std::uint8_t> good = ProcessorSection{}.bytes();
+    {
+        Harness h;
+        h.build(2, {&p0, &p1});
+        util::Deserializer d(good);
+        h.processor->loadState(d);
+        EXPECT_TRUE(d.atEnd());
+        util::Serializer s;
+        h.processor->saveState(s);
+        EXPECT_EQ(s.takeBuffer(), good);
+    }
+
+    struct Case
+    {
+        const char *name;
+        std::vector<std::uint8_t> bytes;
+    };
+    std::vector<Case> cases;
+    auto add = [&](const char *name, auto &&mutate) {
+        ProcessorSection section;
+        mutate(section);
+        cases.push_back({name, section.bytes()});
+    };
+    add("context count mismatch",
+        [](ProcessorSection &p) { p.count = 3; });
+    add("context state past ReadyToResume",
+        [](ProcessorSection &p) { p.contexts[0].state = 4; });
+    add("op kind past Prefetch",
+        [](ProcessorSection &p) { p.contexts[1].kind = 3; });
+    add("negative active context",
+        [](ProcessorSection &p) { p.active = -1; });
+    add("active context at the context count",
+        [](ProcessorSection &p) { p.active = 2; });
+    {
+        std::vector<std::uint8_t> cut = good;
+        cut.pop_back();
+        cases.push_back({"section cut short", cut});
+    }
+    for (const Case &c : cases) {
+        Harness h;
+        h.build(2, {&p0, &p1});
+        util::Deserializer d(c.bytes);
+        EXPECT_THROW(h.processor->loadState(d), std::runtime_error)
+            << c.name;
+    }
 }
 
 } // namespace
