@@ -6,6 +6,8 @@
 #include "coher/controller.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "obs/profiler.hh"
 #include "util/logging.hh"
@@ -36,11 +38,21 @@ saveProtoMsg(util::Serializer &s, const ProtoMsg &m)
     s.put(m.critical);
 }
 
+/** Throws std::runtime_error naming the controller section's fault. */
+[[noreturn]] void
+reject(const char *what)
+{
+    throw std::runtime_error(
+        std::string("CacheController::loadState: ") + what);
+}
+
 ProtoMsg
 loadProtoMsg(util::Deserializer &d)
 {
     ProtoMsg m;
     m.type = d.get<MsgType>();
+    if (m.type > MsgType::PutX)
+        reject("message type past PutX");
     m.addr = d.get<Addr>();
     m.sender = d.get<sim::NodeId>();
     m.data = d.get<std::uint64_t>();
@@ -59,14 +71,17 @@ saveMemRequest(util::Serializer &s, const MemRequest &req)
     s.put(req.wants_reply);
 }
 
+/** A request whose context must lie in [0, @p contexts). */
 MemRequest
-loadMemRequest(util::Deserializer &d)
+loadMemRequest(util::Deserializer &d, int contexts)
 {
     MemRequest req;
     req.is_store = d.getBool();
     req.addr = d.get<Addr>();
     req.store_value = d.get<std::uint64_t>();
     req.context = d.get<int>();
+    if (req.context < 0 || req.context >= contexts)
+        reject("request context outside [0, contexts)");
     req.wants_reply = d.getBool();
     return req;
 }
@@ -79,11 +94,15 @@ saveMemResponse(util::Serializer &s, const MemResponse &resp)
     s.put(resp.was_transaction);
 }
 
+/** A completion whose context must lie in [0, @p contexts): the
+ *  client indexes its contexts with it. */
 MemResponse
-loadMemResponse(util::Deserializer &d)
+loadMemResponse(util::Deserializer &d, int contexts)
 {
     MemResponse resp;
     resp.context = d.get<int>();
+    if (resp.context < 0 || resp.context >= contexts)
+        reject("completion context outside [0, contexts)");
     resp.load_value = d.get<std::uint64_t>();
     resp.was_transaction = d.getBool();
     return resp;
@@ -954,7 +973,7 @@ void
 CacheController::loadState(util::Deserializer &d)
 {
     cache_.loadState(d);
-    directory_.loadState(d);
+    directory_.loadState(d, network_.topology().nodeCount());
 
     inbox_.clear();
     for (std::uint64_t i = 0, n = d.get<std::uint64_t>(); i < n; ++i)
@@ -962,7 +981,7 @@ CacheController::loadState(util::Deserializer &d)
 
     proc_queue_.clear();
     for (std::uint64_t i = 0, n = d.get<std::uint64_t>(); i < n; ++i)
-        proc_queue_.push_back(loadMemRequest(d));
+        proc_queue_.push_back(loadMemRequest(d, client_contexts_));
 
     outbox_.clear();
     for (std::uint64_t i = 0, n = d.get<std::uint64_t>(); i < n;
@@ -979,11 +998,11 @@ CacheController::loadState(util::Deserializer &d)
          ++i) {
         const Addr key = d.get<Addr>();
         Mshr &mshr = newMshr(key);
-        mshr.req = loadMemRequest(d);
+        mshr.req = loadMemRequest(d, client_contexts_);
         mshr.issued = d.get<sim::Tick>();
         for (std::uint64_t j = 0, m = d.get<std::uint64_t>(); j < m;
              ++j)
-            mshr.deferred.push_back(loadMemRequest(d));
+            mshr.deferred.push_back(loadMemRequest(d, client_contexts_));
     }
 
     home_txns_.clear();
@@ -993,6 +1012,8 @@ CacheController::loadState(util::Deserializer &d)
         const Addr key = d.get<Addr>();
         HomeTxn &txn = newHomeTxn(key);
         txn.kind = d.get<HomeTxn::Kind>();
+        if (txn.kind > HomeTxn::Kind::LocalWrite)
+            reject("home transaction kind past LocalWrite");
         txn.requester = d.get<sim::NodeId>();
         txn.pending_acks = d.get<int>();
         txn.waiting_fetch = d.getBool();
@@ -1001,8 +1022,8 @@ CacheController::loadState(util::Deserializer &d)
             txn.deferred.push_back(loadProtoMsg(d));
         for (std::uint64_t j = 0, m = d.get<std::uint64_t>(); j < m;
              ++j)
-            txn.local_deferred.push_back(loadMemRequest(d));
-        txn.local_req = loadMemRequest(d);
+            txn.local_deferred.push_back(loadMemRequest(d, client_contexts_));
+        txn.local_req = loadMemRequest(d, client_contexts_);
         txn.issued = d.get<sim::Tick>();
     }
 
@@ -1012,7 +1033,7 @@ CacheController::loadState(util::Deserializer &d)
         PendingCompletion pc;
         pc.due = d.get<sim::Tick>();
         pc.seq = d.get<std::uint64_t>();
-        pc.resp = loadMemResponse(d);
+        pc.resp = loadMemResponse(d, client_contexts_);
         pending_completions_.push_back(pc);
     }
     completion_seq_ = d.get<std::uint64_t>();

@@ -161,11 +161,17 @@ class CacheController : public sim::Clocked
     std::optional<MemResponse> tryFastPath(const MemRequest &req);
 
     /**
-     * Attach the completion consumer. Must be set before the first
-     * request with wants_reply completes. Not owned; must outlive the
-     * controller while attached.
+     * Attach the completion consumer, whose requests name contexts in
+     * [0, @p contexts). Must be set before the first request with
+     * wants_reply completes. Not owned; must outlive the controller
+     * while attached.
      */
-    void setClient(MemClient *client) { client_ = client; }
+    void
+    setClient(MemClient *client, int contexts = 1)
+    {
+        client_ = client;
+        client_contexts_ = contexts;
+    }
 
     /**
      * Submit a processor request. The client's memComplete() fires
@@ -188,7 +194,10 @@ class CacheController : public sim::Clocked
      * same configuration, overwriting all of its state (fresh or
      * not). The restored completion
      * heap is the wakeup source (nextWake()), so nothing is scheduled
-     * into the engine.
+     * into the engine. Throws std::runtime_error where Cache::loadState
+     * and Directory::loadState do, on a request or completion whose
+     * context is outside the client's [0, contexts), and on a protocol
+     * message type or home transaction kind past the last.
      */
     void loadState(util::Deserializer &d);
 
@@ -423,6 +432,8 @@ class CacheController : public sim::Clocked
     sim::Tick busy_until_ = 0;
     obs::Tracer *tracer_ = nullptr;
     int trace_track_ = 0;
+    /** The client's context count: restored contexts lie below it. */
+    int client_contexts_ = 1;
     obs::PhaseSlot *profile_slot_ = nullptr;
 
     ControllerStats stats_;

@@ -6,6 +6,8 @@
 #include "coher/directory.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "util/logging.hh"
 
@@ -206,8 +208,12 @@ Directory::saveState(util::Serializer &s) const
 }
 
 void
-Directory::loadState(util::Deserializer &d)
+Directory::loadState(util::Deserializer &d, sim::NodeId nodes)
 {
+    auto reject = [](const char *what) {
+        throw std::runtime_error(std::string("Directory::loadState: ") +
+                                 what);
+    };
     entries_.clear();
     index_.clear();
     overflow_.clear();
@@ -215,12 +221,23 @@ Directory::loadState(util::Deserializer &d)
     const auto n = d.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr key = d.get<Addr>();
+        if (homeOf(key) != home_)
+            reject("entry for a line homed elsewhere");
         DirEntry &entry = this->entry(key);
         entry.state = d.get<DirState>();
+        if (entry.state > DirState::Exclusive)
+            reject("state past Exclusive");
         const auto sharer_count = d.get<std::uint32_t>();
-        for (std::uint32_t j = 0; j < sharer_count; ++j)
-            addSharer(entry, d.get<sim::NodeId>());
+        for (std::uint32_t j = 0; j < sharer_count; ++j) {
+            const auto sharer = d.get<sim::NodeId>();
+            // A sharer id sizes the overflow bitmap.
+            if (sharer >= nodes)
+                reject("sharer past the last node");
+            addSharer(entry, sharer);
+        }
         entry.owner = d.get<sim::NodeId>();
+        if (entry.owner >= nodes && entry.owner != sim::kNodeNone)
+            reject("owner past the last node");
         entry.memory = d.get<std::uint64_t>();
     }
 }

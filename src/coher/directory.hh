@@ -122,7 +122,13 @@ class Directory
      */
     void saveState(util::Serializer &s) const;
 
-    void loadState(util::Deserializer &d);
+    /**
+     * Restore entries written by saveState() on a machine of @p nodes
+     * nodes. Throws std::runtime_error on a line homed at another
+     * node, a state past Exclusive, and a sharer or owner id at or
+     * past @p nodes (an owner may be kNodeNone).
+     */
+    void loadState(util::Deserializer &d, sim::NodeId nodes);
 
   private:
     /** A spilled sharer set: full insertion order plus a bitmap. */

@@ -76,6 +76,8 @@ struct Message
     sim::Tick submit_tick = 0;
     /** Attribution class; does not affect routing or arbitration. */
     MessageClass cls = MessageClass::Generic;
+
+    bool operator==(const Message &) const = default;
 };
 
 /**

@@ -295,7 +295,7 @@ Network::send(Message msg)
     record.hops = topo_.distance(msg.src, msg.dst);
     shard.records.insert(msg.id, h);
 
-    ep.source_queue.push_back(msg);
+    ep.source_queue.push_back(h);
     source_pending_[msg.src] = 1u;
     ++shard.stats.messages_sent;
     shard.stats.flits.add(static_cast<double>(msg.flits));
@@ -319,18 +319,16 @@ Network::receive(sim::NodeId node)
     auto &delivered = endpoints_[node].delivered;
     if (delivered.empty())
         return std::nullopt;
-    Message msg = delivered.front();
+    const RecordHandle h = delivered.front();
     delivered.pop_front();
     ShardState &shard =
         shards_[static_cast<std::size_t>(shardOf(node))];
     --shard.pending_deliveries;
-    // Accounting for this message is complete; drop the record so
-    // long runs do not accumulate unbounded history.
-    if (const RecordHandle *hp = shard.records.find(msg.id)) {
-        const RecordHandle h = *hp;
-        shard.records.erase(msg.id);
-        shard.record_pool.free(h);
-    }
+    // Accounting for this message is complete; copy it out and drop
+    // the record so long runs do not accumulate unbounded history.
+    Message msg = shard.record_pool.get(h).message;
+    shard.records.erase(msg.id);
+    shard.record_pool.free(h);
     return msg;
 }
 
@@ -350,9 +348,8 @@ void
 Network::tickInjection(sim::NodeId node, sim::Tick now)
 {
     NodeEndpoint &ep = endpoints_[node];
-    LOCSIM_ASSERT(!ep.source_queue.empty(),
-                  "injection visited an empty source queue at node ",
-                  node);
+    LOCSIM_ASSERT(ep.flits_sent != 0 || !ep.source_queue.empty(),
+                  "injection visited an idle endpoint at node ", node);
 
     LOCSIM_ASSERT(ep.inject_credits <=
                       static_cast<std::uint32_t>(
@@ -362,36 +359,37 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
     if (ep.inject_credits == 0)
         return;
 
-    Message &msg = ep.source_queue.front();
     if (ep.flits_sent == 0) {
+        // Start the next queued message: its id, destination and
+        // length move into the endpoint, which must not touch the
+        // record again (a cross-shard record leaves this pool below).
         const int s = shardOf(node);
         ShardState &shard = shards_[static_cast<std::size_t>(s)];
-        RecordHandle *hp = shard.records.find(msg.id);
-        LOCSIM_ASSERT(hp != nullptr, "missing message record");
-        MessageRecord &rec = shard.record_pool.get(*hp);
-        if (rec.inject_start == sim::kTickNever) {
-            rec.inject_start = now;
-            if (obs::Tracer *tracer = tracerFor(s)) {
-                tracer->instant(
-                    node_tracks_[node], now, "inject",
-                    obs::Category::Net,
-                    std::move(obs::Args().add("msg", msg.id)).str());
-            }
-            // Hand the record to the destination shard (it harvests
-            // the head counters and closes out the message). Posted
-            // into this tick's parity; drained by the destination at
-            // the start of the next tick, at least one cycle before
-            // the head flit can eject there. The record travels by
-            // value and its source-shard pool slot is recycled.
-            const int ds = shardOf(msg.dst);
-            if (ds != s) {
-                auto &box = record_mail_[now & 1][static_cast<
-                    std::size_t>(ds * plan_.shards + s)];
-                box.push_back(rec);
-                const RecordHandle h = *hp;
-                shard.records.erase(msg.id);
-                shard.record_pool.free(h);
-            }
+        const RecordHandle h = ep.source_queue.front();
+        ep.source_queue.pop_front();
+        MessageRecord &rec = shard.record_pool.get(h);
+        ep.inject_msg = rec.message.id;
+        ep.inject_dst = rec.message.dst;
+        ep.inject_flits = rec.message.flits;
+        rec.inject_start = now;
+        if (obs::Tracer *tracer = tracerFor(s)) {
+            tracer->instant(
+                node_tracks_[node], now, "inject", obs::Category::Net,
+                std::move(obs::Args().add("msg", ep.inject_msg)).str());
+        }
+        // Hand the record to the destination shard (it harvests the
+        // head counters and closes out the message). Posted into this
+        // tick's parity; drained by the destination at the start of
+        // the next tick, at least one cycle before the head flit can
+        // eject there. The record travels by value and its
+        // source-shard pool slot is recycled.
+        const int ds = shardOf(ep.inject_dst);
+        if (ds != s) {
+            auto &box = record_mail_[now & 1][static_cast<std::size_t>(
+                ds * plan_.shards + s)];
+            box.push_back(rec);
+            shard.records.erase(ep.inject_msg);
+            shard.record_pool.free(h);
         }
     }
 
@@ -405,20 +403,19 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
     Flit &flit = ring.slots[ep.inject_cursor & ring.mask];
     ++ep.inject_cursor;
     flit = Flit{};
-    flit.msg = msg.id;
-    flit.dst = msg.dst;
+    flit.msg = ep.inject_msg;
+    flit.dst = ep.inject_dst;
     // A head's seq is 0, which doubles as its zero link count.
     flit.seq_or_hops = static_cast<std::uint16_t>(ep.flits_sent);
     flit.head = ep.flits_sent == 0;
-    flit.tail = ep.flits_sent + 1 == msg.flits;
+    flit.tail = ep.flits_sent + 1 == ep.inject_flits;
     flit.vc = 0;
     flit_wake_staged_[node] |=
         1u << routers_[node]->unitBit(local_port_, 0);
     --ep.inject_credits;
     ++ep.flits_sent;
 
-    if (ep.flits_sent == msg.flits) {
-        ep.source_queue.pop_front();
+    if (ep.flits_sent == ep.inject_flits) {
         ep.flits_sent = 0;
         if (ep.source_queue.empty())
             source_pending_[node] = 0u;
@@ -489,7 +486,7 @@ Network::tickEjection(sim::NodeId node, sim::Tick now)
 
     rec.delivered = now;
     ep.arrived_count = 0;
-    ep.delivered.push_back(rec.message);
+    ep.delivered.push_back(*hp);
     ++shard.pending_deliveries;
 
     ++shard.stats.messages_delivered;
@@ -935,9 +932,21 @@ Network::saveState(util::Serializer &s) const
     for (sim::NodeId node = 0; node < routers_.size(); ++node) {
         routers_[node]->saveState(s);
         const NodeEndpoint &ep = endpoints_[node];
-        s.put<std::uint64_t>(ep.source_queue.size());
+        const RecordPool &pool =
+            shards_[static_cast<std::size_t>(shardOf(node))].record_pool;
+        // The message mid-injection heads the queue it left; its
+        // record may already be in the destination shard's pool or
+        // mail.
+        const bool injecting = ep.flits_sent != 0;
+        s.put<std::uint64_t>(ep.source_queue.size() + (injecting ? 1 : 0));
+        if (injecting) {
+            const MessageRecord *rec = record(ep.inject_msg);
+            LOCSIM_ASSERT(rec != nullptr,
+                          "message mid-injection without a record");
+            saveMessage(s, rec->message);
+        }
         for (std::size_t i = 0; i < ep.source_queue.size(); ++i)
-            saveMessage(s, ep.source_queue[i]);
+            saveMessage(s, pool.get(ep.source_queue[i]).message);
         s.put(ep.flits_sent);
         s.put(ep.next_seq);
         // A latched flit is always drained in the cycle it latches, so
@@ -951,7 +960,7 @@ Network::saveState(util::Serializer &s) const
             saveFlit(s, ep.eject.slots[ep.eject.tail & ep.eject.mask]);
         s.put<std::uint64_t>(ep.delivered.size());
         for (std::size_t i = 0; i < ep.delivered.size(); ++i)
-            saveMessage(s, ep.delivered[i]);
+            saveMessage(s, pool.get(ep.delivered[i]).message);
         // The reassembly cursor serializes as the (sorted) list of
         // in-progress messages it replaces: zero or one entry.
         const std::uint64_t arrived = ep.arrived_count > 0 ? 1 : 0;
@@ -1095,60 +1104,72 @@ checkedMessage(util::Deserializer &d, sim::NodeId nodes)
 void
 Network::loadState(util::Deserializer &d)
 {
+    auto reject = [](const std::string &what) {
+        throw std::runtime_error("Network::loadState: " + what);
+    };
     const sim::NodeId nodes = topo_.nodeCount();
+    // The endpoints' messages precede the records they name; they wait
+    // here, in stream order, until the records are in place.
+    std::vector<Message> queued;
+    std::vector<Message> injecting;
+    std::vector<Message> delivered;
     for (sim::NodeId node = 0; node < endpoints_.size(); ++node) {
         routers_[node]->loadState(d);
         NodeEndpoint &ep = endpoints_[node];
         ep.source_queue.clear();
+        const std::size_t first = queued.size();
         auto count = d.get<std::uint64_t>();
         for (std::uint64_t i = 0; i < count; ++i) {
-            ep.source_queue.push_back(checkedMessage(d, nodes));
-            if (ep.source_queue.back().src != node) {
-                throw std::runtime_error(
-                    "Network::loadState: queued message from another "
-                    "node");
-            }
+            queued.push_back(checkedMessage(d, nodes));
+            if (queued.back().src != node)
+                reject("queued message from another node");
         }
+        source_pending_[node] = count != 0 ? 1u : 0u;
         ep.flits_sent = d.get<std::uint32_t>();
+        ep.inject_msg = 0;
+        ep.inject_dst = sim::kNodeNone;
+        ep.inject_flits = 0;
+        if (ep.flits_sent != 0) {
+            // The queue's head is mid-injection: it left the queue.
+            if (count == 0)
+                reject("flits sent with no message queued");
+            const Message m = queued[first];
+            if (ep.flits_sent >= m.flits)
+                reject("flits sent reach the queued message's length");
+            ep.inject_msg = m.id;
+            ep.inject_dst = m.dst;
+            ep.inject_flits = m.flits;
+            injecting.push_back(m);
+            queued.erase(queued.begin() +
+                         static_cast<std::ptrdiff_t>(first));
+        }
         ep.next_seq = d.get<std::uint64_t>();
         ep.eject.head = ep.eject.tail = d.get<std::uint32_t>();
         eject_staged_[node] = d.getBool() ? 1u : 0u;
         if (eject_staged_[node] != 0) {
             const Flit flit = loadFlit(d);
-            if (flit.vc >= config_.router.vcs) {
-                throw std::runtime_error(
-                    "Network::loadState: ejected flit on a VC past vcs");
-            }
-            if (flit.dst >= topo_.nodeCount()) {
-                throw std::runtime_error(
-                    "Network::loadState: ejected flit bound past the "
-                    "last node");
-            }
+            if (flit.vc >= config_.router.vcs)
+                reject("ejected flit on a VC past vcs");
+            if (flit.dst >= topo_.nodeCount())
+                reject("ejected flit bound past the last node");
             ep.eject.slots[ep.eject.tail & ep.eject.mask] = flit;
         }
         ep.delivered.clear();
         count = d.get<std::uint64_t>();
         for (std::uint64_t i = 0; i < count; ++i) {
-            ep.delivered.push_back(checkedMessage(d, nodes));
-            if (ep.delivered.back().dst != node) {
-                throw std::runtime_error(
-                    "Network::loadState: delivered message for another "
-                    "node");
-            }
+            delivered.push_back(checkedMessage(d, nodes));
+            if (delivered.back().dst != node)
+                reject("delivered message for another node");
         }
         count = d.get<std::uint64_t>();
-        if (count > 1) {
-            throw std::runtime_error(
-                "Network::loadState: more than one message "
-                "mid-ejection at a node");
-        }
+        if (count > 1)
+            reject("more than one message mid-ejection at a node");
         ep.arrived_msg = 0;
         ep.arrived_count = 0;
         if (count == 1) {
             ep.arrived_msg = d.get<MessageId>();
             ep.arrived_count = d.get<std::uint32_t>();
         }
-        source_pending_[node] = ep.source_queue.empty() ? 0u : 1u;
     }
     rebuildWriters();
 
@@ -1169,20 +1190,12 @@ Network::loadState(util::Deserializer &d)
     // later to its destination shard. Records that were in-transit
     // mailbox mail at save time restore directly into the destination
     // map; the next drain simply finds the mailboxes empty.
-    const auto has_record = [&](MessageId id) {
-        return std::any_of(shards_.begin(), shards_.end(),
-                           [id](const ShardState &shard) {
-                               return shard.records.find(id) != nullptr;
-                           });
-    };
     const auto record_count = d.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < record_count; ++i) {
         MessageRecord rec;
         rec.message = checkedMessage(d, nodes);
-        if (has_record(rec.message.id)) {
-            throw std::runtime_error(
-                "Network::loadState: two records for one message");
-        }
+        if (record(rec.message.id) != nullptr)
+            reject("two records for one message");
         rec.inject_start = d.get<sim::Tick>();
         rec.delivered = d.get<sim::Tick>();
         rec.hops = topo_.distance(rec.message.src, rec.message.dst);
@@ -1198,23 +1211,45 @@ Network::loadState(util::Deserializer &d)
         if (rec.delivered == sim::kTickNever)
             ++shards_[0].in_flight;
     }
-    // Injection and delivery both look up their message's record.
-    for (const NodeEndpoint &ep : endpoints_) {
-        shards_[0].pending_deliveries +=
-            static_cast<std::int64_t>(ep.delivered.size());
-        for (std::size_t i = 0; i < ep.source_queue.size(); ++i) {
-            if (!has_record(ep.source_queue[i].id))
-                throw std::runtime_error(
-                    "Network::loadState: queued message without a "
-                    "record");
+
+    // Each queued or delivered message is stored once, in its record,
+    // so the copy the stream repeats must equal it. Whether the record
+    // says the message was injected decides the shard it was placed
+    // in above; it must agree with the queue, so that every queue's
+    // handle names its own shard's pool at any shard count.
+    std::vector<MessageId> claimed;
+    const auto claim = [&](const Message &m, bool injected,
+                           const char *what) -> RecordHandle {
+        const MessageRecord *rec = record(m.id);
+        if (rec == nullptr)
+            reject(std::string(what) + " without a record");
+        if (!(rec->message == m))
+            reject(std::string(what) + " differs from its record");
+        if ((rec->inject_start != sim::kTickNever) != injected) {
+            reject(std::string(what) +
+                   (injected ? " whose record was never injected"
+                             : " whose record says it was injected"));
         }
-        for (std::size_t i = 0; i < ep.delivered.size(); ++i) {
-            if (!has_record(ep.delivered[i].id))
-                throw std::runtime_error(
-                    "Network::loadState: delivered message without a "
-                    "record");
-        }
+        claimed.push_back(m.id);
+        const sim::NodeId at = injected ? m.dst : m.src;
+        return *shards_[static_cast<std::size_t>(shardOf(at))]
+                    .records.find(m.id);
+    };
+    for (const Message &m : injecting)
+        claim(m, true, "message mid-injection");
+    for (const Message &m : queued)
+        endpoints_[m.src].source_queue.push_back(
+            claim(m, false, "queued message"));
+    for (const Message &m : delivered) {
+        endpoints_[m.dst].delivered.push_back(
+            claim(m, true, "delivered message"));
+        ++shards_[0].pending_deliveries;
     }
+    // Two handles on one record would free it twice.
+    std::sort(claimed.begin(), claimed.end());
+    if (std::adjacent_find(claimed.begin(), claimed.end()) !=
+        claimed.end())
+        reject("one message held twice by the endpoints");
 
     // Global accounting and statistics restore into shard 0; the
     // serial-point sums (and the shard-ordered stats merge) are then

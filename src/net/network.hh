@@ -128,7 +128,11 @@ struct ShardPlan
     }
 };
 
-/** Per-message accounting snapshot (also used by tests). */
+/**
+ * A message and its accounting. From send() to receive() the fabric
+ * stores each message only here; endpoint queues hold handles to
+ * records. Also used by tests.
+ */
 struct MessageRecord
 {
     Message message;
@@ -310,7 +314,10 @@ class Network : public sim::Clocked
      */
     std::size_t neighborChannels() const { return neighbor_channels_; }
 
-    /** Look up accounting for a message (test/diagnostic hook). */
+    /**
+     * Look up a message's record wherever it is, in a shard's pool or
+     * in migration mail; nullptr once receive() has claimed it.
+     */
     const MessageRecord *record(MessageId id) const;
 
     /**
@@ -358,8 +365,10 @@ class Network : public sim::Clocked
     /**
      * Serialize the complete fabric state. Per node, in node order:
      * the router (Router::saveState), then the endpoint: its source
-     * queue, the ejection ring's position and the flit staged in it,
-     * delivered messages and the reassembly cursor. Then the
+     * queue (the message mid-injection first), the ejection ring's
+     * position and the flit staged in it, delivered messages and the
+     * reassembly cursor. Queued and delivered messages are written in
+     * full from the records they name. Then the
      * accounting records and the statistics. Flits in transit are the
      * ring slots a staged bit names, so they serialize with their
      * consumer. Nothing the rest determines is written: credits and
@@ -383,16 +392,43 @@ class Network : public sim::Clocked
      * last node, src == dst, a length outside [1, 65535] flits, an id
      * whose source bits are not its src, or a class past the last.
      * A queued message must come from its node, a delivered one be
-     * for it, and each must have exactly one accounting record.
+     * for it, and each must have exactly one accounting record, equal
+     * to it byte for byte, in no other queue. That record must say
+     * where the message is: not yet injected while it waits to start,
+     * injected once its head flit is offered (mid-injection or
+     * delivered). Flits sent need a queued message longer than them.
      */
     void loadState(util::Deserializer &d);
 
   private:
+    using RecordPool = util::Pool<MessageRecord>;
+    using RecordHandle = RecordPool::Handle;
+
+    /**
+     * One node's injection and ejection interface. Its queues hold
+     * handles into the shard's record pool, never message copies: a
+     * message is stored once, in its MessageRecord, from send() to
+     * receive().
+     */
     struct NodeEndpoint
     {
         // Injection side.
-        util::RingQueue<Message> source_queue;
-        std::uint32_t flits_sent = 0;    //!< of the current message
+        /**
+         * Messages waiting to start injection, oldest first: handles
+         * into the node's shard's pool (a record stays in its source
+         * shard until its head flit is offered).
+         */
+        util::RingQueue<RecordHandle> source_queue;
+        /**
+         * The message mid-injection (flits_sent > 0), popped from the
+         * source queue when its head flit is offered. Its id,
+         * destination and length live here because a cross-shard
+         * record leaves the source pool at that moment.
+         */
+        MessageId inject_msg = 0;
+        sim::NodeId inject_dst = sim::kNodeNone;
+        std::uint32_t inject_flits = 0;
+        std::uint32_t flits_sent = 0;    //!< of inject_msg
         /**
          * VC 0 credits into the router. The router adds each returned
          * credit here directly; it ticks after this endpoint within a
@@ -411,7 +447,13 @@ class Network : public sim::Clocked
          * it latches as tail++ next cycle.
          */
         Router::InputVc eject;
-        util::RingQueue<Message> delivered;
+        /**
+         * Delivered, unclaimed messages, oldest first: handles into
+         * the node's shard's pool (a record reaches its destination
+         * shard before its head flit can eject). receive() copies the
+         * message out as it frees the record.
+         */
+        util::RingQueue<RecordHandle> delivered;
         /**
          * Reassembly cursor. Ejection drains a single FIFO whose
          * flits are pushed by a single output VC owned head-to-tail
@@ -422,9 +464,6 @@ class Network : public sim::Clocked
         MessageId arrived_msg = 0;
         std::uint32_t arrived_count = 0;
     };
-
-    using RecordPool = util::Pool<MessageRecord>;
-    using RecordHandle = RecordPool::Handle;
 
     /**
      * State owned by one shard: accounting records for messages whose
@@ -560,12 +599,13 @@ class Network : public sim::Clocked
      * endpoints with work. eject_staged_[node] is the ejection ring's
      * staged wake word (the router's ejection Downstream sets it);
      * the ring is empty between cycles, so a staged bit is the only
-     * ejection work. source_pending_[node] is set while the node's
-     * source queue is non-empty (send() sets it, tickInjection clears
-     * it with the last pop). Only the owning shard writes either word.
+     * ejection work. source_pending_[node] is set while the node has
+     * a message queued or mid-injection (send() sets it, tickInjection
+     * clears it with the last queued message's tail). Only the owning
+     * shard writes either word.
      * Checkpoints save eject_staged_ as the ejection slot's staged
      * bit; source_pending_ is derived, and loadState rebuilds it from
-     * the queue.
+     * the endpoint.
      */
     std::vector<std::uint32_t> eject_staged_;
     std::vector<std::uint32_t> source_pending_;

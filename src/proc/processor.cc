@@ -34,7 +34,7 @@ Processor::Processor(coher::CacheController &controller,
         ctx.state = ctx.compute_remaining > 0 ? CtxState::Computing
                                               : CtxState::ReadyToIssue;
     }
-    controller_.setClient(this);
+    controller_.setClient(this, config.contexts);
 }
 
 void

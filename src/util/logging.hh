@@ -98,12 +98,17 @@ void debugImpl(const std::string &msg);
 /**
  * Assert an invariant with a formatted message; active in all build
  * types (model and protocol invariants are cheap relative to the work
- * they guard).
+ * they guard). The test is hinted false and the failure path, which
+ * builds the message, is a cold out-of-line lambda, so a check costs
+ * its caller one compare and branch rather than inlined formatting.
  */
 #define LOCSIM_ASSERT(cond, ...)                                          \
     do {                                                                  \
-        if (!(cond)) {                                                    \
-            LOCSIM_PANIC("assertion failed: " #cond " ", __VA_ARGS__);    \
+        if (__builtin_expect(!(cond), 0)) {                               \
+            [&]() __attribute__((cold, noinline, noreturn)) {             \
+                LOCSIM_PANIC("assertion failed: " #cond " ",              \
+                             __VA_ARGS__);                                \
+            }();                                                          \
         }                                                                 \
     } while (0)
 

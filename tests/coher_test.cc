@@ -310,7 +310,7 @@ TEST(DirectoryUnit, CheckpointRoundTripAcrossInlineThreshold)
 
     Directory restored(0);
     util::Deserializer d(first.buffer());
-    restored.loadState(d);
+    restored.loadState(d, 2048);
     util::Serializer second;
     restored.saveState(second);
     ASSERT_EQ(first.buffer(), second.buffer());
@@ -321,6 +321,108 @@ TEST(DirectoryUnit, CheckpointRoundTripAcrossInlineThreshold)
     EXPECT_TRUE(restored.isSharer(*wide, 1100u));
     EXPECT_FALSE(restored.isSharer(*wide, 1101u));
     EXPECT_EQ(restored.sharers(*wide).front(), 1100u);
+}
+
+/**
+ * A directory section for home 0 of a 4-node machine, written field
+ * by field in Directory::saveState's order and widths. Defaults hold
+ * a Shared line with two sharers and an Exclusive one.
+ */
+struct DirectorySection
+{
+    static constexpr sim::NodeId kNodes = 4;
+
+    struct Entry
+    {
+        Addr key;
+        std::uint8_t state;
+        std::vector<sim::NodeId> sharers;
+        sim::NodeId owner;
+        std::uint64_t memory;
+    };
+    std::vector<Entry> entries = {
+        {makeAddr(0, 1), static_cast<std::uint8_t>(DirState::Shared),
+         {2, 1}, sim::kNodeNone, 7},
+        {makeAddr(0, 2), static_cast<std::uint8_t>(DirState::Exclusive),
+         {}, 3, 9},
+    };
+
+    void
+    write(util::Serializer &s) const
+    {
+        s.put<std::uint64_t>(entries.size());
+        for (const Entry &e : entries) {
+            s.put(e.key);
+            s.put(e.state);
+            s.put<std::uint32_t>(
+                static_cast<std::uint32_t>(e.sharers.size()));
+            for (sim::NodeId sharer : e.sharers)
+                s.put(sharer);
+            s.put(e.owner);
+            s.put(e.memory);
+        }
+    }
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        util::Serializer s;
+        write(s);
+        return s.takeBuffer();
+    }
+};
+
+TEST(DirectoryUnit, CheckpointRejectsMalformedSection)
+{
+    constexpr sim::NodeId kNodes = DirectorySection::kNodes;
+
+    // The well-formed section loads and re-saves byte for byte.
+    const std::vector<std::uint8_t> good = DirectorySection{}.bytes();
+    {
+        Directory dir(0);
+        util::Deserializer d(good);
+        dir.loadState(d, kNodes);
+        EXPECT_TRUE(d.atEnd());
+        util::Serializer s;
+        dir.saveState(s);
+        EXPECT_EQ(s.takeBuffer(), good);
+    }
+
+    struct Case
+    {
+        const char *name;
+        std::vector<std::uint8_t> bytes;
+    };
+    std::vector<Case> cases;
+    auto add = [&](const char *name, auto &&mutate) {
+        DirectorySection section;
+        mutate(section);
+        cases.push_back({name, section.bytes()});
+    };
+    add("line homed at another node", [](DirectorySection &ds) {
+        ds.entries[1].key = makeAddr(1, 2);
+    });
+    add("state past Exclusive",
+        [](DirectorySection &ds) { ds.entries[0].state = 3; });
+    add("sharer at the node count",
+        [](DirectorySection &ds) { ds.entries[0].sharers[1] = kNodes; });
+    // One such id would size the sharer bitmap at 512 MB.
+    add("sharer id 2^32-1", [](DirectorySection &ds) {
+        ds.entries[0].sharers[0] = 0xffffffffu;
+    });
+    add("owner at the node count",
+        [](DirectorySection &ds) { ds.entries[1].owner = kNodes; });
+    {
+        std::vector<std::uint8_t> cut = good;
+        cut.pop_back();
+        cases.push_back({"section cut short", cut});
+    }
+    for (const Case &c : cases) {
+        Directory dir(0);
+        util::Deserializer d(c.bytes);
+        EXPECT_THROW(dir.loadState(d, kNodes), std::runtime_error)
+            << c.name;
+    }
 }
 
 TEST(ProtoMsgPacking, PackUnpackRoundTrip)
@@ -865,6 +967,181 @@ TEST_F(ProtocolFixture, TracerCapturesReadMissFlow)
     // Timestamps are monotone along the flow.
     for (std::size_t i = 1; i < events.size(); ++i)
         EXPECT_GE(events[i].ts, events[i - 1].ts);
+}
+
+/**
+ * A controller section for node 0 of a 4-node ring whose client has
+ * two contexts, written in CacheController::saveState's order: an
+ * empty cache, a DirectorySection, then queues, transactions and
+ * completions field by field (so tests can write values the
+ * controller never does), then fresh statistics.
+ */
+struct ControllerSection
+{
+    static constexpr std::uint32_t kCacheBytes = 4 * kLineBytes;
+    static constexpr int kContexts = 2;
+
+    struct Request
+    {
+        Addr addr = makeAddr(2, 5);
+        int context = 1;
+    };
+    struct HomeTxnImage
+    {
+        Addr key = makeAddr(0, 1);
+        int kind = 0; //!< RemoteRead
+        Request local_req{makeAddr(0, 1), 0};
+    };
+
+    DirectorySection directory;
+    std::uint8_t inbox_type = static_cast<std::uint8_t>(MsgType::GetS);
+    Request queued;
+    Request mshr_req;
+    Request mshr_deferred{makeAddr(2, 5), 0};
+    HomeTxnImage home;
+    Request home_deferred{makeAddr(0, 1), 1};
+    int completion_context = 1;
+
+    static void
+    putRequest(util::Serializer &s, const Request &r)
+    {
+        s.put(false); // is_store
+        s.put(r.addr);
+        s.put<std::uint64_t>(0); // store value
+        s.put(r.context);
+        s.put(true); // wants_reply
+    }
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        util::Serializer s;
+        Cache(kCacheBytes).saveState(s);
+        directory.write(s);
+        s.put<std::uint64_t>(1); // inbox
+        s.put(inbox_type);
+        s.put(makeAddr(0, 1));
+        s.put<sim::NodeId>(1); // sender
+        s.put<std::uint64_t>(0);
+        s.put<sim::NodeId>(1); // requester
+        s.put(0);              // critical
+        s.put<std::uint64_t>(1); // processor queue
+        putRequest(s, queued);
+        s.put<std::uint64_t>(0); // outbox
+        s.put<std::uint64_t>(1); // MSHRs
+        s.put(mshr_req.addr);
+        putRequest(s, mshr_req);
+        s.put<sim::Tick>(4); // issued
+        s.put<std::uint64_t>(1);
+        putRequest(s, mshr_deferred);
+        s.put<std::uint64_t>(1); // home transactions
+        s.put(home.key);
+        s.put(home.kind);
+        s.put<sim::NodeId>(1); // requester
+        s.put(0);              // pending acks
+        s.put(true);           // waiting for a fetch
+        s.put<std::uint64_t>(0);
+        s.put<std::uint64_t>(1);
+        putRequest(s, home_deferred);
+        putRequest(s, home.local_req);
+        s.put<sim::Tick>(6); // issued
+        s.put<std::uint64_t>(1); // pending completions
+        s.put<sim::Tick>(10);
+        s.put<std::uint64_t>(0);
+        s.put(completion_context);
+        s.put<std::uint64_t>(7); // load value
+        s.put(true);
+        s.put<std::uint64_t>(1); // completion sequence
+        s.put<sim::Tick>(0);     // busy until
+        ControllerStats{}.saveState(s);
+        return s.takeBuffer();
+    }
+};
+
+TEST(ControllerUnit, CheckpointRejectsMalformedSection)
+{
+    struct Node
+    {
+        Node()
+        {
+            net::NetworkConfig nc;
+            nc.radix = static_cast<int>(DirectorySection::kNodes);
+            nc.dims = 1;
+            network = std::make_unique<net::Network>(engine, nc);
+            ProtocolConfig pc;
+            pc.cache_bytes = ControllerSection::kCacheBytes;
+            controller = std::make_unique<CacheController>(
+                engine, *network, 0, pc, 2);
+            controller->setClient(&client, ControllerSection::kContexts);
+        }
+        sim::Engine engine;
+        std::unique_ptr<net::Network> network;
+        TestClient client;
+        std::unique_ptr<CacheController> controller;
+    };
+
+    // The well-formed section loads and re-saves byte for byte.
+    const std::vector<std::uint8_t> good = ControllerSection{}.bytes();
+    {
+        Node n;
+        util::Deserializer d(good);
+        n.controller->loadState(d);
+        EXPECT_TRUE(d.atEnd());
+        util::Serializer s;
+        n.controller->saveState(s);
+        EXPECT_EQ(s.takeBuffer(), good);
+    }
+
+    struct Case
+    {
+        const char *name;
+        std::vector<std::uint8_t> bytes;
+    };
+    std::vector<Case> cases;
+    auto add = [&](const char *name, auto &&mutate) {
+        ControllerSection section;
+        mutate(section);
+        cases.push_back({name, section.bytes()});
+    };
+    add("queued request context at the context count",
+        [](ControllerSection &c) { c.queued.context = 2; });
+    add("negative MSHR request context",
+        [](ControllerSection &c) { c.mshr_req.context = -1; });
+    add("deferred MSHR request context at the context count",
+        [](ControllerSection &c) { c.mshr_deferred.context = 2; });
+    add("home-deferred request context at the context count",
+        [](ControllerSection &c) { c.home_deferred.context = 2; });
+    add("home local request context at the context count",
+        [](ControllerSection &c) { c.home.local_req.context = 2; });
+    add("completion context at the context count",
+        [](ControllerSection &c) { c.completion_context = 2; });
+    add("negative completion context",
+        [](ControllerSection &c) { c.completion_context = -1; });
+    add("message type past PutX", [](ControllerSection &c) {
+        c.inbox_type = static_cast<std::uint8_t>(MsgType::PutX) + 1;
+    });
+    add("home transaction kind past LocalWrite",
+        [](ControllerSection &c) { c.home.kind = 4; });
+    add("directory state past Exclusive", [](ControllerSection &c) {
+        c.directory.entries[1].state = 3;
+    });
+    add("directory sharer at the node count", [](ControllerSection &c) {
+        c.directory.entries[0].sharers[0] = DirectorySection::kNodes;
+    });
+    add("directory owner at the node count", [](ControllerSection &c) {
+        c.directory.entries[1].owner = DirectorySection::kNodes;
+    });
+    {
+        std::vector<std::uint8_t> cut = good;
+        cut.pop_back();
+        cases.push_back({"section cut short", cut});
+    }
+    for (const Case &c : cases) {
+        Node n;
+        util::Deserializer d(c.bytes);
+        EXPECT_THROW(n.controller->loadState(d), std::runtime_error)
+            << c.name;
+    }
 }
 
 TEST_F(ProtocolFixture, LargerFabricAllPairsCoherent)

@@ -298,6 +298,7 @@ struct SectionImage
         bool eject_staged = false;
         Flit eject_flit;
         std::vector<Message> queued;
+        std::uint32_t flits_sent = 0;
         std::vector<Message> delivered;
         std::uint64_t arrived = 0; //!< messages mid-ejection
     };
@@ -359,6 +360,28 @@ struct SectionImage
         return *this;
     }
 
+    /** request() with 5 of its flits sent from node 0. */
+    SectionImage &
+    withMessageMidInjection()
+    {
+        withQueuedMessage();
+        nodes[0].flits_sent = 5;
+        records[0].inject_start = 3;
+        return *this;
+    }
+
+    /** request() delivered at node 2 and not yet received. */
+    SectionImage &
+    withDeliveredMessage()
+    {
+        nodes[2].delivered = {request()};
+        MessageRecord rec{request()};
+        rec.inject_start = 3;
+        rec.delivered = 20;
+        records = {rec};
+        return *this;
+    }
+
     std::vector<std::uint8_t>
     bytes() const
     {
@@ -386,7 +409,7 @@ struct SectionImage
             s.put<std::uint64_t>(n.queued.size());
             for (const Message &m : n.queued)
                 saveMessage(s, m);
-            s.put<std::uint32_t>(0);     // flits sent
+            s.put(n.flits_sent);
             s.put<std::uint64_t>(0);     // message sequence
             s.put(n.eject_tail);
             s.put(n.eject_staged);
@@ -445,16 +468,18 @@ TEST(Network, CheckpointRejectsMalformedSection)
         EXPECT_EQ(loaded.inTransit().neighbor, 1u);
         EXPECT_EQ(savedSection(loaded), good);
     }
-    // So does one with a message queued at its source.
-    {
-        const std::vector<std::uint8_t> queued =
-            SectionImage{}.withQueuedMessage().bytes();
+    // So do ones with a message queued at its source, mid-injection
+    // and delivered.
+    for (const std::vector<std::uint8_t> &held :
+         {SectionImage{}.withQueuedMessage().bytes(),
+          SectionImage{}.withMessageMidInjection().bytes(),
+          SectionImage{}.withDeliveredMessage().bytes()}) {
         sim::Engine e;
         Network loaded(e, SectionImage::config());
-        util::Deserializer d(queued);
+        util::Deserializer d(held);
         loaded.loadState(d);
         EXPECT_TRUE(d.atEnd());
-        EXPECT_EQ(savedSection(loaded), queued);
+        EXPECT_EQ(savedSection(loaded), held);
     }
 
     constexpr int kDepth = SectionImage::kDepth;
@@ -591,6 +616,43 @@ TEST(Network, CheckpointRejectsMalformedSection)
         im.withQueuedMessage();
         std::swap(im.nodes[0].queued, im.nodes[1].delivered);
     });
+    // Each queue entry names its record, so the copy the section
+    // repeats must match it byte for byte.
+    add("queued message differs from its record", [](SectionImage &im) {
+        im.withQueuedMessage();
+        im.nodes[0].queued[0].payload[0] = 1;
+    });
+    add("delivered message differs from its record",
+        [](SectionImage &im) {
+            im.withDeliveredMessage();
+            im.nodes[2].delivered[0].submit_tick = 1;
+        });
+    add("message mid-injection differs from its record",
+        [](SectionImage &im) {
+            im.withMessageMidInjection();
+            im.nodes[0].queued[0].cls = MessageClass::Reply;
+        });
+    add("queued message whose record says it was injected",
+        [](SectionImage &im) {
+            im.withQueuedMessage();
+            im.records[0].inject_start = 3;
+        });
+    add("delivered message whose record was never injected",
+        [](SectionImage &im) {
+            im.withDeliveredMessage();
+            im.records[0].inject_start = sim::kTickNever;
+        });
+    add("one message delivered twice", [](SectionImage &im) {
+        im.withDeliveredMessage();
+        im.nodes[2].delivered.push_back(SectionImage::request());
+    });
+    add("flits sent with no message queued", [](SectionImage &im) {
+        im.nodes[0].flits_sent = 1;
+    });
+    add("flits sent reach the message's length", [](SectionImage &im) {
+        im.withMessageMidInjection();
+        im.nodes[0].flits_sent = 12;
+    });
     add("delivered message bound past the last node",
         [](SectionImage &im) {
             Message m = SectionImage::request();
@@ -609,6 +671,18 @@ TEST(Network, CheckpointRejectsMalformedSection)
         util::Deserializer d(c.bytes);
         EXPECT_THROW(network.loadState(d), std::runtime_error) << c.name;
     }
+}
+
+TEST(Network, LargeFabricStaysCompact)
+{
+    // Endpoint queues hold 8-byte record handles. Two 32-slot rings
+    // of 72-byte message copies would put each node near 7,800 B.
+    sim::Engine engine;
+    NetworkConfig config;
+    config.radix = 32;
+    const Network network(engine, config);
+    EXPECT_LE(network.memoryBytes() / network.topology().nodeCount(),
+              4000u);
 }
 
 TEST(Network, AllPairsDeliverExactly)

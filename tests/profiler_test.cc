@@ -193,10 +193,11 @@ TEST(Counters, MachineRunPublishesFabricCounters)
             found_footprint = true;
             // Every node owns at least a controller and queues; a
             // zero value means the accounting broke. The upper bound
-            // guards the compaction: the seed representation cost
-            // ~290KB per node warm.
+            // guards the compaction: this run measures 11,946 B per
+            // node, and the ceiling is that plus 25% (endpoint queues
+            // holding message copies again would cost 16,026 B).
             EXPECT_GT(value, 1000u);
-            EXPECT_LT(value, 96u * 1024u);
+            EXPECT_LT(value, 15000u);
         }
     }
     EXPECT_TRUE(found);
