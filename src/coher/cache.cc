@@ -5,8 +5,6 @@
 
 #include "coher/cache.hh"
 
-#include <stdexcept>
-
 #include "util/logging.hh"
 
 namespace locsim {
@@ -139,27 +137,21 @@ Cache::saveState(util::Serializer &s) const
 void
 Cache::loadState(util::Deserializer &d)
 {
-    const auto n = d.get<std::uint64_t>();
-    if (n != sets_)
-        throw std::runtime_error("Cache::loadState: geometry mismatch");
-    const auto stored = d.get<std::uint32_t>();
-    if (stored > sets_)
-        throw std::runtime_error("Cache::loadState: too many records");
+    if (d.get<std::uint64_t>() != sets_)
+        d.fail("cache geometry mismatch");
+    const auto stored = d.getBelow<std::uint32_t>(std::uint64_t{sets_} + 1);
     lines_.clear();
-    std::uint64_t next = 0; // lowest set index the next record may use
+    std::uint32_t set = 0;
     for (std::uint32_t i = 0; i < stored; ++i) {
-        const auto set = d.get<std::uint32_t>();
-        if (set < next || set >= sets_)
-            throw std::runtime_error(
-                "Cache::loadState: set index out of order or range");
-        next = std::uint64_t{set} + 1;
+        if (d.getAfter(set, i == 0) >= sets_)
+            d.fail("cache set index past the last");
         Line line;
         line.valid = d.getBool();
         line.addr = d.get<Addr>();
-        line.state = d.get<CacheState>();
+        line.state = d.getEnum(CacheState::Modified);
         line.data = d.get<std::uint64_t>();
-        if (line.state > CacheState::Modified)
-            throw std::runtime_error("Cache::loadState: bad line state");
+        if (isDefault(line))
+            d.fail("cache record equal to the default");
         lines_.insert(set, line);
     }
 }

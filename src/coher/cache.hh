@@ -112,7 +112,8 @@ class Cache
      * Restore a section written by saveState. Throws
      * std::runtime_error on a geometry mismatch, a record count above
      * the set count, a set index out of range or not above the
-     * previous one, a state beyond Modified, or truncated input.
+     * previous one, a state beyond Modified, a record equal to the
+     * default (never stored), or truncated input.
      */
     void loadState(util::Deserializer &d);
 

@@ -6,8 +6,6 @@
 #include "coher/controller.hh"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "obs/profiler.hh"
 #include "util/logging.hh"
@@ -38,25 +36,16 @@ saveProtoMsg(util::Serializer &s, const ProtoMsg &m)
     s.put(m.critical);
 }
 
-/** Throws std::runtime_error naming the controller section's fault. */
-[[noreturn]] void
-reject(const char *what)
-{
-    throw std::runtime_error(
-        std::string("CacheController::loadState: ") + what);
-}
-
+/** A message between nodes of a machine of @p nodes nodes. */
 ProtoMsg
-loadProtoMsg(util::Deserializer &d)
+loadProtoMsg(util::Deserializer &d, sim::NodeId nodes)
 {
     ProtoMsg m;
-    m.type = d.get<MsgType>();
-    if (m.type > MsgType::PutX)
-        reject("message type past PutX");
+    m.type = d.getEnum(kLastMsgType);
     m.addr = d.get<Addr>();
-    m.sender = d.get<sim::NodeId>();
+    m.sender = d.getBelow<sim::NodeId>(nodes);
     m.data = d.get<std::uint64_t>();
-    m.requester = d.get<sim::NodeId>();
+    m.requester = d.getBelowOr(nodes, sim::kNodeNone);
     m.critical = d.get<int>();
     return m;
 }
@@ -79,9 +68,7 @@ loadMemRequest(util::Deserializer &d, int contexts)
     req.is_store = d.getBool();
     req.addr = d.get<Addr>();
     req.store_value = d.get<std::uint64_t>();
-    req.context = d.get<int>();
-    if (req.context < 0 || req.context >= contexts)
-        reject("request context outside [0, contexts)");
+    req.context = d.getBelow<int>(contexts);
     req.wants_reply = d.getBool();
     return req;
 }
@@ -100,9 +87,7 @@ MemResponse
 loadMemResponse(util::Deserializer &d, int contexts)
 {
     MemResponse resp;
-    resp.context = d.get<int>();
-    if (resp.context < 0 || resp.context >= contexts)
-        reject("completion context outside [0, contexts)");
+    resp.context = d.getBelow<int>(contexts);
     resp.load_value = d.get<std::uint64_t>();
     resp.was_transaction = d.getBool();
     return resp;
@@ -972,12 +957,13 @@ CacheController::saveState(util::Serializer &s) const
 void
 CacheController::loadState(util::Deserializer &d)
 {
+    const sim::NodeId nodes = network_.topology().nodeCount();
     cache_.loadState(d);
-    directory_.loadState(d, network_.topology().nodeCount());
+    directory_.loadState(d, nodes);
 
     inbox_.clear();
     for (std::uint64_t i = 0, n = d.get<std::uint64_t>(); i < n; ++i)
-        inbox_.push_back(loadProtoMsg(d));
+        inbox_.push_back(loadProtoMsg(d, nodes));
 
     proc_queue_.clear();
     for (std::uint64_t i = 0, n = d.get<std::uint64_t>(); i < n; ++i)
@@ -988,16 +974,18 @@ CacheController::loadState(util::Deserializer &d)
          ++i) {
         StagedSend staged;
         staged.ready = d.get<sim::Tick>();
-        staged.msg = net::loadMessage(d);
+        staged.msg = net::checkedMessage(d, nodes, checkProtoPayload);
+        if (staged.msg.src != node_)
+            d.fail("outbox message from another node");
         outbox_.push_back(staged);
     }
 
     mshrs_.clear();
     mshr_pool_.clear();
+    Addr key = 0; // the line before, in the list being read
     for (std::uint64_t i = 0, n = d.get<std::uint64_t>(); i < n;
          ++i) {
-        const Addr key = d.get<Addr>();
-        Mshr &mshr = newMshr(key);
+        Mshr &mshr = newMshr(d.getAfter(key, i == 0));
         mshr.req = loadMemRequest(d, client_contexts_);
         mshr.issued = d.get<sim::Tick>();
         for (std::uint64_t j = 0, m = d.get<std::uint64_t>(); j < m;
@@ -1009,17 +997,14 @@ CacheController::loadState(util::Deserializer &d)
     home_pool_.clear();
     for (std::uint64_t i = 0, n = d.get<std::uint64_t>(); i < n;
          ++i) {
-        const Addr key = d.get<Addr>();
-        HomeTxn &txn = newHomeTxn(key);
-        txn.kind = d.get<HomeTxn::Kind>();
-        if (txn.kind > HomeTxn::Kind::LocalWrite)
-            reject("home transaction kind past LocalWrite");
-        txn.requester = d.get<sim::NodeId>();
+        HomeTxn &txn = newHomeTxn(d.getAfter(key, i == 0));
+        txn.kind = d.getEnum(HomeTxn::Kind::LocalWrite);
+        txn.requester = d.getBelowOr(nodes, sim::kNodeNone);
         txn.pending_acks = d.get<int>();
         txn.waiting_fetch = d.getBool();
         for (std::uint64_t j = 0, m = d.get<std::uint64_t>(); j < m;
              ++j)
-            txn.deferred.push_back(loadProtoMsg(d));
+            txn.deferred.push_back(loadProtoMsg(d, nodes));
         for (std::uint64_t j = 0, m = d.get<std::uint64_t>(); j < m;
              ++j)
             txn.local_deferred.push_back(loadMemRequest(d, client_contexts_));

@@ -196,8 +196,10 @@ class CacheController : public sim::Clocked
      * heap is the wakeup source (nextWake()), so nothing is scheduled
      * into the engine. Throws std::runtime_error where Cache::loadState
      * and Directory::loadState do, on a request or completion whose
-     * context is outside the client's [0, contexts), and on a protocol
-     * message type or home transaction kind past the last.
+     * context is outside the client's [0, contexts), a protocol
+     * message type or home transaction kind past the last, MSHR or
+     * home transaction lines out of order or repeated, and an outbox
+     * message from another node or one net::checkedMessage rejects.
      */
     void loadState(util::Deserializer &d);
 

@@ -6,8 +6,6 @@
 #include "coher/directory.hh"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "util/logging.hh"
 
@@ -210,34 +208,27 @@ Directory::saveState(util::Serializer &s) const
 void
 Directory::loadState(util::Deserializer &d, sim::NodeId nodes)
 {
-    auto reject = [](const char *what) {
-        throw std::runtime_error(std::string("Directory::loadState: ") +
-                                 what);
-    };
     entries_.clear();
     index_.clear();
     overflow_.clear();
     overflow_free_.clear();
-    const auto n = d.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr key = d.get<Addr>();
-        if (homeOf(key) != home_)
-            reject("entry for a line homed elsewhere");
+    Addr key = 0;
+    for (std::uint64_t i = 0, n = d.get<std::uint64_t>(); i < n; ++i) {
+        d.getAfter(key, i == 0);
+        if (homeOf(key) != home_ || lineOf(key) != key)
+            d.fail("directory entry for a line homed elsewhere or "
+                   "unaligned");
         DirEntry &entry = this->entry(key);
-        entry.state = d.get<DirState>();
-        if (entry.state > DirState::Exclusive)
-            reject("state past Exclusive");
+        entry.state = d.getEnum(DirState::Exclusive);
         const auto sharer_count = d.get<std::uint32_t>();
         for (std::uint32_t j = 0; j < sharer_count; ++j) {
-            const auto sharer = d.get<sim::NodeId>();
             // A sharer id sizes the overflow bitmap.
-            if (sharer >= nodes)
-                reject("sharer past the last node");
+            const auto sharer = d.getBelow<sim::NodeId>(nodes);
+            if (isSharer(entry, sharer))
+                d.fail("directory sharer listed twice");
             addSharer(entry, sharer);
         }
-        entry.owner = d.get<sim::NodeId>();
-        if (entry.owner >= nodes && entry.owner != sim::kNodeNone)
-            reject("owner past the last node");
+        entry.owner = d.getBelowOr(nodes, sim::kNodeNone);
         entry.memory = d.get<std::uint64_t>();
     }
 }

@@ -124,9 +124,10 @@ class Directory
 
     /**
      * Restore entries written by saveState() on a machine of @p nodes
-     * nodes. Throws std::runtime_error on a line homed at another
-     * node, a state past Exclusive, and a sharer or owner id at or
-     * past @p nodes (an owner may be kNodeNone).
+     * nodes. Throws std::runtime_error on lines out of order,
+     * repeated, unaligned or homed at another node, a state past
+     * Exclusive, a sharer listed twice, and a sharer or owner id at
+     * or past @p nodes (an owner may be kNodeNone).
      */
     void loadState(util::Deserializer &d, sim::NodeId nodes);
 

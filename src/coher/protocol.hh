@@ -74,6 +74,8 @@ enum class MsgType : std::uint8_t {
     PutX,       //!< owner -> home: writeback of an evicted M line
 };
 
+inline constexpr MsgType kLastMsgType = MsgType::PutX;
+
 /** Human-readable message type name (diagnostics and traces). */
 const char *msgTypeName(MsgType type);
 
@@ -136,6 +138,15 @@ unpackProtoMsg(const net::MessagePayload &words)
     msg.critical = static_cast<int>(
         static_cast<std::int32_t>(words[3] >> 32));
     return msg;
+}
+
+/** A net::PayloadCheck: rejects a restored network message whose
+ *  payload packs a protocol message type past kLastMsgType. */
+inline void
+checkProtoPayload(const net::MessagePayload &words)
+{
+    const auto type = static_cast<std::uint8_t>(words[3] & 0xffu);
+    util::Deserializer(&type, 1).getEnum(kLastMsgType);
 }
 
 /** Timing and sizing knobs for the coherence layer. */

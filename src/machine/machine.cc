@@ -526,9 +526,9 @@ Machine::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
 
     util::Deserializer d(bytes);
     if (d.get<std::uint32_t>() != kCheckpointMagic)
-        throw std::runtime_error("checkpoint: bad magic");
+        d.fail("checkpoint with a bad magic");
     if (d.get<std::uint32_t>() != kCheckpointVersion)
-        throw std::runtime_error("checkpoint: version mismatch");
+        d.fail("checkpoint version mismatch");
     const sim::Tick now = d.get<sim::Tick>();
     // Every shard engine shares the one timeline; controllers' wakeups
     // (nextWake) come from their restored completion heaps. The
@@ -536,7 +536,7 @@ Machine::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
     // run, not the saved one.
     for (const auto &engine : engines_)
         engine->restoreTime(now, 0);
-    network_->loadState(d);
+    network_->loadState(d, coher::checkProtoPayload);
     for (auto &controller : controllers_)
         controller->loadState(d);
     for (auto &processor : processors_)
@@ -544,7 +544,7 @@ Machine::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
     for (auto &program : programs_)
         program->loadState(d);
     if (!d.atEnd())
-        throw std::runtime_error("checkpoint: trailing bytes");
+        d.fail("checkpoint trailing bytes");
 }
 
 void

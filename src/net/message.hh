@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <stdexcept>
 
 #include "sim/types.hh"
 #include "util/serialize.hh"
@@ -153,22 +152,32 @@ saveMessage(util::Serializer &s, const Message &m)
     s.put(m.cls);
 }
 
-/** Inverse of saveMessage; throws on a class past the last. */
+/** Rejects a restored message whose payload its client cannot read. */
+using PayloadCheck = void (*)(const MessagePayload &);
+
+/** Inverse of saveMessage. The message must be one a client could
+ *  pass to Network::send on a fabric of @p nodes nodes, with a payload
+ *  @p check accepts when given. */
 inline Message
-loadMessage(util::Deserializer &d)
+checkedMessage(util::Deserializer &d, sim::NodeId nodes,
+               PayloadCheck check)
 {
     Message m;
     m.id = d.get<MessageId>();
-    m.src = d.get<sim::NodeId>();
-    m.dst = d.get<sim::NodeId>();
+    m.src = d.getBelow<sim::NodeId>(nodes);
+    m.dst = d.getBelow<sim::NodeId>(nodes);
     m.flits = d.get<std::uint32_t>();
     for (std::uint64_t &word : m.payload)
         word = d.get<std::uint64_t>();
     m.submit_tick = d.get<sim::Tick>();
-    m.cls = d.get<MessageClass>();
     // The class indexes per-class arrays (ClassAttribution).
-    if (static_cast<std::size_t>(m.cls) >= kMessageClassCount)
-        throw std::runtime_error("loadMessage: class past the last");
+    m.cls = d.getEnum(MessageClass::Writeback);
+    if (m.src == m.dst)
+        d.fail("message sent to its own source");
+    if (m.flits < 1 || m.flits > 65535)
+        d.fail("message length outside [1, 65535] flits");
+    if (check != nullptr)
+        check(m.payload);
     return m;
 }
 
@@ -202,14 +211,14 @@ loadFlit(util::Deserializer &d)
     f.seq_or_hops = d.get<std::uint16_t>();
     f.stalls = d.get<std::uint16_t>();
     if (word >> 30 != 0)
-        throw std::runtime_error("loadFlit: spare bits set");
+        d.fail("flit with spare bits set");
     f.dst = word & 0xffffffu;
     f.head = (word >> 24) & 1u;
     f.tail = (word >> 25) & 1u;
     f.crossed_dateline = (word >> 26) & 1u;
     f.vc = static_cast<std::uint8_t>((word >> 27) & 7u);
     if (!f.head && (f.crossed_dateline || f.stalls != 0))
-        throw std::runtime_error("loadFlit: body flit with head state");
+        d.fail("body flit with head state");
     return f;
 }
 

@@ -1007,10 +1007,6 @@ Network::saveState(util::Serializer &s) const
 void
 Network::rebuildWriters()
 {
-    auto reject = [](const char *what) {
-        throw std::runtime_error(std::string("Network::loadState: ") +
-                                 what);
-    };
     const int vcs = config_.router.vcs;
     const auto depth =
         static_cast<std::uint32_t>(config_.router.buffer_depth);
@@ -1031,7 +1027,7 @@ Network::rebuildWriters()
                                      ? vc == 0
                                      : peer != sim::kNodeNone;
                 if (!fed && ring.bufSize() + flit != 0)
-                    reject("flit on a ring nothing feeds");
+                    util::Deserializer::fail("flit on a ring nothing feeds");
                 if (port == local_port_ && vc == 0) {
                     ep.inject_cursor = ring.tail + flit;
                     ep.inject_credits = depth - ring.bufSize() - flit;
@@ -1060,14 +1056,15 @@ Network::rebuildWriters()
                     out.cursor = dst.tail + deposit;
                 } else {
                     if (credit != 0)
-                        reject("credit staged on an output nothing "
-                               "consumes");
+                        util::Deserializer::fail(
+                            "credit staged on an output nothing consumes");
                     out.credits = 0;
                     continue;
                 }
                 if (held + credit > depth)
-                    reject("ring occupancy plus staged bits exceeds "
-                           "buffer_depth");
+                    util::Deserializer::fail(
+                        "ring occupancy plus staged bits exceeds "
+                        "buffer_depth");
                 out.credits =
                     static_cast<std::int16_t>(depth - held - credit);
             }
@@ -1075,38 +1072,9 @@ Network::rebuildWriters()
     }
 }
 
-namespace {
-
-/** The next message in @p d, which must be one Network::send could
- *  have made on a fabric of @p nodes nodes; throws
- *  std::runtime_error saying what is wrong with it otherwise. */
-Message
-checkedMessage(util::Deserializer &d, sim::NodeId nodes)
-{
-    auto reject = [](const char *what) {
-        throw std::runtime_error(
-            std::string("Network::loadState: message ") + what);
-    };
-    const Message m = loadMessage(d);
-    if (m.src >= nodes || m.dst >= nodes)
-        reject("endpoint past the last node");
-    if (m.src == m.dst)
-        reject("sent to its own source");
-    if (m.flits < 1 || m.flits > 65535)
-        reject("length outside [1, 65535] flits");
-    if (m.id >> kMessageIdSrcShift != m.src)
-        reject("id names another source");
-    return m;
-}
-
-} // namespace
-
 void
-Network::loadState(util::Deserializer &d)
+Network::loadState(util::Deserializer &d, PayloadCheck check)
 {
-    auto reject = [](const std::string &what) {
-        throw std::runtime_error("Network::loadState: " + what);
-    };
     const sim::NodeId nodes = topo_.nodeCount();
     // The endpoints' messages precede the records they name; they wait
     // here, in stream order, until the records are in place.
@@ -1120,9 +1088,9 @@ Network::loadState(util::Deserializer &d)
         const std::size_t first = queued.size();
         auto count = d.get<std::uint64_t>();
         for (std::uint64_t i = 0; i < count; ++i) {
-            queued.push_back(checkedMessage(d, nodes));
+            queued.push_back(checkedMessage(d, nodes, check));
             if (queued.back().src != node)
-                reject("queued message from another node");
+                d.fail("queued message from another node");
         }
         source_pending_[node] = count != 0 ? 1u : 0u;
         ep.flits_sent = d.get<std::uint32_t>();
@@ -1132,10 +1100,10 @@ Network::loadState(util::Deserializer &d)
         if (ep.flits_sent != 0) {
             // The queue's head is mid-injection: it left the queue.
             if (count == 0)
-                reject("flits sent with no message queued");
+                d.fail("flits sent with no message queued");
             const Message m = queued[first];
             if (ep.flits_sent >= m.flits)
-                reject("flits sent reach the queued message's length");
+                d.fail("flits sent reach the queued message's length");
             ep.inject_msg = m.id;
             ep.inject_dst = m.dst;
             ep.inject_flits = m.flits;
@@ -1149,26 +1117,26 @@ Network::loadState(util::Deserializer &d)
         if (eject_staged_[node] != 0) {
             const Flit flit = loadFlit(d);
             if (flit.vc >= config_.router.vcs)
-                reject("ejected flit on a VC past vcs");
+                d.fail("ejected flit on a VC past vcs");
             if (flit.dst >= topo_.nodeCount())
-                reject("ejected flit bound past the last node");
+                d.fail("ejected flit bound past the last node");
             ep.eject.slots[ep.eject.tail & ep.eject.mask] = flit;
         }
         ep.delivered.clear();
         count = d.get<std::uint64_t>();
         for (std::uint64_t i = 0; i < count; ++i) {
-            delivered.push_back(checkedMessage(d, nodes));
+            delivered.push_back(checkedMessage(d, nodes, check));
             if (delivered.back().dst != node)
-                reject("delivered message for another node");
+                d.fail("delivered message for another node");
         }
-        count = d.get<std::uint64_t>();
-        if (count > 1)
-            reject("more than one message mid-ejection at a node");
+        // At most one message is mid-ejection, with flits arrived.
         ep.arrived_msg = 0;
         ep.arrived_count = 0;
-        if (count == 1) {
+        if (d.getBelow<std::uint64_t>(2) == 1) {
             ep.arrived_msg = d.get<MessageId>();
             ep.arrived_count = d.get<std::uint32_t>();
+            if (ep.arrived_count == 0)
+                d.fail("message mid-ejection with no flit arrived");
         }
     }
     rebuildWriters();
@@ -1191,11 +1159,15 @@ Network::loadState(util::Deserializer &d)
     // mailbox mail at save time restore directly into the destination
     // map; the next drain simply finds the mailboxes empty.
     const auto record_count = d.get<std::uint64_t>();
+    MessageId last_id = 0;
     for (std::uint64_t i = 0; i < record_count; ++i) {
         MessageRecord rec;
-        rec.message = checkedMessage(d, nodes);
-        if (record(rec.message.id) != nullptr)
-            reject("two records for one message");
+        rec.message = checkedMessage(d, nodes, check);
+        if (i != 0 && rec.message.id <= last_id)
+            d.fail("records out of id order");
+        if (rec.message.id >> kMessageIdSrcShift != rec.message.src)
+            d.fail("record id names another source");
+        last_id = rec.message.id;
         rec.inject_start = d.get<sim::Tick>();
         rec.delivered = d.get<sim::Tick>();
         rec.hops = topo_.distance(rec.message.src, rec.message.dst);
@@ -1222,11 +1194,11 @@ Network::loadState(util::Deserializer &d)
                            const char *what) -> RecordHandle {
         const MessageRecord *rec = record(m.id);
         if (rec == nullptr)
-            reject(std::string(what) + " without a record");
+            d.fail(std::string(what) + " without a record");
         if (!(rec->message == m))
-            reject(std::string(what) + " differs from its record");
+            d.fail(std::string(what) + " differs from its record");
         if ((rec->inject_start != sim::kTickNever) != injected) {
-            reject(std::string(what) +
+            d.fail(std::string(what) +
                    (injected ? " whose record was never injected"
                              : " whose record says it was injected"));
         }
@@ -1249,7 +1221,7 @@ Network::loadState(util::Deserializer &d)
     std::sort(claimed.begin(), claimed.end());
     if (std::adjacent_find(claimed.begin(), claimed.end()) !=
         claimed.end())
-        reject("one message held twice by the endpoints");
+        d.fail("one message held twice by the endpoints");
 
     // Global accounting and statistics restore into shard 0; the
     // serial-point sums (and the shard-ordered stats merge) are then

@@ -384,21 +384,20 @@ class Network : public sim::Clocked
 
     /**
      * Restore state saved by saveState() on an identically configured
-     * fabric (any shard count on either side). Throws
-     * std::runtime_error where Router::loadState and rebuildWriters()
-     * do, on an ejected flit on a VC past vcs or bound for a node the
-     * fabric lacks, more than one message mid-ejection, and on any
-     * message send() could not have made: an endpoint past the
-     * last node, src == dst, a length outside [1, 65535] flits, an id
-     * whose source bits are not its src, or a class past the last.
-     * A queued message must come from its node, a delivered one be
-     * for it, and each must have exactly one accounting record, equal
-     * to it byte for byte, in no other queue. That record must say
-     * where the message is: not yet injected while it waits to start,
-     * injected once its head flit is offered (mid-injection or
-     * delivered). Flits sent need a queued message longer than them.
+     * fabric (any shard count on either side). Beyond the checked
+     * reads and the rules of Router::loadState, rebuildWriters() and
+     * checkedMessage() (which applies @p check to every payload), it
+     * rejects an ejected flit on a VC past vcs or bound past the last
+     * node, and records out of id order or whose id's source bits are
+     * not their src. A queued message must come from its node, a
+     * delivered one be for it, and each must have exactly one
+     * accounting record, equal to it byte for byte, in no other queue.
+     * That record must say where the message is: not yet injected
+     * while it waits to start, injected once its head flit is offered
+     * (mid-injection or delivered). Flits sent need a queued message
+     * longer than them; a message mid-ejection needs a flit arrived.
      */
-    void loadState(util::Deserializer &d);
+    void loadState(util::Deserializer &d, PayloadCheck check = nullptr);
 
   private:
     using RecordPool = util::Pool<MessageRecord>;

@@ -6,8 +6,6 @@
 #include "net/router.hh"
 
 #include <bit>
-#include <stdexcept>
-#include <string>
 
 #include "util/logging.hh"
 
@@ -437,10 +435,6 @@ Router::saveState(util::Serializer &s) const
 void
 Router::loadState(util::Deserializer &d)
 {
-    auto reject = [](const char *what) {
-        throw std::runtime_error(std::string("Router::loadState: ") +
-                                 what);
-    };
     const int units = unitCount();
     const int ports = portCount();
     const std::uint32_t depth =
@@ -448,7 +442,7 @@ Router::loadState(util::Deserializer &d)
     const auto flits = d.get<std::uint32_t>();
     const auto credits = d.get<std::uint32_t>();
     if (((flits | credits) >> units) != 0)
-        reject("staged bit past the last unit");
+        d.fail("staged bit past the last unit");
     *flit_wake_staged_ = flits;
     *credit_wake_staged_ = credits;
     *flit_wake_ = 0;
@@ -477,19 +471,19 @@ Router::loadState(util::Deserializer &d)
         const std::uint32_t held = ivc.tail - ivc.head;
         const std::uint32_t staged = (flits >> u) & 1u;
         if (held > depth || held + staged > depth)
-            reject("ring holds more than buffer_depth flits");
+            d.fail("ring holds more than buffer_depth flits");
         if (ivc.route_valid ? ivc.out_port < 0 || ivc.out_port >= ports ||
                                   ivc.out_vc < 0 ||
                                   ivc.out_vc >= config_.vcs
                             : ivc.routed || ivc.out_port != -1 ||
                                   ivc.out_vc != -1)
-            reject("malformed route");
+            d.fail("malformed route");
         for (std::uint32_t i = ivc.head; i != ivc.tail + staged; ++i) {
             const Flit flit = loadFlit(d);
             if (flit.vc != unit_vc_[static_cast<std::size_t>(u)])
-                reject("flit VC differs from its ring's");
+                d.fail("flit VC differs from its ring's");
             if (flit.dst >= topo_.nodeCount())
-                reject("flit destination past the last node");
+                d.fail("flit destination past the last node");
             ivc.slots[i & ivc.mask] = flit;
         }
         *buffered_ += held;
@@ -500,20 +494,15 @@ Router::loadState(util::Deserializer &d)
         }
     }
     for (int u = 0; u < units; ++u) {
-        std::int8_t &owner = outputs_[static_cast<std::size_t>(u)].owner;
-        owner = d.get<std::int8_t>();
-        if (owner < -1 || owner >= units)
-            reject("output VC owner is not an input unit");
+        const auto owner = d.getBelowOr<std::int8_t>(units, -1);
+        outputs_[static_cast<std::size_t>(u)].owner = owner;
         if (owner != -1)
             owned_ports_ |= 1u << unit_port_[static_cast<std::size_t>(u)];
     }
     ready_ports_ = owned_ports_;
-    for (int p = 0; p < ports; ++p) {
-        std::int8_t &next_vc = next_vc_[static_cast<std::size_t>(p)];
-        next_vc = d.get<std::int8_t>();
-        if (next_vc < 0 || next_vc >= config_.vcs)
-            reject("round-robin VC out of range");
-    }
+    for (int p = 0; p < ports; ++p)
+        next_vc_[static_cast<std::size_t>(p)] =
+            d.getBelow<std::int8_t>(config_.vcs);
     // The allocation scan's start is a pure function of the tick; a
     // cleared cache recomputes it on the next scan.
     rr_now_ = 0;

@@ -5,9 +5,6 @@
 
 #include "proc/processor.hh"
 
-#include <stdexcept>
-#include <string>
-
 #include "util/logging.hh"
 
 namespace locsim {
@@ -203,26 +200,15 @@ Processor::saveState(util::Serializer &s) const
 void
 Processor::loadState(util::Deserializer &d)
 {
-    auto reject = [](const char *what) {
-        throw std::runtime_error(std::string("Processor::loadState: ") +
-                                 what);
-    };
-    const auto n = d.get<std::uint64_t>();
-    if (n != contexts_.size())
-        reject("context count mismatch");
+    if (d.get<std::uint64_t>() != contexts_.size())
+        d.fail("processor context count mismatch");
     for (Context &ctx : contexts_) {
-        ctx.state = d.get<CtxState>();
-        if (ctx.state > CtxState::ReadyToResume)
-            reject("context state past ReadyToResume");
+        ctx.state = d.getEnum(CtxState::ReadyToResume);
         ctx.compute_remaining = d.get<std::uint32_t>();
         ctx.op = loadOp(d);
-        if (ctx.op.kind > Op::Kind::Prefetch)
-            reject("op kind past Prefetch");
         ctx.resume_value = d.get<std::uint64_t>();
     }
-    active_ = d.get<int>();
-    if (active_ < 0 || active_ >= static_cast<int>(contexts_.size()))
-        reject("active context outside [0, contexts)");
+    active_ = d.getBelow<int>(contexts_.size());
     switch_remaining_ = d.get<std::uint32_t>();
     stats_.loadState(d);
     now_ = d.get<sim::Tick>();

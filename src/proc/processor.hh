@@ -155,8 +155,8 @@ class Processor : public sim::Clocked, public coher::MemClient
     /**
      * Inverse of saveState(). Throws std::runtime_error on a context
      * count other than this processor's, a context state past
-     * ReadyToResume, an op kind past Prefetch, an active context
-     * outside [0, contexts), and a truncated section.
+     * ReadyToResume, an op kind past Prefetch (loadOp), an active
+     * context outside [0, contexts), and a truncated section.
      */
     void loadState(util::Deserializer &d);
 

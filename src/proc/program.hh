@@ -108,7 +108,7 @@ inline Op
 loadOp(util::Deserializer &d)
 {
     Op op;
-    op.kind = d.get<Op::Kind>();
+    op.kind = d.getEnum(Op::Kind::Prefetch);
     op.addr = d.get<coher::Addr>();
     op.store_value = d.get<std::uint64_t>();
     op.compute_cycles = d.get<std::uint32_t>();

@@ -159,10 +159,8 @@ class Histogram
     void
     loadState(util::Deserializer &d)
     {
-        const auto n = d.get<std::uint64_t>();
-        if (n != counts_.size())
-            throw std::runtime_error(
-                "Histogram::loadState: bucket count mismatch");
+        if (d.get<std::uint64_t>() != counts_.size())
+            d.fail("histogram bucket count mismatch");
         for (std::uint64_t &c : counts_)
             c = d.get<std::uint64_t>();
         underflow_ = d.get<std::uint64_t>();

@@ -17,9 +17,19 @@
  *
  * Header-only and dependency-free (no logging) so every layer,
  * including stats at the bottom of the stack, can serialize itself.
- * Deserializer errors (truncated or oversized input) throw
- * std::runtime_error: persistent inputs are untrusted, and callers
- * such as the simulation cache treat a parse failure as a miss.
+ *
+ * Persistent inputs are untrusted, so reads are checked where they
+ * happen, and every rejection throws std::runtime_error (callers such
+ * as the simulation cache treat it as a miss):
+ *  - every read rejects truncated input;
+ *  - getEnum(last) rejects a value past @c last, and raw get<T>()
+ *    does not compile for an enum, so no enum is read unchecked;
+ *  - getBelow<T>(bound) rejects an index or id outside [0, bound),
+ *    and getBelowOr<T>(bound, none) all of those but @c none;
+ *  - getBool() rejects any byte but 0 and 1;
+ *  - getAfter(prev, first) rejects a key not above the one before;
+ *  - fail(what) rejects for the other rules that span fields
+ *    (duplicates, a copy that must equal its original).
  */
 
 #ifndef LOCSIM_UTIL_SERIALIZE_HH_
@@ -30,52 +40,33 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace locsim {
 namespace util {
 
-namespace detail {
-
-/** The wire representation of T: its underlying type for enums
- *  (evaluated lazily so plain integers are legal), T itself
- *  otherwise. */
-template <typename T, bool = std::is_enum_v<T>>
-struct Wire
-{
-    using type = std::underlying_type_t<T>;
-};
-
-template <typename T>
-struct Wire<T, false>
-{
-    using type = T;
-};
-
-template <typename T>
-using wire_t = typename Wire<T>::type;
-
-} // namespace detail
-
 /** Appends primitive values to a growable byte buffer. */
 class Serializer
 {
   public:
-    /** Append an integral or enum value, little-endian. */
+    /** Append an integral value, or an enum as its underlying type,
+     *  little-endian. */
     template <typename T>
     void
     put(T value)
     {
-        static_assert(std::is_integral_v<T> || std::is_enum_v<T>,
-                      "put() takes integral or enum types");
-        using Under = detail::wire_t<T>;
-        const auto bits = static_cast<std::uint64_t>(
-            static_cast<std::make_unsigned_t<Under>>(
-                static_cast<Under>(value)));
-        constexpr std::size_t n = sizeof(Under);
-        for (std::size_t i = 0; i < n; ++i)
-            bytes_.push_back(
-                static_cast<std::uint8_t>(bits >> (8 * i)));
+        if constexpr (std::is_enum_v<T>) {
+            put(static_cast<std::underlying_type_t<T>>(value));
+        } else {
+            static_assert(std::is_integral_v<T>,
+                          "put() takes integral or enum types");
+            const auto bits = static_cast<std::uint64_t>(
+                static_cast<std::make_unsigned_t<T>>(value));
+            for (std::size_t i = 0; i < sizeof(T); ++i)
+                bytes_.push_back(
+                    static_cast<std::uint8_t>(bits >> (8 * i)));
+        }
     }
 
     void put(bool value) { put<std::uint8_t>(value ? 1 : 0); }
@@ -128,27 +119,70 @@ class Deserializer
     {
     }
 
-    /** Read an integral or enum value written by Serializer::put. */
+    /** Read an integral value written by Serializer::put. */
     template <typename T>
     T
     get()
     {
-        static_assert(std::is_integral_v<T> || std::is_enum_v<T>,
-                      "get() takes integral or enum types");
-        using Under = detail::wire_t<T>;
-        constexpr std::size_t n = sizeof(Under);
+        static_assert(!std::is_enum_v<T> && !std::is_same_v<T, bool> &&
+                          std::is_integral_v<T>,
+                      "get() reads integers: read an enum with getEnum() "
+                      "and a bool with getBool()");
+        constexpr std::size_t n = sizeof(T);
         need(n);
         std::uint64_t bits = 0;
         for (std::size_t i = 0; i < n; ++i)
             bits |= static_cast<std::uint64_t>(data_[pos_ + i])
                     << (8 * i);
         pos_ += n;
-        return static_cast<T>(
-            static_cast<Under>(static_cast<std::make_unsigned_t<Under>>(
-                bits)));
+        return static_cast<T>(static_cast<std::make_unsigned_t<T>>(bits));
     }
 
-    bool getBool() { return get<std::uint8_t>() != 0; }
+    /** Read a T that must lie in [0, @p bound): an index or node id. */
+    template <typename T, typename B>
+    T
+    getBelow(B bound)
+    {
+        const T value = get<T>();
+        if (!below(value, bound))
+            fail("index or id out of range");
+        return value;
+    }
+
+    /** getBelow(), but @p none (such as kNodeNone) is let through. */
+    template <typename T, typename B>
+    T
+    getBelowOr(B bound, T none)
+    {
+        const T value = get<T>();
+        if (value != none && !below(value, bound))
+            fail("index or id out of range");
+        return value;
+    }
+
+    /** Read an enum whose enumerators run from 0 to @p last. */
+    template <typename E>
+    E
+    getEnum(E last)
+    {
+        using Under = std::underlying_type_t<E>;
+        return static_cast<E>(
+            getBelow<Under>(static_cast<Under>(last) + 1));
+    }
+
+    /** Read the next key of a strictly ascending list: @p prev holds
+     *  the key before it (ignored when @p first) and takes this one. */
+    template <typename T>
+    T
+    getAfter(T &prev, bool first)
+    {
+        const T key = get<T>();
+        if (!first && key <= prev)
+            fail("keys out of order or repeated");
+        return prev = key;
+    }
+
+    bool getBool() { return getBelow<std::uint8_t>(2) != 0; }
 
     double
     getDouble()
@@ -180,13 +214,26 @@ class Deserializer
     std::size_t remaining() const { return size_ - pos_; }
     bool atEnd() const { return pos_ == size_; }
 
+    /** Reject the input for a rule no checked read states. */
+    [[noreturn]] static void
+    fail(const std::string &what)
+    {
+        throw std::runtime_error("malformed input: " + what);
+    }
+
   private:
+    template <typename T, typename B>
+    static bool
+    below(T value, B bound)
+    {
+        return !std::cmp_less(value, 0) && std::cmp_less(value, bound);
+    }
+
     void
     need(std::size_t n) const
     {
         if (size_ - pos_ < n)
-            throw std::runtime_error(
-                "Deserializer: truncated input");
+            fail("truncated");
     }
 
     const std::uint8_t *data_;

@@ -114,7 +114,7 @@ class NeighborProgram : public proc::ThreadProgram
     void
     loadState(util::Deserializer &d) override
     {
-        pos_ = d.get<std::uint32_t>();
+        pos_ = d.getBelow<std::uint32_t>(sequence_.size());
         iteration_ = d.get<std::uint64_t>();
         violations_ = d.get<std::uint64_t>();
         for (std::uint64_t &seen : last_seen_)

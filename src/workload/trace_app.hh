@@ -70,7 +70,7 @@ class TraceProgram : public proc::ThreadProgram
     void
     loadState(util::Deserializer &d) override
     {
-        pos_ = static_cast<std::size_t>(d.get<std::uint64_t>());
+        pos_ = d.getBelow<std::uint64_t>(ops_.size());
         loops_ = d.get<std::uint64_t>();
     }
 

@@ -389,6 +389,62 @@ TEST(Checkpoint, RejectsCorruptImages)
     }
 }
 
+/**
+ * Offsets of the network messages in @p image, found by their shape
+ * (saveMessage's layout): an id whose source bits are its src and
+ * whose sequence is set, two distinct endpoints on a 16-node machine,
+ * 12 flits, and a class other than Generic.
+ */
+std::vector<std::size_t>
+messageOffsets(const std::vector<std::uint8_t> &image)
+{
+    // id, src, dst, flits, four payload words, submit tick, class
+    constexpr std::size_t kSize = 61;
+    std::vector<std::size_t> found;
+    for (std::size_t at = 0; at + kSize <= image.size(); ++at) {
+        util::Deserializer d(image.data() + at, kSize);
+        const auto id = d.get<std::uint64_t>();
+        const auto src = d.get<sim::NodeId>();
+        const auto dst = d.get<sim::NodeId>();
+        const auto flits = d.get<std::uint32_t>();
+        const std::uint8_t cls = image[at + kSize - 1];
+        if (src < 16 && dst < 16 && src != dst && flits == 12 &&
+            id >> net::kMessageIdSrcShift == src &&
+            (id & 0xffffff) != 0 && cls >= 1 && cls < 5)
+            found.push_back(at);
+    }
+    return found;
+}
+
+TEST(Checkpoint, RejectsAProtocolTypePastTheLast)
+{
+    // Every copy of each message in flight (queue entries and their
+    // records alike) gets the same type byte, the low byte of payload
+    // word 3, so only the type can make the image fail.
+    const MachineConfig config = smallConfig();
+    const workload::Mapping mapping = identityMapping(config);
+    Machine saver(config, mapping);
+    saver.advance(701);
+    const std::vector<std::uint8_t> image = saver.saveCheckpoint();
+    const std::vector<std::size_t> messages = messageOffsets(image);
+    ASSERT_FALSE(messages.empty());
+    auto withType = [&](int type) {
+        std::vector<std::uint8_t> bytes = image;
+        for (std::size_t at : messages)
+            bytes[at + 44] = static_cast<std::uint8_t>(type);
+        return bytes;
+    };
+    const int last = static_cast<int>(coher::kLastMsgType);
+
+    Machine machine(config, mapping);
+    machine.restoreCheckpoint(withType(last));
+    EXPECT_EQ(machine.saveCheckpoint(), withType(last));
+    EXPECT_THROW(machine.restoreCheckpoint(withType(last + 1)),
+                 std::runtime_error);
+    EXPECT_THROW(machine.restoreCheckpoint(withType(255)),
+                 std::runtime_error);
+}
+
 TEST(Measurement, SerializationRoundTripsBitExactly)
 {
     Measurement m;

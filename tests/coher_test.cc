@@ -167,6 +167,25 @@ TEST(CacheUnit, CheckpointRejectsMalformedSection)
     }
     {
         util::Serializer s = sectionHeader(kSets, 1);
+        s.put<std::uint32_t>(0);
+        s.put<std::uint8_t>(2); // valid
+        s.put(makeAddr(1, 0));
+        s.put(shared);
+        s.put<std::uint64_t>(7);
+        cases.push_back({"valid byte 2", s.takeBuffer()});
+    }
+    {
+        // saveState never stores the never-touched record.
+        util::Serializer s = sectionHeader(kSets, 1);
+        s.put<std::uint32_t>(2);
+        s.put(false);
+        s.put(Addr{0});
+        s.put(CacheState::Invalid);
+        s.put<std::uint64_t>(0);
+        cases.push_back({"default record", s.takeBuffer()});
+    }
+    {
+        util::Serializer s = sectionHeader(kSets, 1);
         putEntry(s, 0, shared);
         std::vector<std::uint8_t> bytes = s.takeBuffer();
         bytes.pop_back();
@@ -412,6 +431,16 @@ TEST(DirectoryUnit, CheckpointRejectsMalformedSection)
     });
     add("owner at the node count",
         [](DirectorySection &ds) { ds.entries[1].owner = kNodes; });
+    add("repeated line", [](DirectorySection &ds) {
+        ds.entries[1].key = ds.entries[0].key;
+    });
+    add("lines out of order", [](DirectorySection &ds) {
+        std::swap(ds.entries[0], ds.entries[1]);
+    });
+    add("unaligned line",
+        [](DirectorySection &ds) { ds.entries[1].key += 1; });
+    add("repeated sharer",
+        [](DirectorySection &ds) { ds.entries[0].sharers = {2, 2}; });
     {
         std::vector<std::uint8_t> cut = good;
         cut.pop_back();
@@ -995,7 +1024,24 @@ struct ControllerSection
 
     DirectorySection directory;
     std::uint8_t inbox_type = static_cast<std::uint8_t>(MsgType::GetS);
+    sim::NodeId inbox_sender = 1;
+    sim::NodeId home_requester = 1;
     Request queued;
+    /** A GetS for node 2, staged to leave at tick 3. */
+    net::Message outbox = [] {
+        ProtoMsg get;
+        get.addr = makeAddr(2, 5);
+        get.sender = get.requester = 0;
+        net::Message m;
+        m.src = 0;
+        m.dst = 2;
+        m.flits = 12;
+        m.payload = packProtoMsg(get);
+        m.cls = net::MessageClass::Request;
+        return m;
+    }();
+    int mshr_copies = 1;     //!< times the one MSHR is written
+    int home_txn_copies = 1; //!< times the one home transaction is
     Request mshr_req;
     Request mshr_deferred{makeAddr(2, 5), 0};
     HomeTxnImage home;
@@ -1021,30 +1067,36 @@ struct ControllerSection
         s.put<std::uint64_t>(1); // inbox
         s.put(inbox_type);
         s.put(makeAddr(0, 1));
-        s.put<sim::NodeId>(1); // sender
+        s.put(inbox_sender);
         s.put<std::uint64_t>(0);
         s.put<sim::NodeId>(1); // requester
         s.put(0);              // critical
         s.put<std::uint64_t>(1); // processor queue
         putRequest(s, queued);
-        s.put<std::uint64_t>(0); // outbox
-        s.put<std::uint64_t>(1); // MSHRs
-        s.put(mshr_req.addr);
-        putRequest(s, mshr_req);
-        s.put<sim::Tick>(4); // issued
-        s.put<std::uint64_t>(1);
-        putRequest(s, mshr_deferred);
-        s.put<std::uint64_t>(1); // home transactions
-        s.put(home.key);
-        s.put(home.kind);
-        s.put<sim::NodeId>(1); // requester
-        s.put(0);              // pending acks
-        s.put(true);           // waiting for a fetch
-        s.put<std::uint64_t>(0);
-        s.put<std::uint64_t>(1);
-        putRequest(s, home_deferred);
-        putRequest(s, home.local_req);
-        s.put<sim::Tick>(6); // issued
+        s.put<std::uint64_t>(1); // outbox
+        s.put<sim::Tick>(3);     // ready
+        net::saveMessage(s, outbox);
+        s.put<std::uint64_t>(mshr_copies);
+        for (int i = 0; i < mshr_copies; ++i) {
+            s.put(mshr_req.addr);
+            putRequest(s, mshr_req);
+            s.put<sim::Tick>(4); // issued
+            s.put<std::uint64_t>(1);
+            putRequest(s, mshr_deferred);
+        }
+        s.put<std::uint64_t>(home_txn_copies);
+        for (int i = 0; i < home_txn_copies; ++i) {
+            s.put(home.key);
+            s.put(home.kind);
+            s.put(home_requester);
+            s.put(0);              // pending acks
+            s.put(true);           // waiting for a fetch
+            s.put<std::uint64_t>(0);
+            s.put<std::uint64_t>(1);
+            putRequest(s, home_deferred);
+            putRequest(s, home.local_req);
+            s.put<sim::Tick>(6); // issued
+        }
         s.put<std::uint64_t>(1); // pending completions
         s.put<sim::Tick>(10);
         s.put<std::uint64_t>(0);
@@ -1131,6 +1183,33 @@ TEST(ControllerUnit, CheckpointRejectsMalformedSection)
     add("directory owner at the node count", [](ControllerSection &c) {
         c.directory.entries[1].owner = DirectorySection::kNodes;
     });
+    add("inbox sender at the node count", [](ControllerSection &c) {
+        c.inbox_sender = DirectorySection::kNodes;
+    });
+    add("home transaction requester at the node count",
+        [](ControllerSection &c) {
+            c.home_requester = DirectorySection::kNodes;
+        });
+    add("two MSHRs for one line",
+        [](ControllerSection &c) { c.mshr_copies = 2; });
+    add("two home transactions for one line",
+        [](ControllerSection &c) { c.home_txn_copies = 2; });
+    add("directory line repeated", [](ControllerSection &c) {
+        c.directory.entries[1].key = c.directory.entries[0].key;
+    });
+    add("directory sharer repeated", [](ControllerSection &c) {
+        c.directory.entries[0].sharers = {1, 1};
+    });
+    add("outbox protocol type past PutX", [](ControllerSection &c) {
+        c.outbox.payload[3] = static_cast<std::uint64_t>(kLastMsgType) + 1;
+    });
+    add("outbox message from another node", [](ControllerSection &c) {
+        c.outbox.src = 1;
+    });
+    add("outbox message to its own source",
+        [](ControllerSection &c) { c.outbox.dst = 0; });
+    add("zero-flit outbox message",
+        [](ControllerSection &c) { c.outbox.flits = 0; });
     {
         std::vector<std::uint8_t> cut = good;
         cut.pop_back();

@@ -301,6 +301,7 @@ struct SectionImage
         std::uint32_t flits_sent = 0;
         std::vector<Message> delivered;
         std::uint64_t arrived = 0; //!< messages mid-ejection
+        std::uint32_t arrived_flits = 1; //!< flits of each so far
     };
     Node nodes[kNodes];
     std::vector<MessageRecord> records;
@@ -421,7 +422,7 @@ struct SectionImage
             s.put(n.arrived);
             for (std::uint64_t i = 0; i < n.arrived; ++i) {
                 s.put<MessageId>(i + 1);
-                s.put<std::uint32_t>(1);
+                s.put(n.arrived_flits);
             }
         }
         s.put<std::uint64_t>(records.size());
@@ -569,6 +570,10 @@ TEST(Network, CheckpointRejectsMalformedSection)
     add("two messages mid-ejection", [](SectionImage &im) {
         im.nodes[2].arrived = 2;
     });
+    add("message mid-ejection with no flit arrived", [](SectionImage &im) {
+        im.nodes[2].arrived = 1;
+        im.nodes[2].arrived_flits = 0;
+    });
     // Messages: each case edits the queued request() and its record
     // alike, so only the named fault is left.
     auto addMessage = [&](const char *name, auto &&mutate) {
@@ -604,6 +609,12 @@ TEST(Network, CheckpointRejectsMalformedSection)
     add("two records for one message", [](SectionImage &im) {
         im.withQueuedMessage();
         im.records.push_back(im.records[0]);
+    });
+    add("records out of id order", [](SectionImage &im) {
+        im.withQueuedMessage();
+        MessageRecord later = im.records[0];
+        ++later.message.id;
+        im.records.insert(im.records.begin(), later);
     });
     add("queued message from another node", [](SectionImage &im) {
         im.withQueuedMessage();

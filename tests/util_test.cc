@@ -381,8 +381,137 @@ TEST(Serialize, EnumsRoundTripViaUnderlyingType)
     s.put(Color::Red);
     EXPECT_EQ(s.buffer().size(), 4u); // two uint16 payloads
     Deserializer d(s.buffer());
-    EXPECT_EQ(d.get<Color>(), Color::Blue);
-    EXPECT_EQ(d.get<Color>(), Color::Red);
+    EXPECT_EQ(d.getEnum(Color::Blue), Color::Blue);
+    EXPECT_EQ(d.getEnum(Color::Blue), Color::Red);
+}
+
+/** The bytes Serializer::put writes for @p values, in order. */
+template <typename... T>
+std::vector<std::uint8_t>
+bytesOf(T... values)
+{
+    Serializer s;
+    (s.put(values), ...);
+    return s.takeBuffer();
+}
+
+/** True if @p read throws std::runtime_error on a Deserializer over
+ *  @p bytes. */
+template <typename Read>
+bool
+rejects(const std::vector<std::uint8_t> &bytes, Read read)
+{
+    Deserializer d(bytes);
+    try {
+        read(d);
+    } catch (const std::runtime_error &) {
+        return true;
+    }
+    return false;
+}
+
+TEST(Serialize, GetEnumRejectsValuesPastTheLast)
+{
+    enum class Kind : std::uint8_t { A, B, C };
+    enum class Wide { X, Y }; // int underneath: negatives are invalid
+    const std::vector<std::uint8_t> bytes = bytesOf(std::uint8_t{2}, 1);
+    Deserializer d(bytes);
+    EXPECT_EQ(d.getEnum(Kind::C), Kind::C);
+    EXPECT_EQ(d.getEnum(Wide::Y), Wide::Y);
+
+    auto kind = [](Deserializer &r) { r.getEnum(Kind::C); };
+    auto wide = [](Deserializer &r) { r.getEnum(Wide::Y); };
+    EXPECT_TRUE(rejects(bytesOf(std::uint8_t{3}), kind));
+    EXPECT_TRUE(rejects(bytesOf(std::uint8_t{255}), kind));
+    EXPECT_TRUE(rejects(bytesOf(2), wide));
+    EXPECT_TRUE(rejects(bytesOf(-1), wide));
+    EXPECT_TRUE(rejects({}, kind));
+    EXPECT_TRUE(rejects({1, 0, 0}, wide)); // cut short
+}
+
+TEST(Serialize, GetBelowRejectsIndicesOutsideTheBound)
+{
+    const std::vector<std::uint8_t> bytes =
+        bytesOf(std::uint32_t{9}, 9, std::int8_t{0});
+    Deserializer d(bytes);
+    EXPECT_EQ(d.getBelow<std::uint32_t>(10u), 9u);
+    EXPECT_EQ(d.getBelow<int>(std::size_t{10}), 9);
+    EXPECT_EQ(d.getBelow<std::int8_t>(1), 0);
+
+    auto u32 = [](Deserializer &r) { r.getBelow<std::uint32_t>(10); };
+    auto i32 = [](Deserializer &r) { r.getBelow<int>(std::size_t{10}); };
+    EXPECT_TRUE(rejects(bytesOf(std::uint32_t{10}), u32));
+    EXPECT_TRUE(rejects(bytesOf(std::uint32_t{0xffffffffu}), u32));
+    EXPECT_TRUE(rejects(bytesOf(10), i32));
+    EXPECT_TRUE(rejects(bytesOf(-1), i32));
+    EXPECT_TRUE(rejects(bytesOf(std::numeric_limits<int>::min()), i32));
+    EXPECT_TRUE(rejects(bytesOf(std::int8_t{-1}), [](Deserializer &r) {
+        r.getBelow<std::int8_t>(4);
+    }));
+    EXPECT_TRUE(rejects(bytesOf(std::uint32_t{0}), [](Deserializer &r) {
+        r.getBelow<std::uint32_t>(0); // an empty range holds nothing
+    }));
+    EXPECT_TRUE(rejects({0, 0, 0}, u32)); // cut short
+}
+
+TEST(Serialize, GetBelowOrLetsTheNoneValueThrough)
+{
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    const std::vector<std::uint8_t> bytes =
+        bytesOf(std::uint32_t{3}, kNone, std::int8_t{-1});
+    Deserializer d(bytes);
+    EXPECT_EQ(d.getBelowOr(4u, kNone), 3u);
+    EXPECT_EQ(d.getBelowOr(4u, kNone), kNone);
+    EXPECT_EQ(d.getBelowOr<std::int8_t>(6, -1), -1);
+
+    EXPECT_TRUE(rejects(bytesOf(std::uint32_t{4}), [&](Deserializer &r) {
+        r.getBelowOr(4u, kNone);
+    }));
+    EXPECT_TRUE(rejects(bytesOf(std::int8_t{-2}), [](Deserializer &r) {
+        r.getBelowOr<std::int8_t>(6, -1);
+    }));
+    EXPECT_TRUE(rejects(bytesOf(std::int8_t{6}), [](Deserializer &r) {
+        r.getBelowOr<std::int8_t>(6, -1);
+    }));
+    EXPECT_TRUE(rejects({}, [](Deserializer &r) {
+        r.getBelowOr<std::int8_t>(6, -1);
+    }));
+}
+
+TEST(Serialize, GetBoolRejectsBytesOtherThanZeroAndOne)
+{
+    const std::vector<std::uint8_t> bytes =
+        bytesOf(std::uint8_t{0}, std::uint8_t{1});
+    Deserializer d(bytes);
+    EXPECT_FALSE(d.getBool());
+    EXPECT_TRUE(d.getBool());
+
+    auto get = [](Deserializer &r) { r.getBool(); };
+    EXPECT_TRUE(rejects({2}, get));
+    EXPECT_TRUE(rejects({255}, get));
+    EXPECT_TRUE(rejects({}, get));
+}
+
+TEST(Serialize, GetAfterRejectsKeysThatDoNotAscend)
+{
+    std::uint64_t key = 99; // ignored by the first read
+    const std::vector<std::uint8_t> bytes =
+        bytesOf(std::uint64_t{0}, std::uint64_t{5});
+    Deserializer d(bytes);
+    EXPECT_EQ(d.getAfter(key, true), 0u);
+    EXPECT_EQ(d.getAfter(key, false), 5u);
+    EXPECT_EQ(key, 5u);
+
+    auto second = [](Deserializer &r) {
+        std::uint64_t prev = 0;
+        r.getAfter(prev, true);
+        r.getAfter(prev, false);
+    };
+    EXPECT_TRUE(rejects(bytesOf(std::uint64_t{5}, std::uint64_t{5}),
+                        second));
+    EXPECT_TRUE(rejects(bytesOf(std::uint64_t{5}, std::uint64_t{4}),
+                        second));
+    EXPECT_TRUE(rejects(bytesOf(std::uint64_t{5}), second)); // cut short
 }
 
 TEST(Serialize, DoublesAreBitExact)

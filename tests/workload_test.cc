@@ -8,8 +8,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "net/topology.hh"
 #include "workload/mapping.hh"
@@ -329,6 +332,121 @@ TEST(TorusApp, MeshBoundaryThreadsHaveFewerNeighbors)
         op = corner.next(0);
     }
     EXPECT_EQ(loads, 2);
+}
+
+/**
+ * Program sections written field by field in saveState's order, so
+ * tests can write values the programs never do: thread 9 of an 8x8
+ * torus (four neighbour loads, then its store: five steps) on its
+ * store, and a two-op trace on its second op. An op, as loadOp reads
+ * it, is a prefetch.
+ */
+struct ProgramSections
+{
+    std::uint32_t neighbor_pos = 4;
+    std::uint64_t trace_pos = 1;
+    std::uint8_t op_kind = 2; //!< Prefetch
+
+    std::vector<std::uint8_t>
+    neighbor() const
+    {
+        util::Serializer s;
+        s.put(neighbor_pos);
+        s.put<std::uint64_t>(3); // iterations
+        s.put<std::uint64_t>(0); // violations
+        for (std::uint64_t seen : {1, 2, 3, 4})
+            s.put(seen << 16);
+        return s.takeBuffer();
+    }
+
+    std::vector<std::uint8_t>
+    trace() const
+    {
+        util::Serializer s;
+        s.put(trace_pos);
+        s.put<std::uint64_t>(5); // loops
+        return s.takeBuffer();
+    }
+
+    std::vector<std::uint8_t>
+    op() const
+    {
+        util::Serializer s;
+        s.put(op_kind);
+        s.put(coher::makeAddr(3, 0));
+        s.put<std::uint64_t>(0); // store value
+        s.put<std::uint32_t>(5); // compute cycles
+        return s.takeBuffer();
+    }
+};
+
+TEST(Program, CheckpointRejectsMalformedSection)
+{
+    const net::TorusTopology topo(8, 2);
+    const Mapping mapping = Mapping::identity(64);
+    NeighborProgram neighbor(topo, mapping, 0, 9, {});
+    std::istringstream input("L 1 0 2\nS 2 0 3\n");
+    TraceProgram trace(parseTrace(input));
+    using Load = std::function<std::vector<std::uint8_t>(
+        const std::vector<std::uint8_t> &)>;
+    // Loads a section and returns its re-saved bytes.
+    auto resaved = [](proc::ThreadProgram &program) -> Load {
+        return [&program](const std::vector<std::uint8_t> &bytes) {
+            util::Deserializer d(bytes);
+            program.loadState(d);
+            EXPECT_TRUE(d.atEnd());
+            util::Serializer s;
+            program.saveState(s);
+            return s.takeBuffer();
+        };
+    };
+    const Load neighbor_load = resaved(neighbor);
+    const Load trace_load = resaved(trace);
+    const Load op_load = [](const std::vector<std::uint8_t> &bytes) {
+        util::Deserializer d(bytes);
+        util::Serializer s;
+        proc::saveOp(s, proc::loadOp(d));
+        EXPECT_TRUE(d.atEnd());
+        return s.takeBuffer();
+    };
+
+    // The well-formed sections load and re-save byte for byte.
+    const ProgramSections good;
+    EXPECT_EQ(neighbor_load(good.neighbor()), good.neighbor());
+    EXPECT_EQ(trace_load(good.trace()), good.trace());
+    EXPECT_EQ(op_load(good.op()), good.op());
+
+    struct Case
+    {
+        const char *name;
+        const Load &load;
+        std::vector<std::uint8_t> bytes;
+    };
+    auto with = [](auto &&mutate) {
+        ProgramSections sections;
+        mutate(sections);
+        return sections;
+    };
+    auto cut = [](std::vector<std::uint8_t> bytes) {
+        bytes.pop_back();
+        return bytes;
+    };
+    const Case cases[] = {
+        {"neighbour position at the sequence length", neighbor_load,
+         with([](ProgramSections &p) { p.neighbor_pos = 5; }).neighbor()},
+        {"neighbour position 0x0fffff", neighbor_load,
+         with([](ProgramSections &p) { p.neighbor_pos = 0x0fffff; })
+             .neighbor()},
+        {"trace position at the op count", trace_load,
+         with([](ProgramSections &p) { p.trace_pos = 2; }).trace()},
+        {"op kind past Prefetch", op_load,
+         with([](ProgramSections &p) { p.op_kind = 3; }).op()},
+        {"neighbour section cut short", neighbor_load, cut(good.neighbor())},
+        {"trace section cut short", trace_load, cut(good.trace())},
+        {"op cut short", op_load, cut(good.op())},
+    };
+    for (const Case &c : cases)
+        EXPECT_THROW(c.load(c.bytes), std::runtime_error) << c.name;
 }
 
 } // namespace
